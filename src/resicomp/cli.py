@@ -47,11 +47,14 @@ class ConfigError(Exception):
 
 
 def derive_seed(master_seed: int, *indices) -> int:
-    """Episode seed = low 64 bits of blake2b(master, indices...)."""
+    """Episode seed = low 64 bits of blake2b(master, indices...).
+
+    Every input is hashed as its low 64 bits, little-endian, so a derived
+    seed (which may exceed 2**63) can itself be split again.
+    """
     h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack("<q", master_seed))
-    for idx in indices:
-        h.update(struct.pack("<q", idx))
+    for value in (master_seed, *indices):
+        h.update(struct.pack("<Q", value & (2**64 - 1)))
     return struct.unpack("<Q", h.digest())[0]
 
 

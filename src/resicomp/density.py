@@ -9,6 +9,7 @@ integer frequency tables regardless of libm.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,20 +27,45 @@ _AS_A4 = -1.453152027
 _AS_A5 = 1.061405429
 _SQRT1_2 = 0.7071067811865476
 
+# Rows per block in the table build.  A block's temporaries (about
+# 130 KB each at 255 symbols) fit a core's L2 cache and are small enough
+# for the allocator to serve again from freed memory, so a slice does
+# not page in fresh memory for every temporary.  Blocking changes no
+# result: every row is computed alone.
+_BLOCK_ROWS = 64
 
-def _erf_approx(x):
-    x = np.asarray(x, dtype=np.float64)
-    sign = np.where(x < 0.0, -1.0, 1.0)
-    ax = np.abs(x)
-    t = 1.0 / (1.0 + _AS_P * ax)
-    poly = ((((_AS_A5 * t + _AS_A4) * t + _AS_A3) * t + _AS_A2) * t + _AS_A1) * t
-    y = 1.0 - poly * np.exp(-ax * ax)
-    return sign * y
+
+def _normal_cdf_in_place(x):
+    """Overwrite the float64 array x with normal_cdf(x).
+
+    The operations are those of 0.5 * (1 + erf(x / sqrt 2)) written out
+    with Horner's rule, in the pinned order; only the temporaries differ.
+    """
+    x *= _SQRT1_2
+    negative = x < 0.0
+    np.abs(x, out=x)
+    t = x * _AS_P
+    t += 1.0
+    np.divide(1.0, t, out=t)
+    poly = t * _AS_A5
+    for a in (_AS_A4, _AS_A3, _AS_A2, _AS_A1):
+        poly += a
+        poly *= t
+    np.multiply(x, x, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    poly *= x
+    np.subtract(1.0, poly, out=x)  # erf(|x|)
+    np.negative(x, out=x, where=negative)
+    x += 1.0
+    x *= 0.5
+    return x
 
 
 def normal_cdf(x):
     """Standard normal CDF via the pinned erf approximation."""
-    return 0.5 * (1.0 + _erf_approx(np.asarray(x, dtype=np.float64) * _SQRT1_2))
+    x = np.asarray(x, dtype=np.float64)
+    return _normal_cdf_in_place(x.reshape(-1).copy()).reshape(x.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -90,9 +116,15 @@ class Pmf:
 
 @dataclass(frozen=True)
 class FreqTable:
-    """Integer frequencies summing to FREQ_TOTAL, each count >= 1."""
+    """Integer frequencies summing to FREQ_TOTAL, each count >= 1.
+
+    Cumulative counts are held in a memoryview, whose items index as
+    Python ints, so the range coder's per-symbol lookups stay in plain
+    Python arithmetic without converting every table to a list.
+    """
 
     counts: np.ndarray
+    total = FREQ_TOTAL
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
@@ -101,7 +133,8 @@ class FreqTable:
         if int(c.sum()) != FREQ_TOTAL:
             raise ValueError(f"counts must sum to {FREQ_TOTAL}")
         object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "_cum", np.concatenate(([0], np.cumsum(c))))
+        object.__setattr__(self, "_cum",
+                           memoryview(np.concatenate(([0], np.cumsum(c)))))
 
     @classmethod
     def batch(cls, counts):
@@ -116,26 +149,39 @@ class FreqTable:
         if np.any(counts.sum(axis=1) != FREQ_TOTAL):
             raise ValueError(f"counts must sum to {FREQ_TOTAL}")
         n, s = counts.shape
-        cums = np.zeros((n, s + 1), dtype=np.int64)
+        width = s + 1
+        cums = np.zeros((n, width), dtype=np.int64)
         np.cumsum(counts, axis=1, out=cums[:, 1:])
+        flat = memoryview(cums.reshape(-1))
         tables = []
-        for row, cum in zip(counts, cums):
+        for i, row in enumerate(counts):
             table = cls.__new__(cls)
             object.__setattr__(table, "counts", row)
-            object.__setattr__(table, "_cum", cum)
+            object.__setattr__(table, "_cum", flat[i * width:(i + 1) * width])
             tables.append(table)
         return tables
 
-    @property
-    def total(self):
-        return FREQ_TOTAL
-
     def low_high(self, index):
-        return int(self._cum[index]), int(self._cum[index + 1])
+        cum = self._cum
+        return cum[index], cum[index + 1]
 
     def find(self, value):
         """Index of the symbol whose cumulative span contains value."""
-        return int(np.searchsorted(self._cum, value, side="right")) - 1
+        return bisect_right(self._cum, value) - 1
+
+
+def unique_rows(a):
+    """Distinct rows of a 2-D array, compared by their exact bytes.
+
+    Returns (distinct, inverse) with a[i] == distinct[inverse[i]] byte
+    for byte.  Rows that differ only in the sign of a zero, or in a NaN
+    payload, count as distinct.
+    """
+    a = np.ascontiguousarray(a)
+    keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True,
+                                  return_inverse=True)
+    return a[first], inverse.reshape(-1)
 
 
 def discretize_batch(weights, means, sigmas, v):
@@ -143,24 +189,57 @@ def discretize_batch(weights, means, sigmas, v):
 
     weights/means/sigmas have shape (..., K); returns probabilities of
     shape (..., 2v+1) over symbols -v..v with tail mass folded into the
-    boundary symbols.
+    boundary symbols.  Each distinct (mean, sigma) component is
+    integrated once; a bin mass depends on nothing else.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    means = np.asarray(means, dtype=np.float64)
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    symbols = np.arange(-v, v + 1, dtype=np.float64)
-    # Upper bin edges; the lowest edge is -inf and the highest +inf.
-    edges = symbols + 0.5  # (S,)
-    z = (edges[:, None] - means[..., None, :]) / sigmas[..., None, :]
-    cdf = normal_cdf(z)  # (..., S, K)
-    upper = np.concatenate([cdf[..., :-1, :], np.ones_like(cdf[..., :1, :])], axis=-2)
-    lower = np.concatenate([np.zeros_like(cdf[..., :1, :]), cdf[..., :-1, :]], axis=-2)
-    per_comp = upper - lower
-    probs = np.einsum("...k,...sk->...s", weights, per_comp)
-    np.clip(probs, 0.0, None, out=probs)
-    totals = probs.sum(axis=-1, keepdims=True)
-    probs /= totals
-    return probs
+    weights, means, sigmas = np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.float64) for a in (weights, means, sigmas)))
+    *lead, k = means.shape
+    n_symbols = 2 * v + 1
+    pairs, inverse = unique_rows(
+        np.stack([means.reshape(-1), sigmas.reshape(-1)], axis=1))
+    masses = _bin_masses(pairs, v)  # (P, S)
+    inverse = inverse.reshape(-1, k)
+    weights = weights.reshape(-1, k)
+    probs = np.empty((len(weights), n_symbols))
+    rows = min(len(probs), _BLOCK_ROWS)
+    gathered = np.empty((rows, k, n_symbols))
+    per_comp = np.empty((rows, n_symbols, k))
+    for start in range(0, len(probs), _BLOCK_ROWS):
+        block = probs[start:start + _BLOCK_ROWS]
+        b = len(block)
+        np.take(masses, inverse[start:start + b], axis=0, out=gathered[:b],
+                mode="clip")
+        # (rows, S, K), the layout of a direct evaluation, so the mixing
+        # sums every bin in the same order.
+        np.copyto(per_comp[:b], gathered[:b].transpose(0, 2, 1))
+        np.einsum("rk,rsk->rs", weights[start:start + b], per_comp[:b],
+                  out=block)
+        np.clip(block, 0.0, None, out=block)
+        block /= block.sum(axis=1, keepdims=True)
+    return probs.reshape(*lead, n_symbols)
+
+
+def _bin_masses(pairs, v):
+    """(P, 2v+1) unit-bin masses of the normals given as (mean, sigma) rows.
+
+    Tail mass is folded into the boundary bins.
+    """
+    # Inner bin edges; the lowest bin reaches -inf and the highest +inf.
+    edges = np.arange(-v, v, dtype=np.float64) + 0.5  # (S-1,)
+    masses = np.empty((len(pairs), 2 * v + 1))
+    cdf = np.empty((min(len(pairs), _BLOCK_ROWS), 2 * v))
+    for start in range(0, len(pairs), _BLOCK_ROWS):
+        pair = pairs[start:start + _BLOCK_ROWS]
+        block = masses[start:start + len(pair)]
+        z = cdf[:len(pair)]
+        np.subtract(edges, pair[:, :1], out=z)
+        z /= pair[:, 1:]
+        _normal_cdf_in_place(z)
+        block[:, -1] = 1.0
+        block[:, :-1] = z
+        block[:, 1:] -= z
+    return masses
 
 
 def discretize(gmm: GmmParams, v: int) -> Pmf:
@@ -180,34 +259,57 @@ def quantize_probs(probs):
     function of the input floats.
     """
     p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    n, s = p.shape
+    s = p.shape[1]
     if s > FREQ_TOTAL:
         raise ValueError("alphabet larger than frequency total")
+    counts = np.empty(p.shape, dtype=np.int64)
+    for start in range(0, len(p), _BLOCK_ROWS):
+        _quantize_rows(p[start:start + _BLOCK_ROWS],
+                       counts[start:start + _BLOCK_ROWS])
+    return counts if np.asarray(probs).ndim > 1 else counts[0]
+
+
+def _quantize_rows(p, out):
+    """quantize_probs of the (N, S) rows p, written into out."""
+    s = p.shape[1]
     scaled = p * FREQ_TOTAL
     base = np.floor(scaled).astype(np.int64)
-    counts = np.maximum(base, 1)
+    counts = np.maximum(base, 1, out=out)
     remainder = scaled - base
-    # Rank symbols by descending remainder, ties toward lower index.
-    order = np.lexsort((np.broadcast_to(np.arange(s), (n, s)), -remainder), axis=1)
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.broadcast_to(np.arange(s), (n, s)).copy(), axis=1)
     deficit = FREQ_TOTAL - counts.sum(axis=1)
-    add = deficit > 0
-    if np.any(add):
-        counts[add] += rank[add] < deficit[add, None]
-    excess = np.maximum(counts.sum(axis=1) - FREQ_TOTAL, 0)
-    if np.any(excess > 0):
-        # Remove surplus from shrinkable symbols, lowest remainder first.
-        rev = order[:, ::-1]
-        room = np.take_along_axis(counts, rev, axis=1) - 1
-        cum = np.cumsum(room, axis=1)
-        if np.any(cum[:, -1] < excess):
+    grow = np.flatnonzero(deficit > 0)
+    if grow.size:
+        # One more to each of the `deficit` largest remainders, ties
+        # toward lower index: everything above the deficit-th largest
+        # value, then the first of the symbols tied at it.
+        rem = remainder[grow]
+        d = np.minimum(deficit[grow], s)
+        cut = np.sort(rem, axis=1)[np.arange(grow.size), s - d][:, None]
+        above = rem > cut
+        tied = rem == cut
+        fill = (d - above.sum(axis=1))[:, None]
+        counts[grow] += above | (tied & (np.cumsum(tied, axis=1) <= fill))
+    shrink = np.flatnonzero(deficit < 0)
+    if shrink.size:
+        # Remove surplus from shrinkable symbols, lowest remainder first,
+        # ties toward higher index, one symbol per row and round.
+        c = counts[shrink]
+        need = -deficit[shrink]
+        if np.any(c.sum(axis=1) - s < need):
             raise ValueError("cannot satisfy count floor")
-        take = np.clip(excess[:, None] - (cum - room), 0, room)
-        np.put_along_axis(
-            counts, rev, np.take_along_axis(counts, rev, axis=1) - take, axis=1
-        )
-    return counts if np.asarray(probs).ndim > 1 else counts[0]
+        key = np.where(c > 1, remainder[shrink], np.inf)
+        rows = np.arange(shrink.size)
+        for _ in range(s):
+            if not rows.size:
+                break
+            # argmin's first hit in reversed columns is the highest index.
+            j = s - 1 - np.argmin(key[rows, ::-1], axis=1)
+            take = np.minimum(c[rows, j] - 1, need[rows])
+            c[rows, j] -= take
+            need[rows] -= take
+            key[rows, j] = np.inf
+            rows = rows[need[rows] > 0]
+        counts[shrink] = c
 
 
 def to_freq_table(pmf: Pmf) -> FreqTable:

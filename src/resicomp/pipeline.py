@@ -15,7 +15,8 @@ import numpy as np
 
 from . import entropy_coder
 from .context_modes import ContextMode, context_depths, make_mode
-from .density import discretize_batch, quantize_probs, FreqTable
+from .density import (FreqTable, discretize_batch, quantize_probs,
+                      unique_rows)
 from .image_io import mse, psnr_db
 from .partition import build_plan
 from .predictor import (PredictorOutput, PriorModel, SynchronizationError,
@@ -51,7 +52,13 @@ class PipelineConfig:
 
 
 def _slice_tables(output: PredictorOutput, positions, clamp: int):
-    """Frequency tables for a slice, position-major then channel order."""
+    """Frequency tables for a slice, position-major then channel order.
+
+    Returns (tables, probs, index): one table per symbol, and the
+    probabilities of the distinct mixtures, symbol j's in probs[index[j]].
+    A table is built once per distinct (weights, means, sigmas) row and
+    shared by every symbol with that row.
+    """
     rows = np.array([p[0] for p in positions])
     cols = np.array([p[1] for p in positions])
     w = output.weights[rows, cols]  # (n, C, K)
@@ -68,9 +75,13 @@ def _slice_tables(output: PredictorOutput, positions, clamp: int):
         w = np.stack([w[:, 0], w[:, 1] + w[:, 2]], axis=1)
         mu = mu[:, :2]
         sg = sg[:, :2]
-    probs = discretize_batch(w, mu, sg, clamp)
+        k = 2
+    distinct, index = unique_rows(np.concatenate([w, mu, sg], axis=1))
+    probs = discretize_batch(distinct[:, :k], distinct[:, k:2 * k],
+                             distinct[:, 2 * k:], clamp)
     counts = quantize_probs(probs)
-    return FreqTable.batch(counts), probs
+    tables = FreqTable.batch(counts)
+    return [tables[i] for i in index.tolist()], probs, index
 
 
 class _PredictCache:
@@ -129,7 +140,7 @@ def send(image: np.ndarray, cfg: PipelineConfig):
             depth=depths[i - 1],
         )
         positions = plan.slice_positions(i)
-        tables, _ = _slice_tables(output, positions, cfg.codec.clamp)
+        tables, _, _ = _slice_tables(output, positions, cfg.codec.clamp)
         rows = np.array([p[0] for p in positions])
         cols = np.array([p[1] for p in positions])
         symbols = (grid.values[rows, cols].astype(np.int64)
@@ -189,7 +200,7 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
         key = frozenset(mode.contexts_of(i))
         output = cache.get(key, lambda: ctx, depth=depths[i - 1])
         positions = plan.slice_positions(i)
-        tables, _ = _slice_tables(output, positions, cfg.codec.clamp)
+        tables, _, _ = _slice_tables(output, positions, cfg.codec.clamp)
         try:
             symbols = entropy_coder.decode(by_slice[i].payload, tables)
         except entropy_coder.CorruptStreamError:
@@ -268,12 +279,13 @@ def objective(image: np.ndarray, mask_ratio: float, alpha: float,
     rate_bits = 0.0
     mask_positions = [tuple(p) for p in np.argwhere(~masked.known)]
     if mask_positions:
-        _, probs = _slice_tables(output, mask_positions, cfg.codec.clamp)
+        _, probs, index = _slice_tables(output, mask_positions,
+                                        cfg.codec.clamp)
         rows = np.array([p[0] for p in mask_positions])
         cols = np.array([p[1] for p in mask_positions])
         symbols = (grid.values[rows, cols].astype(np.int64)
                    + cfg.codec.clamp).reshape(-1)
-        p = probs[np.arange(len(symbols)), symbols]
+        p = probs[index, symbols]
         rate_bits = float(-np.log2(np.maximum(p, 1e-300)).sum())
     concealed = conceal(masked, output)
     recon_quantized = synthesize(grid, cfg.codec, image.shape[0],
