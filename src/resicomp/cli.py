@@ -369,7 +369,17 @@ def cmd_decode(args):
     paths = sorted(pkt_dir.glob("slice_*.pkt"))
     if not paths:
         raise FileNotFoundError(f"no packets in {pkt_dir}")
-    packets = [transport.packet_from_bytes(p.read_bytes()) for p in paths]
+    packets, damaged = [], []
+    for path in paths:
+        try:
+            packets.append(transport.packet_from_bytes(path.read_bytes()))
+        except transport.PacketFormatError as exc:
+            damaged.append(f"warning: {path.name}: {exc}; "
+                           "slice treated as lost")
+    if not packets:
+        raise transport.PacketFormatError(f"no readable packet in {pkt_dir}")
+    for line in damaged:
+        print(line, file=sys.stderr)
     total = packets[0].header.total_slices
     by_index = {p.header.slice_index: p for p in packets}
     ordered = [by_index.get(i) for i in range(total)]
@@ -536,7 +546,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, transport.PacketFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (OSError, FileNotFoundError) as exc:

@@ -4,7 +4,9 @@ The sender tokenizes, partitions, and entropy-codes each slice under
 the context mode's dependency matrix, packetizing one slice per packet.
 The receiver entropy-decodes every slice whose full context closure
 arrived, marks the rest lost, conceals all still-masked tokens in a
-single predictor pass, and synthesizes the image.
+single predictor pass, and synthesizes the image.  Both sides run the
+context model once per slice and only at that slice's positions, so
+its window sums cost work in proportion to the slice, not the grid.
 """
 
 from __future__ import annotations
@@ -51,23 +53,18 @@ class PipelineConfig:
         return default_prior(self.codec.channels, self.codec.clamp)
 
 
-def _slice_tables(output: PredictorOutput, positions, clamp: int):
-    """Frequency tables for a slice, position-major then channel order.
+def _slice_tables(output: PredictorOutput, clamp: int):
+    """Frequency tables for predicted positions, position-major then channel.
 
     Returns (tables, probs, index): one table per symbol, and the
     probabilities of the distinct mixtures, symbol j's in probs[index[j]].
     A table is built once per distinct (weights, means, sigmas) row and
     shared by every symbol with that row.
     """
-    rows = np.array([p[0] for p in positions])
-    cols = np.array([p[1] for p in positions])
-    w = output.weights[rows, cols]  # (n, C, K)
-    mu = output.means[rows, cols]
-    sg = output.sigmas[rows, cols]
-    n, channels, k = w.shape
-    w = w.reshape(-1, k)
-    mu = mu.reshape(-1, k)
-    sg = sg.reshape(-1, k)
+    k = output.weights.shape[-1]
+    w = output.weights.reshape(-1, k)
+    mu = output.means.reshape(-1, k)
+    sg = output.sigmas.reshape(-1, k)
     # The predictor's trailing components share one prior Gaussian, so
     # their weights can be pooled before the bin integration.
     if (k == 3 and np.array_equal(mu[:, 1], mu[:, 2])
@@ -84,32 +81,6 @@ def _slice_tables(output: PredictorOutput, positions, clamp: int):
     return [tables[i] for i in index.tolist()], probs, index
 
 
-class _PredictCache:
-    """One predictor evaluation per distinct context slice set.
-
-    Evaluations for equal-depth slices count as a single pass: chains
-    that can be predicted side by side (different descriptions, same
-    level) are batched into one pass of the iterative schedule, and the
-    all-mask pass (depth 0) is cacheable, so it is not counted at all.
-    """
-
-    def __init__(self, prior: PriorModel):
-        self.prior = prior
-        self._cache = {}
-        self._depths_hit = set()
-
-    @property
-    def passes(self):
-        return len(self._depths_hit)
-
-    def get(self, key, grid_builder, depth=None):
-        if key not in self._cache:
-            self._cache[key] = predict(grid_builder(), self.prior)
-            if key:
-                self._depths_hit.add(len(key) if depth is None else depth)
-        return self._cache[key]
-
-
 def send(image: np.ndarray, cfg: PipelineConfig):
     """Encode an image into one packet per slice.
 
@@ -119,7 +90,6 @@ def send(image: np.ndarray, cfg: PipelineConfig):
     mode = cfg.make_context_mode()
     plan = build_plan(grid.h, grid.w, cfg.l, mode, cfg.plan_seed, cfg.beta)
     prior = cfg.get_prior()
-    cache = _PredictCache(prior)
     all_received = [1] * cfg.l
     header_common = dict(
         image_id=cfg.image_id,
@@ -132,17 +102,11 @@ def send(image: np.ndarray, cfg: PipelineConfig):
         beta_milli=int(round(plan.beta * 1000)),
     )
     packets = []
-    depths = context_depths(mode)
     for i in range(1, cfg.l + 1):
-        key = frozenset(mode.contexts_of(i))
-        output = cache.get(
-            key, lambda: collect_context(i, mode, all_received, plan, grid),
-            depth=depths[i - 1],
-        )
-        positions = plan.slice_positions(i)
-        tables, _, _ = _slice_tables(output, positions, cfg.codec.clamp)
-        rows = np.array([p[0] for p in positions])
-        cols = np.array([p[1] for p in positions])
+        ctx = collect_context(i, mode, all_received, plan, grid)
+        output = predict(ctx, prior, plan.slice_positions(i))
+        tables, _, _ = _slice_tables(output, cfg.codec.clamp)
+        rows, cols = output.positions.T
         symbols = (grid.values[rows, cols].astype(np.int64)
                    + cfg.codec.clamp).reshape(-1)
         payload = entropy_coder.encode(symbols.tolist(), tables)
@@ -157,7 +121,9 @@ class ReceiveResult:
     outcome: str
     grid: TokenGrid  # concealed (all known) token grid
     decoded_slices: list  # 1-based indices that entropy-decoded
-    predictor_passes: int  # non-all-mask predictor evaluations
+    # Distinct context depths of slices predicted from a non-empty
+    # context, plus one for concealment around any decoded token.
+    predictor_passes: int
 
 
 def receive(packets, flags, cfg: PipelineConfig, out_height: int,
@@ -181,7 +147,6 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
     plan = build_plan(ref.grid_h, ref.grid_w, l, mode, ref.plan_seed,
                       ref.beta_milli / 1000.0)
     prior = cfg.get_prior()
-    cache = _PredictCache(prior)
     grid = TokenGrid(
         values=np.zeros((ref.grid_h, ref.grid_w, ref.channels), np.int16),
         known=np.zeros((ref.grid_h, ref.grid_w), bool),
@@ -189,6 +154,9 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
     avail = [bool(flags[i]) and (i + 1) in by_slice for i in range(l)]
     decoded = [False] * l
     depths = context_depths(mode)
+    # Predictions at one context depth count as one pass of the iterative
+    # schedule; slices predicted from no context at all count for none.
+    depths_predicted = set()
     for i in range(1, l + 1):
         if not avail[i - 1]:
             continue
@@ -197,23 +165,22 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
         except SynchronizationError:
             avail[i - 1] = False  # lost via error propagation
             continue
-        key = frozenset(mode.contexts_of(i))
-        output = cache.get(key, lambda: ctx, depth=depths[i - 1])
-        positions = plan.slice_positions(i)
-        tables, _, _ = _slice_tables(output, positions, cfg.codec.clamp)
+        if mode.contexts_of(i):
+            depths_predicted.add(depths[i - 1])
+        output = predict(ctx, prior, plan.slice_positions(i))
+        tables, _, _ = _slice_tables(output, cfg.codec.clamp)
         try:
             symbols = entropy_coder.decode(by_slice[i].payload, tables)
         except entropy_coder.CorruptStreamError:
             avail[i - 1] = False
             continue
         values = (np.array(symbols, dtype=np.int64) - cfg.codec.clamp)
-        values = values.reshape(len(positions), ref.channels)
-        for (r, c), v in zip(positions, values):
-            grid.values[r, c] = v
-            grid.known[r, c] = True
+        rows, cols = output.positions.T
+        grid.values[rows, cols] = values.reshape(len(rows), ref.channels)
+        grid.known[rows, cols] = True
         decoded[i - 1] = True
     n_decoded = sum(decoded)
-    passes = cache.passes
+    passes = len(depths_predicted)
     if n_decoded == l:
         outcome = OUTCOME_LOSSLESS
         full = grid.copy()
@@ -235,14 +202,18 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
 
 def evaluate(original: np.ndarray, result_image: np.ndarray, outcome: str,
              packets):
-    """(psnr_db, bpp_payload, bpp_total) under the failure convention."""
+    """(psnr_db, bpp_payload, bpp_total) under the failure convention.
+
+    Lost packets may be given as None; bits count only for the others.
+    """
     if outcome == OUTCOME_FAILED:
         psnr = FAILED_PSNR_DB
     else:
         psnr = psnr_db(original, result_image)
     n_pixels = original.shape[0] * original.shape[1]
-    bits_payload = sum(p.payload.bit_length for p in packets)
-    bits_total = sum(p.wire_bits for p in packets)
+    present = [p for p in packets if p is not None]
+    bits_payload = sum(p.payload.bit_length for p in present)
+    bits_total = sum(p.wire_bits for p in present)
     return psnr, bits_payload / n_pixels, bits_total / n_pixels
 
 
@@ -277,12 +248,9 @@ def objective(image: np.ndarray, mask_ratio: float, alpha: float,
     prior = cfg.get_prior()
     output = predict(masked, prior)
     rate_bits = 0.0
-    mask_positions = [tuple(p) for p in np.argwhere(~masked.known)]
-    if mask_positions:
-        _, probs, index = _slice_tables(output, mask_positions,
-                                        cfg.codec.clamp)
-        rows = np.array([p[0] for p in mask_positions])
-        cols = np.array([p[1] for p in mask_positions])
+    if len(output.positions):
+        _, probs, index = _slice_tables(output, cfg.codec.clamp)
+        rows, cols = output.positions.T
         symbols = (grid.values[rows, cols].astype(np.int64)
                    + cfg.codec.clamp).reshape(-1)
         p = probs[index, symbols]

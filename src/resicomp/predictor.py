@@ -15,7 +15,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve
 
 from .context_modes import ContextMode
 from .density import SIGMA_FLOOR
@@ -115,17 +114,16 @@ def load_prior(path) -> PriorModel:
 
 @dataclass
 class PredictorOutput:
-    """Mixture parameters and value predictions for the masked positions.
+    """Mixture parameters and value predictions at a list of positions.
 
-    Arrays cover the full grid for convenience; `mask` marks the
-    positions (h, w) the output is defined on, i.e. the masked ones.
+    Row j of every array belongs to grid position `positions[j]`.
     """
 
-    mask: np.ndarray  # (h, w) bool, True where predictions apply
-    weights: np.ndarray  # (h, w, C, K)
-    means: np.ndarray  # (h, w, C, K)
-    sigmas: np.ndarray  # (h, w, C, K)
-    values: np.ndarray  # (h, w, C) int16
+    positions: np.ndarray  # (n, 2) intp, (row, col) of each prediction
+    weights: np.ndarray  # (n, C, K)
+    means: np.ndarray  # (n, C, K)
+    sigmas: np.ndarray  # (n, C, K)
+    values: np.ndarray  # (n, C) int16
 
 
 def collect_context(index: int, mode: ContextMode, flags, plan: SlicePlan,
@@ -162,33 +160,87 @@ def _softmax(logits):
     return e / e.sum()
 
 
-def predict(grid: TokenGrid, prior: PriorModel) -> PredictorOutput:
-    """Density head and concealment head in one pass.
+# Positions per gather block are capped so one (block, 2C+1) float64
+# temporary, or the block's (block, taps) index array, stays near 1 MB.
+_BLOCK_ELEMENTS = 1 << 17
 
-    The dominant component is the inverse-distance-weighted local
-    estimate where any window neighbor is known; elsewhere all
+
+def _window_sums(grid: TokenGrid, rows, cols, window: int):
+    """Inverse-distance window sums of known, value and value^2 at points.
+
+    Each sum starts at 0.0 and adds `neighbor * weight` over the nonzero
+    kernel taps in the kernel's C order, exactly the arithmetic of a
+    zero-padded full-grid convolution, so the results are bit-identical
+    to `scipy.ndimage.convolve(..., mode="constant", cval=0.0)` there.
+    A tap whose neighbor is unknown or off the grid adds +0.0, which
+    leaves a sum that started at +0.0 unchanged, so such taps are skipped.
+    """
+    h, w, channels = grid.values.shape
+    kernel = _window_kernel(window)
+    radius = window // 2
+    tap_y, tap_x = np.nonzero(kernel)
+    tap_w = kernel[tap_y, tap_x]
+    width = w + 2 * radius
+    # One zero-padded row per grid point: [known, values, values^2], with
+    # values zeroed where unknown, so one gather serves all three sums.
+    padded = np.zeros((h + 2 * radius, width, 1 + 2 * channels))
+    inner = padded[radius:radius + h, radius:radius + w]
+    inner[:, :, 0] = grid.known
+    inner[:, :, 1:channels + 1] = grid.values * grid.known[:, :, None]
+    np.multiply(inner[:, :, 1:channels + 1], inner[:, :, 1:channels + 1],
+                out=inner[:, :, channels + 1:])
+    padded = padded.reshape(-1, 1 + 2 * channels)
+    known = padded[:, 0] > 0.0
+    # Flat offsets of the taps relative to a point's padded index.
+    offsets = (tap_y - radius) * width + (tap_x - radius)
+    base = (rows + radius) * width + cols + radius
+    n = len(base)
+    sums = np.zeros((n, 1 + 2 * channels))
+    block = max(1, _BLOCK_ELEMENTS // max(padded.shape[1], len(offsets)))
+    for lo in range(0, n, block):
+        idx = base[lo:lo + block, None] + offsets
+        out = sums[lo:lo + block]
+        term = np.empty_like(out)
+        for t in np.flatnonzero(known[idx].any(axis=0)).tolist():
+            # Every index is inside `padded`; "clip" only lets `take`
+            # write into `term` without an intermediate buffer.
+            padded.take(idx[:, t], axis=0, out=term, mode="clip")
+            term *= tap_w[t]
+            out += term
+    return sums[:, 0], sums[:, 1:channels + 1], sums[:, channels + 1:]
+
+
+def predict(grid: TokenGrid, prior: PriorModel,
+            positions=None) -> PredictorOutput:
+    """Density head and concealment head at `positions` only.
+
+    `positions` is a sequence of (row, col) pairs; it defaults to the
+    grid's masked positions in row-major order, the ones concealment
+    fills.  The dominant component is the inverse-distance-weighted
+    local estimate where any window neighbor is known; elsewhere all
     components collapse to the prior.  The value head is the rounded
     mean of the dominant component, so both heads agree by construction.
     """
-    h, w, channels = grid.values.shape
+    channels = grid.channels
     if prior.channels != channels:
         raise ValueError("prior channel count does not match grid")
-    kernel = _window_kernel(prior.window)
-    known = grid.known.astype(np.float64)
-    sum_w = convolve(known, kernel, mode="constant", cval=0.0)
+    if positions is None:
+        positions = np.argwhere(~grid.known)
+    positions = np.asarray(positions, dtype=np.intp).reshape(-1, 2)
+    rows, cols = positions[:, 0], positions[:, 1]
+    if np.any((rows < 0) | (rows >= grid.h) | (cols < 0) | (cols >= grid.w)):
+        raise ValueError("positions must lie on the grid")
+    sum_w, sv, sv2 = _window_sums(grid, rows, cols, prior.window)
     has_neighbors = sum_w > 0.0
-    vals = grid.values.astype(np.float64) * known[:, :, None]
-    safe_w = np.where(has_neighbors, sum_w, 1.0)[:, :, None]
-    kernel3 = kernel[:, :, None]
-    sv = convolve(vals, kernel3, mode="constant", cval=0.0)
-    sv2 = convolve(vals * vals, kernel3, mode="constant", cval=0.0)
+    safe_w = np.where(has_neighbors, sum_w, 1.0)[:, None]
     local_mean = sv / safe_w
     local_var = np.maximum(sv2 / safe_w - local_mean * local_mean, 0.0)
     local_sigma = np.maximum(SIGMA_FLOOR, np.sqrt(local_var))
 
-    prior_mean = np.broadcast_to(prior.means, (h, w, channels))
-    prior_std = np.broadcast_to(prior.stds, (h, w, channels))
-    neighbor_sel = has_neighbors[:, :, None]
+    n = len(positions)
+    prior_mean = np.broadcast_to(prior.means, (n, channels))
+    prior_std = np.broadcast_to(prior.stds, (n, channels))
+    neighbor_sel = has_neighbors[:, None]
     mean1 = np.where(neighbor_sel, local_mean, prior_mean)
     sigma1 = np.where(neighbor_sel, local_sigma, prior_std)
 
@@ -196,16 +248,12 @@ def predict(grid: TokenGrid, prior: PriorModel) -> PredictorOutput:
     sigmas = np.stack([sigma1, prior_std, prior_std], axis=-1)
     ctx_weights = _softmax(prior.logits)
     uniform = np.full(MIXTURES, 1.0 / MIXTURES)
-    weights = np.where(
-        neighbor_sel[..., None],
-        ctx_weights.reshape(1, 1, 1, MIXTURES),
-        uniform.reshape(1, 1, 1, MIXTURES),
-    )
+    weights = np.where(neighbor_sel[..., None], ctx_weights, uniform)
     weights = np.broadcast_to(weights, means.shape).copy()
     values = np.rint(mean1).astype(np.int16)
     return PredictorOutput(
-        mask=~grid.known,
-        weights=np.ascontiguousarray(weights),
+        positions=positions,
+        weights=weights,
         means=means,
         sigmas=sigmas,
         values=values,
@@ -213,12 +261,17 @@ def predict(grid: TokenGrid, prior: PriorModel) -> PredictorOutput:
 
 
 def conceal(grid: TokenGrid, output: PredictorOutput) -> TokenGrid:
-    """Fill masked positions with predicted values; pass the rest through."""
-    if not np.array_equal(output.mask, ~grid.known):
+    """Fill masked positions with predicted values; pass the rest through.
+
+    `output` must hold the predictions for exactly the masked positions
+    in row-major order, as `predict` gives by default.
+    """
+    if not np.array_equal(output.positions, np.argwhere(~grid.known)):
         raise ValueError("output does not cover exactly the masked positions")
-    filled = np.where(grid.known[:, :, None], grid.values, output.values)
+    filled = grid.values.copy()
+    filled[output.positions[:, 0], output.positions[:, 1]] = output.values
     return TokenGrid(
-        values=filled.astype(np.int16),
+        values=filled,
         known=np.ones_like(grid.known),
         clamp_count=grid.clamp_count,
     )

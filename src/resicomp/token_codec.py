@@ -28,8 +28,9 @@ class CodecConfig:
     clamp: int = 127
 
     def __post_init__(self):
-        if not 1 <= self.channels <= 256:
-            raise ValueError("channels must be in 1..256")
+        # The packet header carries the channel count in one byte.
+        if not 1 <= self.channels <= 255:
+            raise ValueError("channels must be in 1..255")
         if self.quality <= 0:
             raise ValueError("quality must be positive")
         if self.clamp < 1:

@@ -101,6 +101,42 @@ def test_decode_through_trace(tmp_path, image_file, capsys):
     assert "decoded=2/5" in captured
 
 
+def _flip_bit(path, byte=40):
+    data = bytearray(path.read_bytes())
+    data[byte] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def test_decode_conceals_a_damaged_packet(tmp_path, image_file, capsys):
+    pkt_dir = tmp_path / "pkts"
+    out = tmp_path / "out.pgm"
+    assert main(["encode", "--image", str(image_file), "--out", str(pkt_dir),
+                 "--channels", "16", "--L", "4"]) == EXIT_OK
+    _flip_bit(pkt_dir / "slice_001.pkt")
+    assert main(["decode", "--packets", str(pkt_dir), "--out", str(out),
+                 "--channels", "16"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "outcome=concealed decoded=1/4" in captured.out
+    assert "slice_001.pkt: CRC mismatch" in captured.err
+    assert read_ppm(out).shape == read_ppm(image_file).shape
+
+
+def test_decode_with_no_readable_packet_is_a_validation_error(
+        tmp_path, image_file, capsys):
+    pkt_dir = tmp_path / "pkts"
+    out = tmp_path / "out.pgm"
+    assert main(["encode", "--image", str(image_file), "--out", str(pkt_dir),
+                 "--channels", "16", "--L", "4"]) == EXIT_OK
+    for path in pkt_dir.glob("slice_*.pkt"):
+        _flip_bit(path)
+    capsys.readouterr()
+    assert main(["decode", "--packets", str(pkt_dir), "--out", str(out),
+                 "--channels", "16"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: no readable packet in {pkt_dir}\n"
+    assert not out.exists()
+
+
 def test_trace_command(tmp_path):
     out = tmp_path / "traces.txt"
     assert main(["trace", "--preset", "EP5", "-n", "2000",

@@ -121,6 +121,24 @@ def test_evaluate_bpp_accounting(small_image, light_codec):
     assert bpp_total > bpp  # headers included
 
 
+def test_evaluate_counts_only_present_packets(small_image, light_codec):
+    cfg = _cfg(light_codec)
+    packets, _, _, _ = send(small_image, cfg)
+    arrived = [p if i % 2 == 0 else None for i, p in enumerate(packets)]
+    flags = [p is not None for p in arrived]
+    result = receive(arrived, flags, cfg, *small_image.shape)
+    psnr, bpp, bpp_total = evaluate(small_image, result.image,
+                                    result.outcome, arrived)
+    present = packets[::2]
+    n_pixels = small_image.size
+    assert psnr == evaluate(small_image, result.image, result.outcome,
+                            present)[0]
+    assert bpp == sum(p.payload.bit_length for p in present) / n_pixels
+    assert bpp_total == sum(p.wire_bits for p in present) / n_pixels
+    assert evaluate(small_image, result.image, OUTCOME_FAILED,
+                    [None] * cfg.l) == (FAILED_PSNR_DB, 0.0, 0.0)
+
+
 def test_efficiency_ordering(corpus):
     bpp = {}
     for kind, params in [("LC", {}), ("MDC", {"n_d": 2}), ("ISC", {})]:

@@ -54,17 +54,21 @@ def test_constant_neighborhood_predicts_constant():
     values = np.full((5, 5, 4), 17, np.int16)
     values[2, 2] = 0
     out = predict(_grid(values, known), default_prior(4))
-    assert np.all(out.values[2, 2] == 17)
+    assert out.positions.tolist() == [[2, 2]]
+    assert np.all(out.values[0] == 17)
 
 
 def test_all_mask_grid_falls_back_to_prior():
     prior = default_prior(4)
     grid = _grid(np.zeros((3, 4, 4)), np.zeros((3, 4)))
     out = predict(grid, prior)
-    # position independent and equal to the prior
-    assert np.all(out.means == out.means[0, 0])
-    assert np.allclose(out.means[0, 0, :, 1], prior.means)
-    assert np.allclose(out.sigmas[0, 0, :, 1], prior.stds)
+    # every position, row-major, position independent and equal to the prior
+    assert out.positions.tolist() == [[r, c] for r in range(3)
+                                      for c in range(4)]
+    assert out.means.shape == (12, 4, 3)
+    assert np.all(out.means == out.means[0])
+    assert np.allclose(out.means[0, :, 1], prior.means)
+    assert np.allclose(out.sigmas[0, :, 1], prior.stds)
     assert np.all(out.values == np.rint(prior.means).astype(np.int16))
 
 
@@ -76,7 +80,8 @@ def test_half_mask_beats_prior_fill(smooth_image):
                        ~mask)
     prior = default_prior(cfg.channels)
     out = predict(masked, prior)
-    err_pred = np.abs(out.values[mask].astype(float)
+    assert np.array_equal(out.positions, np.argwhere(mask))
+    err_pred = np.abs(out.values.astype(float)
                       - full.values[mask].astype(float)).mean()
     prior_fill = np.rint(prior.means).astype(np.int16)
     err_prior = np.abs(prior_fill[None, :]
@@ -94,19 +99,23 @@ def test_conceal_pass_through_and_fill():
     full = conceal(grid, out)
     assert full.known.all()
     assert tuple(full.values[0, 0]) == (9, -9, 4)
-    assert np.array_equal(full.values[~known], out.values[~known])
+    assert out.positions.tolist() == [[0, 1], [1, 0], [1, 1]]
+    assert np.array_equal(full.values[~known], out.values)
 
 
 def test_conceal_identity_when_nothing_masked():
     grid = _full_grid(2, 2, 3, fill=7)
     out = predict(grid, default_prior(3))
+    assert out.positions.shape == (0, 2)
+    assert out.values.shape == (0, 3)
     assert np.array_equal(conceal(grid, out).values, grid.values)
 
 
 def test_conceal_everything_masked_uses_predictions():
     grid = _grid(np.zeros((2, 2, 3)), np.zeros((2, 2)))
     out = predict(grid, default_prior(3))
-    assert np.array_equal(conceal(grid, out).values, out.values)
+    assert np.array_equal(conceal(grid, out).values,
+                          out.values.reshape(2, 2, 3))
 
 
 def test_predict_is_local():
@@ -117,16 +126,28 @@ def test_predict_is_local():
     values = np.zeros((h, w, 2), np.int16)
     values[0, 0] = 50
     prior = default_prior(2)
-    base = predict(_grid(values, known), prior)
+    radius = DEFAULT_WINDOW // 2
+    region = [(r, c) for r in range(radius + 1) for c in range(radius + 1)
+              if (r, c) != (0, 0)]
+    base = predict(_grid(values, known), prior, region)
     far = values.copy()
     far_known = known.copy()
     far_known[29, 29] = True
     far[29, 29] = -50
-    changed = predict(_grid(far, far_known), prior)
-    radius = DEFAULT_WINDOW // 2
-    region = np.s_[: radius + 1, : radius + 1]
-    assert np.array_equal(base.values[region], changed.values[region])
-    assert np.allclose(base.means[region], changed.means[region])
+    changed = predict(_grid(far, far_known), prior, region)
+    assert base.positions.tolist() == [list(p) for p in region]
+    assert np.all(base.values == 50)
+    for a, b in ((base.values, changed.values), (base.means, changed.means),
+                 (base.sigmas, changed.sigmas),
+                 (base.weights, changed.weights)):
+        assert a.tobytes() == b.tobytes()
+    # ...while a known token inside the window does change it.
+    near_known = known.copy()
+    near_known[radius, radius] = True
+    near = values.copy()
+    near[radius, radius] = -50
+    moved = predict(_grid(near, near_known), prior, region)
+    assert not np.array_equal(base.means, moved.means)
 
 
 def test_heads_are_consistent():
@@ -134,8 +155,9 @@ def test_heads_are_consistent():
     values = rng.integers(-20, 20, size=(6, 6, 4)).astype(np.int16)
     known = rng.random((6, 6)) < 0.5
     out = predict(_grid(values, known), default_prior(4))
+    assert np.array_equal(out.positions, np.argwhere(~known))
     assert np.array_equal(out.values,
-                          np.rint(out.means[:, :, :, 0]).astype(np.int16))
+                          np.rint(out.means[:, :, 0]).astype(np.int16))
 
 
 def test_mixture_weights_softmax():
@@ -144,7 +166,8 @@ def test_mixture_weights_softmax():
     out = predict(_grid(np.zeros((3, 3, 2)), known), default_prior(2))
     logits = np.array(DEFAULT_LOGITS)
     expected = np.exp(logits) / np.exp(logits).sum()
-    assert np.allclose(out.weights[1, 1, 0], expected)
+    assert out.positions.tolist() == [[1, 1]]
+    assert np.allclose(out.weights[0], expected)
 
 
 def test_fit_prior_floors_std():

@@ -160,16 +160,15 @@ def test_slice_tables_equal_per_row_reference(rows, clamp, channels):
     if n == 0:
         return
     k = weights.shape[1]
-    shape = (1, n, channels, k)
+    shape = (n, channels, k)
     output = PredictorOutput(
-        mask=np.ones((1, n), dtype=bool),
+        positions=np.array([(0, c) for c in range(n)], dtype=np.intp),
         weights=weights[:n * channels].reshape(shape),
         means=means[:n * channels].reshape(shape),
         sigmas=sigmas[:n * channels].reshape(shape),
-        values=np.zeros((1, n, channels), dtype=np.int16),
+        values=np.zeros((n, channels), dtype=np.int16),
     )
-    positions = [(0, c) for c in range(n)]
-    tables, probs, index = _slice_tables(output, positions, clamp)
+    tables, probs, index = _slice_tables(output, clamp)
     assert len(tables) == len(index) == n * channels
     assert len({id(t) for t in tables}) == len(probs)
     weights, means, sigmas = (a[:n * channels] for a in rows)

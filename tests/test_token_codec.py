@@ -122,6 +122,20 @@ def test_config_validation():
         CodecConfig(clamp=0)
 
 
+def test_channel_range_is_what_the_header_carries():
+    from resicomp.pipeline import PipelineConfig, receive, send
+    from resicomp.transport import packet_from_bytes
+    image = np.arange(16 * 16, dtype=np.uint8).reshape(16, 16)
+    cfg = PipelineConfig(codec=CodecConfig(channels=255), l=1)
+    packets, grid, _, _ = send(image, cfg)
+    parsed = [packet_from_bytes(p.to_bytes()) for p in packets]
+    assert parsed[0].header.channels == 255
+    result = receive(parsed, [1], cfg, 16, 16)
+    assert np.array_equal(result.grid.values, grid.values)
+    with pytest.raises(ValueError, match="1..255"):
+        CodecConfig(channels=256)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     h=st.integers(min_value=1, max_value=40),
