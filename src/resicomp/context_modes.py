@@ -133,23 +133,17 @@ def make_mode(kind, l: int, params=None) -> ContextMode:
 def validate(mode: ContextMode):
     """None if the mode is valid, else the first Violation found."""
     g = mode.g
-    l = mode.l
-    for i in range(l):
-        for k in range(i, l):
-            if g[i, k]:
-                return Violation("recoverability", (i + 1, k + 1))
-    for i in range(l):
-        for k in range(i):
-            if not g[i, k]:
-                continue
-            for j in range(k):
-                if g[k, j] and not g[i, j]:
-                    return Violation("inheritance", (i + 1, k + 1, j + 1))
+    upper = np.argwhere(np.triu(g))
+    if len(upper):
+        return Violation("recoverability", tuple(int(x) + 1 for x in upper[0]))
+    # Row i inherits badly when some context k of i has a context j that
+    # i lacks; report the first i, then the first (k, j) of that row.
+    rows = np.flatnonzero(((g @ g) & ~g).any(axis=1))
+    if len(rows):
+        i = int(rows[0])
+        k, j = np.argwhere(g[i][:, None] & g & ~g[i])[0]
+        return Violation("inheritance", (i + 1, int(k) + 1, int(j) + 1))
     return None
-
-
-def context_counts(mode: ContextMode) -> list:
-    return mode.context_counts()
 
 
 def context_depths(mode: ContextMode) -> list:

@@ -69,52 +69,6 @@ def normal_cdf(x):
 
 
 @dataclass(frozen=True)
-class GmmParams:
-    """Parameters of a K-component scalar Gaussian mixture."""
-
-    weights: tuple
-    means: tuple
-    sigmas: tuple
-
-    def __post_init__(self):
-        if not (len(self.weights) == len(self.means) == len(self.sigmas)):
-            raise ValueError("weights, means, sigmas must have equal length")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
-        if any(w < 0.0 for w in self.weights):
-            raise ValueError("mixture weights must be nonnegative")
-        if any(s < SIGMA_FLOOR for s in self.sigmas):
-            raise ValueError(f"sigmas must be >= {SIGMA_FLOOR}")
-
-    @property
-    def k(self):
-        return len(self.weights)
-
-
-@dataclass(frozen=True)
-class Pmf:
-    """Probability mass function over consecutive integers [lo, lo+n)."""
-
-    lo: int
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if np.any(p < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def hi(self):
-        return self.lo + len(self.probs) - 1
-
-    def prob(self, symbol):
-        return float(self.probs[symbol - self.lo])
-
-
-@dataclass(frozen=True)
 class FreqTable:
     """Integer frequencies summing to FREQ_TOTAL, each count >= 1.
 
@@ -242,14 +196,6 @@ def _bin_masses(pairs, v):
     return masses
 
 
-def discretize(gmm: GmmParams, v: int) -> Pmf:
-    """Pmf over -v..v obtained by integrating the mixture over unit bins."""
-    probs = discretize_batch(
-        np.array(gmm.weights), np.array(gmm.means), np.array(gmm.sigmas), v
-    )
-    return Pmf(lo=-v, probs=probs)
-
-
 def quantize_probs(probs):
     """Largest-remainder quantization of probabilities to integer counts.
 
@@ -310,22 +256,3 @@ def _quantize_rows(p, out):
             key[rows, j] = np.inf
             rows = rows[need[rows] > 0]
         counts[shrink] = c
-
-
-def to_freq_table(pmf: Pmf) -> FreqTable:
-    return FreqTable(counts=quantize_probs(pmf.probs))
-
-
-def bits_of(pmf: Pmf, symbol: int) -> float:
-    """Ideal code length -log2 p(symbol)."""
-    p = pmf.prob(symbol)
-    if p <= 0.0:
-        return float("inf")
-    return -float(np.log2(p))
-
-
-def entropy_bits(probs):
-    """Shannon entropy in bits of a probability vector (0 log 0 := 0)."""
-    p = np.asarray(probs, dtype=np.float64)
-    nz = p > 0.0
-    return float(-(p[nz] * np.log2(p[nz])).sum())

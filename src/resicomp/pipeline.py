@@ -65,14 +65,6 @@ def _slice_tables(output: PredictorOutput, clamp: int):
     w = output.weights.reshape(-1, k)
     mu = output.means.reshape(-1, k)
     sg = output.sigmas.reshape(-1, k)
-    # The predictor's trailing components share one prior Gaussian, so
-    # their weights can be pooled before the bin integration.
-    if (k == 3 and np.array_equal(mu[:, 1], mu[:, 2])
-            and np.array_equal(sg[:, 1], sg[:, 2])):
-        w = np.stack([w[:, 0], w[:, 1] + w[:, 2]], axis=1)
-        mu = mu[:, :2]
-        sg = sg[:, :2]
-        k = 2
     distinct, index = unique_rows(np.concatenate([w, mu, sg], axis=1))
     probs = discretize_batch(distinct[:, :k], distinct[:, k:2 * k],
                              distinct[:, 2 * k:], clamp)

@@ -1,18 +1,19 @@
 """Dual-head statistical context model.
 
 Given a partially masked token grid, produce for every masked position
-and channel (a) a 3-component Gaussian mixture for conditional entropy
+and channel (a) a 2-component Gaussian mixture for conditional entropy
 coding and (b) an integer value prediction for loss concealment.  The
 first component summarizes the known neighborhood inside a fixed window
-(inverse-distance weighting); the remaining components fall back to a
-global per-channel prior shipped in the model file, so encoder and
-decoder reproduce identical distributions with zero side information.
+(inverse-distance weighting); the second is a global per-channel prior
+shipped in the model file, so encoder and decoder reproduce identical
+distributions with zero side information.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +26,8 @@ MODEL_MAGIC = b"RCPM"
 MODEL_VERSION = 1
 DEFAULT_WINDOW = 11
 DEFAULT_LOGITS = (3.0, 0.0, 0.0)
+# Logits in a model file: the local component's, then two that both
+# weigh the prior component (see predict).
 MIXTURES = 3
 
 
@@ -53,15 +56,18 @@ class PriorModel:
         stds = np.asarray(self.stds, dtype=np.float64)
         if means.shape != stds.shape or means.ndim != 1:
             raise ValueError("means and stds must be matching 1-D arrays")
+        logits = tuple(float(x) for x in self.logits)
+        if not np.all(np.isfinite(np.concatenate([means, stds, logits]))):
+            raise ValueError("prior means, stds and logits must be finite")
         if np.any(stds < SIGMA_FLOOR):
             raise ValueError(f"prior stds must be >= {SIGMA_FLOOR}")
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError("window must be odd and positive")
-        if len(self.logits) != MIXTURES:
+        if len(logits) != MIXTURES:
             raise ValueError(f"need {MIXTURES} logits")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stds", stds)
-        object.__setattr__(self, "logits", tuple(float(x) for x in self.logits))
+        object.__setattr__(self, "logits", logits)
 
     @property
     def channels(self):
@@ -101,14 +107,20 @@ def load_prior(path) -> PriorModel:
         magic = f.read(4)
         if magic != MODEL_MAGIC:
             raise ValueError(f"bad model magic {magic!r}")
-        version, channels, window, k = struct.unpack("<BHHB", f.read(6))
-        if version != MODEL_VERSION:
-            raise ValueError(f"unsupported model version {version}")
-        if k != MIXTURES:
-            raise ValueError(f"unsupported mixture count {k}")
-        logits = struct.unpack(f"<{k}d", f.read(8 * k))
-        means = np.array(struct.unpack(f"<{channels}d", f.read(8 * channels)))
-        stds = np.array(struct.unpack(f"<{channels}d", f.read(8 * channels)))
+        try:
+            version, channels, window, k = struct.unpack("<BHHB", f.read(6))
+            if version != MODEL_VERSION:
+                raise ValueError(f"unsupported model version {version}")
+            if k != MIXTURES:
+                raise ValueError(f"unsupported mixture count {k}")
+            logits = struct.unpack(f"<{k}d", f.read(8 * k))
+            means = np.array(struct.unpack(f"<{channels}d",
+                                           f.read(8 * channels)))
+            stds = np.array(struct.unpack(f"<{channels}d",
+                                          f.read(8 * channels)))
+        except struct.error:
+            # A short read leaves unpack too few bytes.
+            raise ValueError(f"model file {path} is truncated") from None
     return PriorModel(means=means, stds=stds, window=window, logits=logits)
 
 
@@ -116,13 +128,15 @@ def load_prior(path) -> PriorModel:
 class PredictorOutput:
     """Mixture parameters and value predictions at a list of positions.
 
-    Row j of every array belongs to grid position `positions[j]`.
+    Row j of every array belongs to grid position `positions[j]`.  The
+    K=2 mixture components are the local estimate (the prior where no
+    window neighbor is known) and the prior.
     """
 
     positions: np.ndarray  # (n, 2) intp, (row, col) of each prediction
-    weights: np.ndarray  # (n, C, K)
-    means: np.ndarray  # (n, C, K)
-    sigmas: np.ndarray  # (n, C, K)
+    weights: np.ndarray  # (n, C, 2)
+    means: np.ndarray  # (n, C, 2)
+    sigmas: np.ndarray  # (n, C, 2)
     values: np.ndarray  # (n, C) int16
 
 
@@ -133,13 +147,19 @@ def collect_context(index: int, mode: ContextMode, flags, plan: SlicePlan,
     flags[j-1] truthy means packet j is available.  Raises
     SynchronizationError when a required context packet is missing.
     """
-    ctx = TokenGrid(np.zeros_like(grid.values), np.zeros((grid.h, grid.w), bool))
-    for j in mode.contexts_of(index):
+    contexts = mode.contexts_of(index)
+    for j in contexts:
         if not flags[j - 1]:
             raise SynchronizationError(index, j)
-        for r, c in plan.slice_positions(j):
-            ctx.values[r, c] = grid.values[r, c]
-            ctx.known[r, c] = True
+    ctx = TokenGrid(np.zeros_like(grid.values), np.zeros((grid.h, grid.w), bool))
+    if contexts:
+        # Read the ints of the (row, col) tuples straight into one array.
+        ints = chain.from_iterable(chain.from_iterable(
+            plan.slice_positions(j) for j in contexts))
+        n = sum(plan.slice_size(j) for j in contexts)
+        rows, cols = np.fromiter(ints, np.intp, 2 * n).reshape(n, 2).T
+        ctx.values[rows, cols] = grid.values[rows, cols]
+        ctx.known[rows, cols] = True
     return ctx
 
 
@@ -217,8 +237,8 @@ def predict(grid: TokenGrid, prior: PriorModel,
     `positions` is a sequence of (row, col) pairs; it defaults to the
     grid's masked positions in row-major order, the ones concealment
     fills.  The dominant component is the inverse-distance-weighted
-    local estimate where any window neighbor is known; elsewhere all
-    components collapse to the prior.  The value head is the rounded
+    local estimate where any window neighbor is known; elsewhere both
+    components are the prior.  The value head is the rounded
     mean of the dominant component, so both heads agree by construction.
     """
     channels = grid.channels
@@ -244,11 +264,15 @@ def predict(grid: TokenGrid, prior: PriorModel,
     mean1 = np.where(neighbor_sel, local_mean, prior_mean)
     sigma1 = np.where(neighbor_sel, local_sigma, prior_std)
 
-    means = np.stack([mean1, prior_mean, prior_mean], axis=-1)
-    sigmas = np.stack([sigma1, prior_std, prior_std], axis=-1)
-    ctx_weights = _softmax(prior.logits)
-    uniform = np.full(MIXTURES, 1.0 / MIXTURES)
-    weights = np.where(neighbor_sel[..., None], ctx_weights, uniform)
+    means = np.stack([mean1, prior_mean], axis=-1)
+    sigmas = np.stack([sigma1, prior_std], axis=-1)
+    # The file's last two logits both weigh the prior component, so their
+    # weights are pooled by one addition.  With no neighbor known, the
+    # three logits count equally.
+    s = _softmax(prior.logits)
+    third = 1.0 / MIXTURES
+    weights = np.where(neighbor_sel[..., None], [s[0], s[1] + s[2]],
+                       [third, third + third])
     weights = np.broadcast_to(weights, means.shape).copy()
     values = np.rint(mean1).astype(np.int16)
     return PredictorOutput(

@@ -255,6 +255,32 @@ def test_model_env_var(tmp_path, image_file, monkeypatch):
                  "--L", "5"]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("damage, reason", [("truncated", "truncated"),
+                                            ("nan_stds", "finite")])
+def test_bad_model_file_is_a_validation_error(tmp_path, image_file,
+                                              monkeypatch, capsys, damage,
+                                              reason):
+    model = tmp_path / "model.rcpm"
+    assert main(["fit-model", "--synthetic", "2", "--channels", "16",
+                 "--out", str(model)]) == EXIT_OK
+    raw = model.read_bytes()
+    if damage == "truncated":
+        model.write_bytes(raw[:8])
+    else:
+        # Header (4 + 6 bytes), 3 logits, 16 means, then the 16 stds.
+        stds_at = 10 + 8 * 3 + 8 * 16
+        nan = np.array([np.nan] * 16).tobytes()
+        model.write_bytes(raw[:stds_at] + nan)
+    monkeypatch.setenv(MODEL_ENV, str(model))
+    capsys.readouterr()
+    assert main(["encode", "--image", str(image_file),
+                 "--out", str(tmp_path / "pkts"), "--channels", "16",
+                 "--L", "4"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+
+
 def test_model_env_changes_bitstream(tmp_path, image_file, monkeypatch):
     pkt_a = tmp_path / "a"
     pkt_b = tmp_path / "b"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resicomp.context_modes import (MODE_CUSTOM, MODE_ISC, MODE_LC, MODE_MDC,
-                                    MODE_SLC, ContextMode, context_depths,
-                                    iteration_schedule, make_mode, validate)
+                                    MODE_SLC, ContextMode, Violation,
+                                    context_depths, iteration_schedule,
+                                    make_mode, validate)
 
 
 def _closure(g):
@@ -145,3 +148,36 @@ def test_custom_matrix_accepted_when_valid():
     mode = make_mode("CUSTOM", 3, {"matrix": g})
     assert mode.mode_id == MODE_CUSTOM
     assert mode.contexts_of(3) == (1,)
+
+
+def _validate_by_loops(mode):
+    """The first violation in the order of the defining triple loop."""
+    g = mode.g
+    l = mode.l
+    for i in range(l):
+        for k in range(i, l):
+            if g[i, k]:
+                return Violation("recoverability", (i + 1, k + 1))
+    for i in range(l):
+        for k in range(i):
+            if not g[i, k]:
+                continue
+            for j in range(k):
+                if g[k, j] and not g[i, j]:
+                    return Violation("inheritance", (i + 1, k + 1, j + 1))
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda l: st.tuples(st.just(l), st.lists(st.booleans(), min_size=l * l,
+                                             max_size=l * l))),
+    st.booleans())
+def test_validate_equals_triple_loop(case, lower_only):
+    l, bits = case
+    g = np.array(bits, dtype=bool).reshape(l, l)
+    if lower_only:
+        # Mostly inheritance violations, and valid modes now and then.
+        g = np.tril(g, k=-1)
+    mode = ContextMode(l=l, g=g, mode_id=MODE_CUSTOM)
+    assert validate(mode) == _validate_by_loops(mode)

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resicomp.density import (FREQ_TOTAL, SIGMA_FLOOR, FreqTable, GmmParams,
-                              Pmf, bits_of, discretize, discretize_batch,
-                              entropy_bits, normal_cdf, quantize_probs,
-                              to_freq_table)
+from resicomp.density import (FREQ_TOTAL, SIGMA_FLOOR, FreqTable,
+                              discretize_batch, normal_cdf, quantize_probs)
 
 
 def _phi_exact(x):
@@ -22,23 +20,24 @@ def test_normal_cdf_matches_high_precision_oracle():
     assert np.max(np.abs(approx - exact)) < 1.5e-7
 
 
+def _single(mean, sigma, v=127):
+    """Probabilities of one Gaussian over symbols -v..v (index v is 0)."""
+    return discretize_batch([1.0], [mean], [sigma], v)
+
+
 def test_discretize_center_bin():
-    pmf = discretize(GmmParams((1.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-                               (0.5, 0.5, 0.5)), 127)
+    probs = _single(0.0, 0.5)
     expected = _phi_exact(1.0) - _phi_exact(-1.0)  # ~0.6827
-    assert abs(pmf.prob(0) - expected) < 1e-6
+    assert abs(probs[127] - expected) < 1e-6
 
 
 def test_discretize_symmetry():
-    pmf = discretize(GmmParams((1.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-                               (0.5, 0.5, 0.5)), 127)
-    assert abs(pmf.prob(1) - pmf.prob(-1)) < 1e-12
+    probs = _single(0.0, 0.5)
+    assert abs(probs[128] - probs[126]) < 1e-12
 
 
 def test_tail_mass_folds_into_boundary():
-    pmf = discretize(GmmParams((1.0, 0.0, 0.0), (1270.0, 0.0, 0.0),
-                               (0.5, 0.5, 0.5)), 127)
-    assert pmf.prob(127) > 0.999999
+    assert _single(1270.0, 0.5)[-1] > 0.999999
 
 
 def test_normalization_over_random_mixtures(rng):
@@ -53,16 +52,13 @@ def test_normalization_over_random_mixtures(rng):
 
 def test_mean_shift_moves_argmax():
     for mu in (-3.0, 0.0, 5.0):
-        a = discretize(GmmParams((1.0, 0.0, 0.0), (mu, 0.0, 0.0),
-                                 (0.2, 0.2, 0.2)), 127)
-        b = discretize(GmmParams((1.0, 0.0, 0.0), (mu + 1.0, 0.0, 0.0),
-                                 (0.2, 0.2, 0.2)), 127)
-        assert np.argmax(b.probs) == np.argmax(a.probs) + 1
+        a = _single(mu, 0.2)
+        b = _single(mu + 1.0, 0.2)
+        assert np.argmax(b) == np.argmax(a) + 1
 
 
 def test_uniform_freq_table():
-    pmf = Pmf(lo=0, probs=np.full(256, 1.0 / 256))
-    table = to_freq_table(pmf)
+    table = FreqTable(counts=quantize_probs(np.full(256, 1.0 / 256)))
     assert np.all(table.counts == 256)
 
 
@@ -147,29 +143,3 @@ def test_quantized_counts_approximate_probs(rng):
     # its surplus onto one shrinkable symbol in the worst case.
     floored = int(np.sum(np.floor(probs * FREQ_TOTAL) < 1))
     assert err.max() <= (2.0 + floored) / FREQ_TOTAL + 1e-12
-
-
-def test_bits_of():
-    assert bits_of(Pmf(lo=0, probs=np.array([1.0, 0.0])), 0) == 0.0
-    uniform = Pmf(lo=0, probs=np.full(256, 1.0 / 256))
-    assert abs(bits_of(uniform, 17) - 8.0) < 1e-12
-    pmf = discretize(GmmParams((1.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-                               (0.5, 0.5, 0.5)), 127)
-    assert abs(bits_of(pmf, 0) - 0.551) < 1e-3
-
-
-def test_cross_entropy_consistency():
-    pmf = discretize(GmmParams((0.6, 0.3, 0.1), (0.0, 4.0, -7.0),
-                               (0.5, 2.0, 1.0)), 127)
-    ce = sum(p * bits_of(pmf, v)
-             for v, p in zip(range(pmf.lo, pmf.hi + 1), pmf.probs) if p > 0)
-    assert abs(ce - entropy_bits(pmf.probs)) < 1e-9
-
-
-def test_gmm_params_validation():
-    with pytest.raises(ValueError):
-        GmmParams((0.5, 0.4), (0.0, 0.0), (1.0, 1.0))  # weights != 1
-    with pytest.raises(ValueError):
-        GmmParams((1.0,), (0.0,), (0.01,))  # sigma below floor
-    with pytest.raises(ValueError):
-        Pmf(lo=0, probs=np.array([0.5, 0.6]))

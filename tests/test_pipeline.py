@@ -7,6 +7,7 @@ from resicomp.pipeline import (FAILED_PSNR_DB, OUTCOME_CONCEALED,
                                OUTCOME_FAILED, OUTCOME_LOSSLESS,
                                PipelineConfig, evaluate, objective,
                                progressive_receive, receive, send)
+from resicomp.predictor import PriorModel, load_prior, save_prior
 from resicomp.transport import Packet
 
 
@@ -20,6 +21,20 @@ def test_send_is_deterministic(small_image, light_codec):
     a, _, _, _ = send(small_image, cfg)
     b, _, _, _ = send(small_image, cfg)
     assert [p.to_bytes() for p in a] == [p.to_bytes() for p in b]
+
+
+def test_model_file_prior_gives_the_same_packets(small_image, light_codec,
+                                                 tmp_path):
+    channels = light_codec.channels
+    prior = PriorModel(means=np.linspace(-3.0, 3.0, channels),
+                       stds=np.linspace(0.5, 20.0, channels),
+                       logits=(2.0, 1.0, 0.0))
+    path = tmp_path / "model.rcpm"
+    save_prior(path, prior)
+    direct, _, _, _ = send(small_image, _cfg(light_codec, prior=prior))
+    loaded, _, _, _ = send(small_image,
+                           _cfg(light_codec, prior=load_prior(path)))
+    assert [p.to_bytes() for p in loaded] == [p.to_bytes() for p in direct]
 
 
 def test_isc_needs_no_context_passes(small_image, light_codec):

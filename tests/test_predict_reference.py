@@ -46,14 +46,18 @@ def _reference(grid, prior):
     weights = np.where(neighbor_sel[..., None],
                        _softmax(prior.logits).reshape(1, 1, 1, MIXTURES),
                        np.full((1, 1, 1, MIXTURES), 1.0 / MIXTURES))
-    means = np.stack([mean1, prior_mean, prior_mean], axis=-1)
+    # The trailing two components are the same prior Gaussian; pool
+    # their weights by one addition.
+    weights = np.concatenate(
+        [weights[..., :1], weights[..., 1:2] + weights[..., 2:]], axis=-1)
+    means = np.stack([mean1, prior_mean], axis=-1)
     return {
         "sum_w": sum_w,
         "sv": sv,
         "sv2": sv2,
         "weights": np.broadcast_to(weights, means.shape),
         "means": means,
-        "sigmas": np.stack([sigma1, prior_std, prior_std], axis=-1),
+        "sigmas": np.stack([sigma1, prior_std], axis=-1),
         "values": np.rint(mean1).astype(np.int16),
     }
 
@@ -137,7 +141,7 @@ def test_empty_position_list():
         out = predict(grid, _prior(3, 3, rng), positions)
         assert out.positions.shape == (0, 2)
         assert out.weights.shape == out.means.shape == out.sigmas.shape \
-            == (0, 3, MIXTURES)
+            == (0, 3, 2)
         assert out.values.shape == (0, 3)
         assert out.values.dtype == np.int16
 

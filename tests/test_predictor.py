@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resicomp.context_modes import make_mode
 from resicomp.density import SIGMA_FLOOR
@@ -48,6 +50,57 @@ def test_collect_context_missing_slice_raises():
     assert exc.value.missing_context == 2
 
 
+def _collect_context_by_positions(index, mode, flags, plan, grid):
+    """Copy the context slices one position at a time."""
+    ctx = TokenGrid(np.zeros_like(grid.values), np.zeros((grid.h, grid.w), bool))
+    for j in mode.contexts_of(index):
+        if not flags[j - 1]:
+            raise SynchronizationError(index, j)
+        for r, c in plan.slice_positions(j):
+            ctx.values[r, c] = grid.values[r, c]
+            ctx.known[r, c] = True
+    return ctx
+
+
+@st.composite
+def _context_cases(draw):
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    l = draw(st.integers(1, min(h * w, 9)))
+    kind, params = draw(st.sampled_from(
+        [("ISC", {}), ("LC", {})]
+        + [("MDC", {"n_d": n}) for n in range(1, l + 1)]
+        + ([("SLC", {"enhancements": e}) for e in (1, 2, 3)] if l > 1
+           else [])))
+    mode = make_mode(kind, l, params)
+    plan = build_plan(h, w, l, mode, seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = draw(st.integers(1, 3))
+    grid = _grid(rng.integers(-127, 128, size=(h, w, channels)),
+                 rng.random((h, w)) < 0.5)
+    flags = draw(st.lists(st.booleans(), min_size=l, max_size=l))
+    return mode, plan, grid, flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(_context_cases())
+def test_collect_context_equals_per_position_copy(case):
+    mode, plan, grid, flags = case
+    for i in range(1, mode.l + 1):
+        try:
+            want = _collect_context_by_positions(i, mode, flags, plan, grid)
+        except SynchronizationError as missing:
+            with pytest.raises(SynchronizationError) as exc:
+                collect_context(i, mode, flags, plan, grid)
+            assert (exc.value.slice_index, exc.value.missing_context) == \
+                (missing.slice_index, missing.missing_context)
+            continue
+        got = collect_context(i, mode, flags, plan, grid)
+        assert got.values.dtype == want.values.dtype
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.known.tobytes() == want.known.tobytes()
+        assert got.clamp_count == want.clamp_count
+
+
 def test_constant_neighborhood_predicts_constant():
     known = np.ones((5, 5), bool)
     known[2, 2] = False
@@ -65,10 +118,12 @@ def test_all_mask_grid_falls_back_to_prior():
     # every position, row-major, position independent and equal to the prior
     assert out.positions.tolist() == [[r, c] for r in range(3)
                                       for c in range(4)]
-    assert out.means.shape == (12, 4, 3)
+    assert out.means.shape == out.sigmas.shape == out.weights.shape \
+        == (12, 4, 2)
     assert np.all(out.means == out.means[0])
-    assert np.allclose(out.means[0, :, 1], prior.means)
-    assert np.allclose(out.sigmas[0, :, 1], prior.stds)
+    for k in range(2):
+        assert np.array_equal(out.means[0, :, k], prior.means)
+        assert np.array_equal(out.sigmas[0, :, k], prior.stds)
     assert np.all(out.values == np.rint(prior.means).astype(np.int16))
 
 
@@ -161,13 +216,18 @@ def test_heads_are_consistent():
 
 
 def test_mixture_weights_softmax():
-    known = np.ones((3, 3), bool)
+    # (1, 1) has known neighbors; (3, 8) has none inside its window.
+    known = np.zeros((5, 10), bool)
+    known[:3, :3] = True
     known[1, 1] = False
-    out = predict(_grid(np.zeros((3, 3, 2)), known), default_prior(2))
+    out = predict(_grid(np.zeros((5, 10, 2)), known), default_prior(2),
+                  [(1, 1), (3, 8)])
     logits = np.array(DEFAULT_LOGITS)
-    expected = np.exp(logits) / np.exp(logits).sum()
-    assert out.positions.tolist() == [[1, 1]]
-    assert np.allclose(out.weights[0], expected)
+    s = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+    # The trailing two logits both weigh the prior; pooled by one addition.
+    assert out.weights[0].tolist() == [[s[0], s[1] + s[2]]] * 2
+    third = 1.0 / 3.0
+    assert out.weights[1].tolist() == [[third, third + third]] * 2
 
 
 def test_fit_prior_floors_std():

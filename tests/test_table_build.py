@@ -96,7 +96,7 @@ def _mixture_rows(draw, k):
         means.append(draw(st.lists(_MEANS, min_size=k, max_size=k)))
         sigmas.append(draw(st.lists(_SIGMAS, min_size=k, max_size=k)))
     if k == 3 and draw(st.booleans()):
-        # The predictor's layout: two trailing copies of one prior.
+        # Two trailing copies of one Gaussian, integrated once.
         for m, s in zip(means, sigmas):
             m[2], s[2] = m[1], s[1]
     pick = draw(st.lists(st.integers(min_value=0, max_value=distinct - 1),
@@ -172,12 +172,6 @@ def test_slice_tables_equal_per_row_reference(rows, clamp, channels):
     assert len(tables) == len(index) == n * channels
     assert len({id(t) for t in tables}) == len(probs)
     weights, means, sigmas = (a[:n * channels] for a in rows)
-    if (k == 3 and np.array_equal(means[:, 1], means[:, 2])
-            and np.array_equal(sigmas[:, 1], sigmas[:, 2])):
-        # Reference for the pooled form the builder integrates.
-        weights = np.stack([weights[:, 0], weights[:, 1] + weights[:, 2]],
-                           axis=1)
-        means, sigmas = means[:, :2], sigmas[:, :2]
     for j, table in enumerate(tables):
         ref = _discretize_row(weights[j], means[j], sigmas[j], clamp)
         assert np.array_equal(probs[index[j]], ref)
