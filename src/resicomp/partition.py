@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +118,16 @@ class SlicePlan:
 
     def slice_size(self, index: int) -> int:
         return self.boundaries[index] - self.boundaries[index - 1]
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """(h, w) array of each position's 1-based slice index."""
+        rows, cols = np.array(self.positions, dtype=np.intp).T
+        owner = np.empty((self.h, self.w), dtype=np.intp)
+        owner[rows, cols] = np.repeat(np.arange(1, self.l + 1),
+                                      np.diff(self.boundaries))
+        owner.setflags(write=False)
+        return owner
 
     def serialize(self) -> bytes:
         """Canonical little-endian byte layout for equality checks."""

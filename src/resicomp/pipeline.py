@@ -2,11 +2,16 @@
 
 The sender tokenizes, partitions, and entropy-codes each slice under
 the context mode's dependency matrix, packetizing one slice per packet.
-The receiver entropy-decodes every slice whose full context closure
-arrived, marks the rest lost, conceals all still-masked tokens in a
-single predictor pass, and synthesizes the image.  Both sides run the
-context model once per slice and only at that slice's positions, so
-its window sums cost work in proportion to the slice, not the grid.
+The receiver is a session (`Receiver`): packets are added one at a
+time, in any order, and each slice is entropy-decoded once, as soon as
+its packet and its full context closure are in.  Its result conceals
+all still-masked tokens in a single predictor pass, synthesizes the
+image and says per slice whether it was decoded, lost, orphaned by a
+context slice, or corrupt.  `receive` runs a session over one set of
+packets; `progressive_receive` keeps one across every prefix.  Both
+sides run the context model once per slice and only at that slice's
+positions, so its window sums cost work in proportion to the slice,
+not the grid.
 """
 
 from __future__ import annotations
@@ -107,6 +112,27 @@ def send(image: np.ndarray, cfg: PipelineConfig):
     return packets, grid, plan, mode
 
 
+SLICE_DECODED = "decoded"
+SLICE_LOST = "lost"
+SLICE_ORPHANED = "orphaned"
+SLICE_CORRUPT = "corrupt"
+
+
+@dataclass(frozen=True)
+class SliceStatus:
+    """What happened to one slice at the receiver."""
+
+    state: str  # one of the SLICE_* constants
+    # SLICE_ORPHANED only: the first context slice that was not decoded,
+    # because its packet is missing or it could not be decoded itself.
+    missing_context: int | None = None
+
+    def __str__(self):
+        if self.state == SLICE_ORPHANED:
+            return f"{self.state} by {self.missing_context}"
+        return self.state
+
+
 @dataclass
 class ReceiveResult:
     image: np.ndarray
@@ -116,11 +142,136 @@ class ReceiveResult:
     # Distinct context depths of slices predicted from a non-empty
     # context, plus one for concealment around any decoded token.
     predictor_passes: int
+    slice_status: list  # one SliceStatus per slice, in slice order
+
+
+class Receiver:
+    """Decoding session for one stream; each slice is decoded once.
+
+    Built from any packet header of the stream and the config.  Slices
+    decode as soon as their packet and all their context slices are in;
+    `result` conceals the rest on a copy, so packets may keep arriving.
+    """
+
+    def __init__(self, header: PacketHeader, cfg: PipelineConfig):
+        self.cfg = cfg
+        self.l = header.total_slices
+        self.mode = cfg.make_context_mode()
+        if self.mode.mode_id != header.mode_id or self.mode.l != self.l:
+            raise ValueError("config mode does not match packet headers")
+        self.plan = build_plan(header.grid_h, header.grid_w, self.l,
+                               self.mode, header.plan_seed,
+                               header.beta_milli / 1000.0)
+        self.prior = cfg.get_prior()
+        self.depths = context_depths(self.mode)
+        self.grid = TokenGrid(
+            values=np.zeros((header.grid_h, header.grid_w, header.channels),
+                            np.int16),
+            known=np.zeros((header.grid_h, header.grid_w), bool),
+        )
+        self.packets = {}  # 1-based slice index -> the packet it holds
+        self.decoded = [False] * self.l
+        self.corrupt = set()  # 1-based indices whose payload did not decode
+
+    def add(self, *packets: Packet):
+        """Hold packets and decode every slice that became decodable.
+
+        A packet for a slice the session already holds is ignored.
+        """
+        new = []
+        for packet in packets:
+            index = packet.header.slice_index + 1
+            if index <= self.l and index not in self.packets:
+                self.packets[index] = packet
+                new.append(index)
+        if not new:
+            return
+        clamp = self.cfg.codec.clamp
+        # Contexts precede their slice, so one ascending sweep from the
+        # lowest new slice decodes everything the packets unblock.  The
+        # loop keeps a slice's tables until the next slice's are built:
+        # freeing them first lets the allocator hand the memory back to
+        # the system and fault it in again for every slice.
+        for i in range(min(new), self.l + 1):
+            if (i not in self.packets or self.decoded[i - 1]
+                    or i in self.corrupt):
+                continue
+            try:
+                ctx = collect_context(i, self.mode, self.decoded, self.plan,
+                                      self.grid)
+            except SynchronizationError:
+                continue
+            output = predict(ctx, self.prior, self.plan.slice_positions(i))
+            tables, _, _ = _slice_tables(output, clamp)
+            try:
+                symbols = entropy_coder.decode(self.packets[i].payload,
+                                               tables)
+            except entropy_coder.CorruptStreamError:
+                self.corrupt.add(i)
+                continue
+            values = np.array(symbols, dtype=np.int64) - clamp
+            rows, cols = output.positions.T
+            self.grid.values[rows, cols] = values.reshape(len(rows), -1)
+            self.grid.known[rows, cols] = True
+            self.decoded[i - 1] = True
+
+    def _slice_status(self) -> list:
+        status = []
+        for i in range(1, self.l + 1):
+            if self.decoded[i - 1]:
+                status.append(SliceStatus(SLICE_DECODED))
+            elif i in self.corrupt:
+                status.append(SliceStatus(SLICE_CORRUPT))
+            elif i not in self.packets:
+                status.append(SliceStatus(SLICE_LOST))
+            else:
+                j = next(j for j in self.mode.contexts_of(i)
+                         if not self.decoded[j - 1])
+                status.append(SliceStatus(SLICE_ORPHANED, j))
+        return status
+
+    def result(self, out_height: int, out_width: int,
+               planes: int = 1) -> ReceiveResult:
+        """Conceal what is still masked and synthesize the image."""
+        # Predictions at one context depth count as one pass of the
+        # iterative schedule; slices predicted from no context at all
+        # (depth 0) count for none.  Decoded and corrupt slices were
+        # predicted.
+        passes = len({self.depths[i - 1] for i in range(1, self.l + 1)
+                      if self.decoded[i - 1] or i in self.corrupt} - {0})
+        n_decoded = sum(self.decoded)
+        if n_decoded == self.l:
+            outcome = OUTCOME_LOSSLESS
+            full = self.grid.copy()
+        else:
+            outcome = OUTCOME_FAILED if n_decoded == 0 else OUTCOME_CONCEALED
+            output = predict(self.grid, self.prior)
+            if self.grid.known.any():
+                passes += 1
+            full = conceal(self.grid, output)
+        image = synthesize(full, self.cfg.codec, out_height, out_width,
+                           planes)
+        return ReceiveResult(
+            image=image,
+            outcome=outcome,
+            grid=full,
+            decoded_slices=[i + 1 for i, d in enumerate(self.decoded) if d],
+            predictor_passes=passes,
+            slice_status=self._slice_status(),
+        )
 
 
 def receive(packets, flags, cfg: PipelineConfig, out_height: int,
-            out_width: int, planes: int = 1) -> ReceiveResult:
-    """Decode received packets; conceal what cannot be entropy-decoded."""
+            out_width: int, planes: int = 1,
+            receiver: Receiver | None = None) -> ReceiveResult:
+    """Decode received packets; conceal what cannot be entropy-decoded.
+
+    flags[i] says whether slice i + 1's packet counts as received.  Of
+    several packets for one slice the last one counts.  With a
+    `receiver` session, built for this stream and `cfg`, only the
+    packets it does not hold yet are added; flags that drop a packet
+    it holds raise ValueError.
+    """
     if len(packets) == 0:
         raise ValueError("need at least one packet to recover the geometry")
     by_slice = {}
@@ -132,64 +283,16 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
         ref = p.header
     if ref is None:
         raise ValueError("all packets missing; geometry unknown")
-    l = ref.total_slices
-    mode = cfg.make_context_mode()
-    if mode.mode_id != ref.mode_id or mode.l != l:
-        raise ValueError("config mode does not match packet headers")
-    plan = build_plan(ref.grid_h, ref.grid_w, l, mode, ref.plan_seed,
-                      ref.beta_milli / 1000.0)
-    prior = cfg.get_prior()
-    grid = TokenGrid(
-        values=np.zeros((ref.grid_h, ref.grid_w, ref.channels), np.int16),
-        known=np.zeros((ref.grid_h, ref.grid_w), bool),
-    )
-    avail = [bool(flags[i]) and (i + 1) in by_slice for i in range(l)]
-    decoded = [False] * l
-    depths = context_depths(mode)
-    # Predictions at one context depth count as one pass of the iterative
-    # schedule; slices predicted from no context at all count for none.
-    depths_predicted = set()
-    for i in range(1, l + 1):
-        if not avail[i - 1]:
-            continue
-        try:
-            ctx = collect_context(i, mode, decoded, plan, grid)
-        except SynchronizationError:
-            avail[i - 1] = False  # lost via error propagation
-            continue
-        if mode.contexts_of(i):
-            depths_predicted.add(depths[i - 1])
-        output = predict(ctx, prior, plan.slice_positions(i))
-        tables, _, _ = _slice_tables(output, cfg.codec.clamp)
-        try:
-            symbols = entropy_coder.decode(by_slice[i].payload, tables)
-        except entropy_coder.CorruptStreamError:
-            avail[i - 1] = False
-            continue
-        values = (np.array(symbols, dtype=np.int64) - cfg.codec.clamp)
-        rows, cols = output.positions.T
-        grid.values[rows, cols] = values.reshape(len(rows), ref.channels)
-        grid.known[rows, cols] = True
-        decoded[i - 1] = True
-    n_decoded = sum(decoded)
-    passes = len(depths_predicted)
-    if n_decoded == l:
-        outcome = OUTCOME_LOSSLESS
-        full = grid.copy()
-    else:
-        outcome = OUTCOME_FAILED if n_decoded == 0 else OUTCOME_CONCEALED
-        output = predict(grid, prior)
-        if grid.known.any():
-            passes += 1
-        full = conceal(grid, output)
-    image = synthesize(full, cfg.codec, out_height, out_width, planes)
-    return ReceiveResult(
-        image=image,
-        outcome=outcome,
-        grid=full,
-        decoded_slices=[i + 1 for i, d in enumerate(decoded) if d],
-        predictor_passes=passes,
-    )
+    if receiver is None:
+        receiver = Receiver(ref, cfg)
+    arrived = [i for i in range(1, receiver.l + 1)
+               if flags[i - 1] and i in by_slice]
+    dropped = receiver.packets.keys() - set(arrived)
+    if dropped:
+        raise ValueError(f"flags drop slices {sorted(dropped)} that the "
+                         "receiver already holds")
+    receiver.add(*(by_slice[i] for i in arrived))
+    return receiver.result(out_height, out_width, planes)
 
 
 def evaluate(original: np.ndarray, result_image: np.ndarray, outcome: str,
@@ -268,11 +371,16 @@ def objective(image: np.ndarray, mask_ratio: float, alpha: float,
 
 def progressive_receive(packets, cfg: PipelineConfig, out_height: int,
                         out_width: int, planes: int = 1):
-    """Decode every prefix of the packet sequence; one result per step."""
+    """Decode every prefix of the packet sequence; one result per step.
+
+    One receiver session runs across the prefixes, so each slice is
+    entropy-decoded once.
+    """
+    headers = [p.header for p in packets if p is not None]
+    session = Receiver(headers[-1], cfg) if headers else None
     results = []
     for k in range(1, len(packets) + 1):
         flags = [i < k for i in range(len(packets))]
-        results.append(
-            receive(packets, flags, cfg, out_height, out_width, planes)
-        )
+        results.append(receive(packets, flags, cfg, out_height, out_width,
+                               planes, receiver=session))
     return results

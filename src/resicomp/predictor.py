@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -142,25 +141,20 @@ class PredictorOutput:
 
 def collect_context(index: int, mode: ContextMode, flags, plan: SlicePlan,
                     grid: TokenGrid) -> TokenGrid:
-    """Masked grid containing exactly slice `index`'s context slices.
+    """Grid whose known mask is exactly slice `index`'s context slices.
 
     flags[j-1] truthy means packet j is available.  Raises
     SynchronizationError when a required context packet is missing.
+    The result shares `grid.values`, so values outside the context are
+    not zeroed; `predict` reads a value only where it is known.
     """
     contexts = mode.contexts_of(index)
     for j in contexts:
         if not flags[j - 1]:
             raise SynchronizationError(index, j)
-    ctx = TokenGrid(np.zeros_like(grid.values), np.zeros((grid.h, grid.w), bool))
-    if contexts:
-        # Read the ints of the (row, col) tuples straight into one array.
-        ints = chain.from_iterable(chain.from_iterable(
-            plan.slice_positions(j) for j in contexts))
-        n = sum(plan.slice_size(j) for j in contexts)
-        rows, cols = np.fromiter(ints, np.intp, 2 * n).reshape(n, 2).T
-        ctx.values[rows, cols] = grid.values[rows, cols]
-        ctx.known[rows, cols] = True
-    return ctx
+    in_context = np.zeros(plan.l + 1, dtype=bool)
+    in_context[list(contexts)] = True
+    return TokenGrid(values=grid.values, known=in_context[plan.owner])
 
 
 def _window_kernel(window: int) -> np.ndarray:
