@@ -30,6 +30,23 @@ GOLDEN_PACKETS = {
         "1fdfd67b1d2cd7420824076780bf8b33f7c1f2628dbb124ae7ff00fbc434b948",
 }
 
+# Same keys -> digest of the concatenated payload bytes alone.  These
+# pin the coded bits apart from the header, so a header format change
+# leaves them as they are.
+GOLDEN_PAYLOADS = {
+    ("ISC", (), 10, 64, 96, 112):
+        "20d1988b0c5546cb000586f183f671c752ec1db99ce54b091787c2df3ce33eaf",
+    ("LC", (), 10, 64, 96, 112):
+        "9c53e3517220dae002024bb09df4c7b2aae24c0606b79ffc57a16ec744a556e4",
+    ("MDC", (("n_d", 2),), 10, 64, 96, 112):
+        "c331defa046562eb4258cdf0f83b6cf59b828d1ed4280e1682b5d35bbdb95f00",
+    # SLC:1 has LC's context matrix and default beta, so LC's bits.
+    ("SLC", (("enhancements", 1),), 10, 64, 96, 112):
+        "9c53e3517220dae002024bb09df4c7b2aae24c0606b79ffc57a16ec744a556e4",
+    ("LC", (), 4, 16, 64, 64):
+        "bbb9abc7df8f49b235e47c676c368396abbaf768803b804c9cdae94abfb669dc",
+}
+
 # MDC:2 L=10 at C=64 with slices 3 and 8 lost: description 1 loses its
 # tail from slice 3 on, description 2 from slice 8 on.
 LOSSY_FLAGS = [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
@@ -63,6 +80,7 @@ def test_packet_bytes_are_pinned(key):
     image = synthetic_image(0, height=height, width=width)
     packets, _, _, _ = send(image, _config(kind, params, l, channels))
     assert _sha256(p.to_bytes() for p in packets) == GOLDEN_PACKETS[key]
+    assert _sha256(p.payload.data for p in packets) == GOLDEN_PAYLOADS[key]
 
 
 def test_decoded_images_are_pinned():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -83,6 +84,29 @@ def test_absorbing_good_state_means_no_loss():
 def test_lossless_model_delivers_everything():
     trace = sample_trace(iid_model(0.0), 500, rng_seed=3)
     assert trace.flags.all()
+
+
+# sha256 over np.packbits(flags) of sample_trace(preset, 100, seed) for
+# seeds 0..63, with the number of lost packets among those 6400.
+TRACE_PINS = {
+    "EP1": (8, "1f2376278803cd8ae0645f6025bfd893a41bc4c70971bff0cd3d6ae2acad816c"),
+    "EP2": (212, "8d0cd0a582f3e4a7a2b4f2d6be542e566758dc6ea07fabef22c68108c1f1116b"),
+    "EP3": (509, "11eb533a0fbe078c775c0743d382cd9053d9e642206b8ef0c5b047c54d54bbf1"),
+    "EP4": (877, "4bbb410e0f180515ce20b4e506539477348ca7ead07303ffd639da1c9156cd95"),
+    "EP5": (1596, "e54f3ce4bdc76cea668e1f3c75b392b16c6a53e0f3519e40fb48065490b8444d"),
+    "EP6": (2117, "39c03933da54e4126c3c069a6530a7571960bba5f3503722e239efaa05d2fe49"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_PINS))
+def test_sample_trace_flags_are_pinned(name):
+    digest = hashlib.sha256()
+    lost = 0
+    for seed in range(64):
+        flags = sample_trace(preset(name), 100, seed).flags
+        lost += int((~flags).sum())
+        digest.update(np.packbits(flags).tobytes())
+    assert (lost, digest.hexdigest()) == TRACE_PINS[name]
 
 
 def test_sample_trace_deterministic():
