@@ -174,19 +174,13 @@ def load_env_prior(channels):
     return None
 
 
-def _pipeline_config(args, mode_spec, l, image_id=0, seed=0):
-    kind, params = parse_mode_spec(mode_spec)
-    codec = CodecConfig(channels=args.channels, quality=args.quality)
+def _pipeline_config(args):
+    """The config of `encode` and `simulate` from their flags."""
+    kind, params = parse_mode_spec(args.mode)
     return PipelineConfig(
-        codec=codec,
-        mode_kind=kind,
-        l=l,
-        mode_params=params,
-        beta=args.beta,
-        plan_seed=seed,
-        image_id=image_id,
-        prior=load_env_prior(args.channels),
-    )
+        codec=CodecConfig(channels=args.channels, quality=args.quality),
+        mode_kind=kind, l=args.slices, mode_params=params, beta=args.beta,
+        plan_seed=args.seed, prior=load_env_prior(args.channels))
 
 
 def _load_images(spec: SweepSpec):
@@ -350,21 +344,19 @@ def _print_summary(rows):
 
 def cmd_encode(args):
     image = read_image(args.image)
-    cfg = _pipeline_config(args, args.mode, args.slices, seed=args.seed)
+    cfg = _pipeline_config(args)
     packets, _, _, _ = pipeline.send(image, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for packet in packets:
         path = out / f"slice_{packet.header.slice_index:03d}.pkt"
         path.write_bytes(packet.to_bytes())
-    # Dimensions sidecar so decode can unpad without extra flags.
-    (out / "dims.txt").write_text(f"{image.shape[0]} {image.shape[1]} "
-                                  f"{1 if image.ndim == 2 else image.shape[2]}\n")
     print(f"wrote {len(packets)} packets to {out}")
     return EXIT_OK
 
 
 def cmd_decode(args):
+    """Decode the stream of the first readable packet; its header says all."""
     pkt_dir = Path(args.packets)
     paths = sorted(pkt_dir.glob("slice_*.pkt"))
     if not paths:
@@ -380,31 +372,17 @@ def cmd_decode(args):
         raise transport.PacketFormatError(f"no readable packet in {pkt_dir}")
     for line in damaged:
         print(line, file=sys.stderr)
-    total = packets[0].header.total_slices
-    by_index = {p.header.slice_index: p for p in packets}
-    ordered = [by_index.get(i) for i in range(total)]
-    if args.trace:
-        trace = read_traces(args.trace)[0]
-        if len(trace) != total:
-            raise ConfigError("trace length does not match packet count")
-        flags = [bool(ok) and ordered[i] is not None
-                 for i, ok in enumerate(trace.flags)]
-    else:
-        flags = [p is not None for p in ordered]
-    present = [p for p in ordered if p is not None]
-    dims_file = pkt_dir / "dims.txt"
-    if args.height and args.width:
-        height, width, planes = args.height, args.width, args.planes
-    elif dims_file.exists():
-        height, width, planes = map(int, dims_file.read_text().split())
-    else:
-        ref = present[0].header
-        height, width, planes = ref.grid_h * 16, ref.grid_w * 16, args.planes
-    cfg = _pipeline_config(args, args.mode, total,
-                           seed=present[0].header.plan_seed)
-    result = pipeline.receive(ordered, flags, cfg, height, width, planes)
+    first = packets[0].header
+    session = pipeline.Receiver(first, load_env_prior(first.channels))
+    total = session.l
+    flags = read_traces(args.trace)[0].flags if args.trace else [True] * total
+    if len(flags) != total:
+        raise ConfigError("trace length does not match packet count")
+    session.add(*(p for p in packets if p.header.slice_index < total
+                  and flags[p.header.slice_index]))
+    result = session.result()
     write_ppm(args.out, result.image)
-    bits = sum(p.payload.bit_length for p in present)
+    bits = sum(p.payload.bit_length for p in packets)
     print(f"outcome={result.outcome} decoded={len(result.decoded_slices)}/"
           f"{total} payload_bits={bits}")
     return EXIT_OK
@@ -424,14 +402,8 @@ def cmd_trace(args):
 
 
 def cmd_simulate(args):
-    if args.image:
-        image = read_image(args.image)
-        image_id = 0
-    else:
-        image = synthetic_corpus(1)[0]
-        image_id = 0
-    cfg = _pipeline_config(args, args.mode, args.slices, image_id=image_id,
-                           seed=args.seed)
+    image = read_image(args.image) if args.image else synthetic_corpus(1)[0]
+    cfg = _pipeline_config(args)
     model = preset(args.preset)
     row = run_episode(image, cfg, model, derive_seed(args.seed, 0))
     writer = csv.DictWriter(sys.stdout, fieldnames=CSV_FIELDS)
@@ -491,11 +463,6 @@ def build_parser():
     p.add_argument("--trace", default=None,
                    help="trace file; first line is used (1 = received)")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", default="LC")
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--planes", type=int, default=1)
-    _add_codec_flags(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("trace", help="sample loss traces from a preset")

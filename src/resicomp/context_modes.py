@@ -69,9 +69,9 @@ class ContextMode:
 def make_mode(kind, l: int, params=None) -> ContextMode:
     """Build a preset mode.
 
-    kind: one of "ISC", "LC", "MDC", "SLC", "CUSTOM" (or the mode id).
-    MDC requires params["n_d"]; SLC requires params["enhancements"];
-    CUSTOM requires params["matrix"].
+    kind: one of "ISC", "LC", "MDC", "SLC" (or the mode id).  MDC
+    requires params["n_d"], SLC params["enhancements"].  Other matrices
+    are built as ContextMode directly and checked with `validate`.
     """
     params = dict(params or {})
     if isinstance(kind, str):
@@ -114,13 +114,6 @@ def make_mode(kind, l: int, params=None) -> ContextMode:
             same = branch == branch[i - 1]
             earlier = rank < rank[i - 1]
             g[i, 1:] = same & earlier
-    elif kind == MODE_CUSTOM:
-        matrix = params.get("matrix")
-        if matrix is None:
-            raise ValueError("CUSTOM requires a matrix")
-        g = np.asarray(matrix, dtype=bool)
-        if g.shape != (l, l):
-            raise ValueError("CUSTOM matrix must be L x L")
     else:
         raise ValueError(f"unknown mode id {kind}")
     mode = ContextMode(l=l, g=g, mode_id=kind, params=params)

@@ -1,34 +1,38 @@
 """End-to-end sender, receiver, progressive decoding, and objectives.
 
+A packet header describes its whole stream: `stream_header` maps a
+config and an image size to it, `open_stream` maps it back to the mode,
+slice plan and codec, and both ends code with what `open_stream` reads.
 The sender tokenizes, partitions, and entropy-codes each slice under
 the context mode's dependency matrix, packetizing one slice per packet.
-The receiver is a session (`Receiver`): packets are added one at a
-time, in any order, and each slice is entropy-decoded once, as soon as
-its packet and its full context closure are in.  Its result conceals
-all still-masked tokens in a single predictor pass, synthesizes the
-image and says per slice whether it was decoded, lost, orphaned by a
-context slice, or corrupt.  `receive` runs a session over one set of
-packets; `progressive_receive` keeps one across every prefix.  Both
-sides run the context model once per slice and only at that slice's
-positions, so its window sums cost work in proportion to the slice,
-not the grid.
+The receiver is a session (`Receiver`) built from one header: packets
+are added one at a time, in any order, and each slice is entropy-decoded
+once, as soon as its packet and its full context closure are in.  Its
+result conceals all still-masked tokens in a single predictor pass,
+synthesizes the image and says per slice whether it was decoded, lost,
+orphaned by a context slice, corrupt, or rejected as another stream's.
+`receive` runs a session over one set of packets; `progressive_receive`
+keeps one across every prefix.  Both sides run the context model once
+per slice and only at that slice's positions, so its window sums cost
+work in proportion to the slice, not the grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import entropy_coder
-from .context_modes import ContextMode, context_depths, make_mode
+from .context_modes import (MODE_MDC, MODE_SLC, ContextMode, context_depths,
+                            make_mode)
 from .density import (FreqTable, discretize_batch, quantize_probs,
                       unique_rows)
 from .image_io import mse, psnr_db
 from .partition import build_plan
 from .predictor import (PredictorOutput, PriorModel, SynchronizationError,
                         collect_context, conceal, default_prior, predict)
-from .token_codec import CodecConfig, TokenGrid, analyze, synthesize
+from .token_codec import BLOCK, CodecConfig, TokenGrid, analyze, synthesize
 from .transport import Packet, PacketHeader
 
 FAILED_PSNR_DB = 13.0
@@ -78,37 +82,67 @@ def _slice_tables(output: PredictorOutput, clamp: int):
     return [tables[i] for i in index.tolist()], probs, index
 
 
+# The mode parameter a header carries, by mode id; other modes carry 0.
+_MODE_PARAM = {MODE_MDC: "n_d", MODE_SLC: "enhancements"}
+
+
+def stream_header(cfg: PipelineConfig, height: int, width: int,
+                  planes: int = 1) -> PacketHeader:
+    """Slice 0's header of cfg's stream for a height x width image.
+
+    The plan seed is taken modulo 2**64.  ValueError if a value does not
+    fit its field.
+    """
+    mode = cfg.make_context_mode()
+    beta = mode.default_beta if cfg.beta is None else cfg.beta
+    if not 0 <= beta <= 65.535:
+        raise ValueError(f"beta {beta} is outside 0..65.535")
+    key = _MODE_PARAM.get(mode.mode_id)
+    return PacketHeader(
+        image_id=cfg.image_id, slice_index=0, total_slices=cfg.l,
+        mode_id=mode.mode_id, mode_param=mode.params[key] if key else 0,
+        plan_seed=cfg.plan_seed & (2**64 - 1),
+        beta_milli=round(beta * 1000),
+        grid_h=-(-height // BLOCK), grid_w=-(-width // BLOCK),
+        channels=cfg.codec.channels, quality=cfg.codec.quality,
+        clamp=cfg.codec.clamp, height=height, width=width, planes=planes,
+        prior_fingerprint=cfg.get_prior().fingerprint,
+    )
+
+
+def open_stream(header: PacketHeader):
+    """(mode, plan, codec) of the stream that a packet header describes."""
+    key = _MODE_PARAM.get(header.mode_id)
+    mode = make_mode(header.mode_id, header.total_slices,
+                     {key: header.mode_param} if key else {})
+    plan = build_plan(header.grid_h, header.grid_w, mode.l, mode,
+                      header.plan_seed, header.beta_milli / 1000)
+    return mode, plan, CodecConfig(header.channels, header.quality,
+                                   header.clamp)
+
+
 def send(image: np.ndarray, cfg: PipelineConfig):
     """Encode an image into one packet per slice.
 
     Returns (packets, grid, plan, mode).
     """
-    grid = analyze(image, cfg.codec)
-    mode = cfg.make_context_mode()
-    plan = build_plan(grid.h, grid.w, cfg.l, mode, cfg.plan_seed, cfg.beta)
+    planes = 1 if image.ndim == 2 else image.shape[2]
+    header = stream_header(cfg, image.shape[0], image.shape[1], planes)
+    mode, plan, codec = open_stream(header)
+    grid = analyze(image, codec)
     prior = cfg.get_prior()
-    all_received = [1] * cfg.l
-    header_common = dict(
-        image_id=cfg.image_id,
-        total_slices=cfg.l,
-        mode_id=mode.mode_id,
-        plan_seed=cfg.plan_seed & (2**64 - 1),
-        grid_h=grid.h,
-        grid_w=grid.w,
-        channels=cfg.codec.channels,
-        beta_milli=int(round(plan.beta * 1000)),
-    )
+    all_received = [1] * mode.l
     packets = []
-    for i in range(1, cfg.l + 1):
+    for i in range(1, mode.l + 1):
         ctx = collect_context(i, mode, all_received, plan, grid)
         output = predict(ctx, prior, plan.slice_positions(i))
-        tables, _, _ = _slice_tables(output, cfg.codec.clamp)
+        tables, _, _ = _slice_tables(output, codec.clamp)
         rows, cols = output.positions.T
         symbols = (grid.values[rows, cols].astype(np.int64)
-                   + cfg.codec.clamp).reshape(-1)
+                   + codec.clamp).reshape(-1)
         payload = entropy_coder.encode(symbols.tolist(), tables)
-        header = PacketHeader(slice_index=i - 1, **header_common)
-        packets.append(Packet(header=header, payload=payload))
+        packets.append(Packet(header=replace(header, slice_index=i - 1),
+                              payload=payload))
     return packets, grid, plan, mode
 
 
@@ -116,6 +150,7 @@ SLICE_DECODED = "decoded"
 SLICE_LOST = "lost"
 SLICE_ORPHANED = "orphaned"
 SLICE_CORRUPT = "corrupt"
+SLICE_REJECTED = "rejected"  # only packets of another stream arrived
 
 
 @dataclass(frozen=True)
@@ -146,23 +181,24 @@ class ReceiveResult:
 
 
 class Receiver:
-    """Decoding session for one stream; each slice is decoded once.
+    """Decoding session for the stream one packet header describes.
 
-    Built from any packet header of the stream and the config.  Slices
-    decode as soon as their packet and all their context slices are in;
-    `result` conceals the rest on a copy, so packets may keep arriving.
+    Slices decode as soon as their packet and all their context slices
+    are in; `result` conceals the rest on a copy, so packets may keep
+    arriving.  The prior defaults to the uninformed one of the header's
+    codec; ValueError if its fingerprint is not the header's.
     """
 
-    def __init__(self, header: PacketHeader, cfg: PipelineConfig):
-        self.cfg = cfg
+    def __init__(self, header: PacketHeader, prior: PriorModel | None = None):
+        self.header = header
+        self.mode, self.plan, self.codec = open_stream(header)
+        if prior is None:
+            prior = default_prior(self.codec.channels, self.codec.clamp)
+        if prior.fingerprint != header.prior_fingerprint:
+            raise ValueError("the model is not the prior the stream was "
+                             "coded with")
+        self.prior = prior
         self.l = header.total_slices
-        self.mode = cfg.make_context_mode()
-        if self.mode.mode_id != header.mode_id or self.mode.l != self.l:
-            raise ValueError("config mode does not match packet headers")
-        self.plan = build_plan(header.grid_h, header.grid_w, self.l,
-                               self.mode, header.plan_seed,
-                               header.beta_milli / 1000.0)
-        self.prior = cfg.get_prior()
         self.depths = context_depths(self.mode)
         self.grid = TokenGrid(
             values=np.zeros((header.grid_h, header.grid_w, header.channels),
@@ -172,21 +208,27 @@ class Receiver:
         self.packets = {}  # 1-based slice index -> the packet it holds
         self.decoded = [False] * self.l
         self.corrupt = set()  # 1-based indices whose payload did not decode
+        self.rejected = set()  # 1-based indices of other streams' packets
 
     def add(self, *packets: Packet):
         """Hold packets and decode every slice that became decodable.
 
-        A packet for a slice the session already holds is ignored.
+        A packet for a slice the session already holds is ignored, and
+        so is one of another stream, whose slice is marked rejected.
         """
         new = []
         for packet in packets:
             index = packet.header.slice_index + 1
-            if index <= self.l and index not in self.packets:
-                self.packets[index] = packet
-                new.append(index)
+            if index > self.l or index in self.packets:
+                continue
+            if packet.header != self.header:
+                self.rejected.add(index)
+                continue
+            self.packets[index] = packet
+            new.append(index)
         if not new:
             return
-        clamp = self.cfg.codec.clamp
+        clamp = self.codec.clamp
         # Contexts precede their slice, so one ascending sweep from the
         # lowest new slice decodes everything the packets unblock.  The
         # loop keeps a slice's tables until the next slice's are built:
@@ -222,16 +264,17 @@ class Receiver:
                 status.append(SliceStatus(SLICE_DECODED))
             elif i in self.corrupt:
                 status.append(SliceStatus(SLICE_CORRUPT))
-            elif i not in self.packets:
-                status.append(SliceStatus(SLICE_LOST))
-            else:
+            elif i in self.packets:
                 j = next(j for j in self.mode.contexts_of(i)
                          if not self.decoded[j - 1])
                 status.append(SliceStatus(SLICE_ORPHANED, j))
+            elif i in self.rejected:
+                status.append(SliceStatus(SLICE_REJECTED))
+            else:
+                status.append(SliceStatus(SLICE_LOST))
         return status
 
-    def result(self, out_height: int, out_width: int,
-               planes: int = 1) -> ReceiveResult:
+    def result(self) -> ReceiveResult:
         """Conceal what is still masked and synthesize the image."""
         # Predictions at one context depth count as one pass of the
         # iterative schedule; slices predicted from no context at all
@@ -249,8 +292,8 @@ class Receiver:
             if self.grid.known.any():
                 passes += 1
             full = conceal(self.grid, output)
-        image = synthesize(full, self.cfg.codec, out_height, out_width,
-                           planes)
+        h = self.header
+        image = synthesize(full, self.codec, h.height, h.width, h.planes)
         return ReceiveResult(
             image=image,
             outcome=outcome,
@@ -267,24 +310,18 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
     """Decode received packets; conceal what cannot be entropy-decoded.
 
     flags[i] says whether slice i + 1's packet counts as received.  Of
-    several packets for one slice the last one counts.  With a
-    `receiver` session, built for this stream and `cfg`, only the
-    packets it does not hold yet are added; flags that drop a packet
-    it holds raise ValueError.
+    several packets for one slice the last one counts.  Packets of
+    another stream than `stream_header` gives for cfg and the output
+    size are rejected; ValueError if no packet matches.  With a
+    `receiver` session for that stream, only the packets it does not
+    hold yet are added; flags that drop one it holds raise ValueError.
     """
-    if len(packets) == 0:
-        raise ValueError("need at least one packet to recover the geometry")
-    by_slice = {}
-    ref = None
-    for p in packets:
-        if p is None:
-            continue
-        by_slice[p.header.slice_index + 1] = p
-        ref = p.header
-    if ref is None:
-        raise ValueError("all packets missing; geometry unknown")
     if receiver is None:
-        receiver = Receiver(ref, cfg)
+        receiver = Receiver(stream_header(cfg, out_height, out_width, planes),
+                            cfg.prior)
+    by_slice = {p.header.slice_index + 1: p for p in packets if p is not None}
+    if not any(p.header == receiver.header for p in by_slice.values()):
+        raise ValueError("no packet matches the config and output size")
     arrived = [i for i in range(1, receiver.l + 1)
                if flags[i - 1] and i in by_slice]
     dropped = receiver.packets.keys() - set(arrived)
@@ -292,7 +329,7 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
         raise ValueError(f"flags drop slices {sorted(dropped)} that the "
                          "receiver already holds")
     receiver.add(*(by_slice[i] for i in arrived))
-    return receiver.result(out_height, out_width, planes)
+    return receiver.result()
 
 
 def evaluate(original: np.ndarray, result_image: np.ndarray, outcome: str,
@@ -376,8 +413,8 @@ def progressive_receive(packets, cfg: PipelineConfig, out_height: int,
     One receiver session runs across the prefixes, so each slice is
     entropy-decoded once.
     """
-    headers = [p.header for p in packets if p is not None]
-    session = Receiver(headers[-1], cfg) if headers else None
+    session = Receiver(stream_header(cfg, out_height, out_width, planes),
+                       cfg.prior)
     results = []
     for k in range(1, len(packets) + 1):
         flags = [i < k for i in range(len(packets))]

@@ -11,6 +11,7 @@ distributions with zero side information.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -72,6 +73,11 @@ class PriorModel:
     def channels(self):
         return len(self.means)
 
+    @property
+    def fingerprint(self) -> bytes:
+        """8-byte BLAKE2b digest of the prior's .rcpm bytes."""
+        return hashlib.blake2b(prior_bytes(self), digest_size=8).digest()
+
 
 def default_prior(channels: int, clamp: int = 127) -> PriorModel:
     """Uninformed prior: zero mean, wide first channel, narrowing tail."""
@@ -91,14 +97,19 @@ def fit_prior(grids, window: int = DEFAULT_WINDOW,
     return PriorModel(means=means, stds=stds, window=window, logits=logits)
 
 
+def prior_bytes(prior: PriorModel) -> bytes:
+    """The prior in the .rcpm model file layout."""
+    return (MODEL_MAGIC
+            + struct.pack("<BHHB", MODEL_VERSION, prior.channels,
+                          prior.window, MIXTURES)
+            + struct.pack(f"<{MIXTURES}d", *prior.logits)
+            + struct.pack(f"<{prior.channels}d", *prior.means)
+            + struct.pack(f"<{prior.channels}d", *prior.stds))
+
+
 def save_prior(path, prior: PriorModel):
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<BHHB", MODEL_VERSION, prior.channels,
-                            prior.window, MIXTURES))
-        f.write(struct.pack(f"<{MIXTURES}d", *prior.logits))
-        f.write(struct.pack(f"<{prior.channels}d", *prior.means))
-        f.write(struct.pack(f"<{prior.channels}d", *prior.stds))
+        f.write(prior_bytes(prior))
 
 
 def load_prior(path) -> PriorModel:

@@ -31,8 +31,8 @@ class CodecConfig:
         # The packet header carries the channel count in one byte.
         if not 1 <= self.channels <= 255:
             raise ValueError("channels must be in 1..255")
-        if self.quality <= 0:
-            raise ValueError("quality must be positive")
+        if not 0 < self.quality < float("inf"):
+            raise ValueError("quality must be positive and finite")
         if self.clamp < 1:
             raise ValueError("clamp must be positive")
 
@@ -68,9 +68,6 @@ class TokenGrid:
     def copy(self):
         return TokenGrid(self.values.copy(), self.known.copy(), self.clamp_count)
 
-    def all_masked(self):
-        return TokenGrid(np.zeros_like(self.values), np.zeros_like(self.known))
-
 
 def _dct_matrix(n=BLOCK):
     k = np.arange(n)
@@ -96,11 +93,10 @@ _ZIGZAG = _zigzag_order()
 
 def plane_channel_counts(channels: int, planes: int) -> list:
     """Split C token channels across image planes, earliest planes first."""
-    base = channels // planes
-    counts = [base + (1 if p < channels % planes else 0) for p in range(planes)]
-    if any(c < 1 for c in counts):
+    if not 1 <= planes <= channels:
         raise ValueError("need at least one channel per plane")
-    return counts
+    base = channels // planes
+    return [base + (1 if p < channels % planes else 0) for p in range(planes)]
 
 
 # The DC coefficient of an unshifted 8-bit 16x16 block spans [0, 16*255]

@@ -1,4 +1,8 @@
-"""Packetization, Markov packet-loss models, and erasure baselines.
+"""Packets, Markov packet-loss models, and the ideal-FEC baseline.
+
+A packet header describes the whole stream (mode, slice plan, codec,
+output size and a prior fingerprint) and refuses values its fields
+cannot hold.
 
 Loss models are Markov chains with a designated set of loss states.
 The named presets EP1..EP6 are calibrated two-state (good/bad) chains
@@ -19,10 +23,17 @@ import numpy as np
 from .entropy_coder import Bitstring
 
 PACKET_MAGIC = b"RCPK"
-PACKET_VERSION = 1
-# magic, version, flags, image_id, slice_index, total_slices, mode_id,
-# plan_seed, grid h, grid w, C, beta*1000, payload_len, crc32
-_HEADER_FMT = "<4sBBQBBBQHHBHI"
+PACKET_VERSION = 2
+# Header fields and their struct codes in wire order, after the magic
+# and the version byte; the payload length and a crc32 over header and
+# payload follow.  Little-endian, no padding.
+_WIRE = {name: struct.Struct("<" + code) for name, code in (
+    ("image_id", "Q"), ("slice_index", "B"), ("total_slices", "B"),
+    ("mode_id", "B"), ("mode_param", "B"), ("plan_seed", "Q"),
+    ("beta_milli", "H"), ("grid_h", "H"), ("grid_w", "H"),
+    ("channels", "B"), ("quality", "d"), ("clamp", "h"), ("height", "H"),
+    ("width", "H"), ("planes", "B"), ("prior_fingerprint", "8s"))}
+_HEADER_FMT = "<4sB" + "".join(f.format[1:] for f in _WIRE.values()) + "I"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT) + 4  # + trailing crc32
 
 
@@ -32,20 +43,33 @@ class PacketFormatError(Exception):
 
 @dataclass(frozen=True)
 class PacketHeader:
+    """What a packet says about its stream; equal headers, one stream."""
+
     image_id: int
-    slice_index: int  # 0-based on the wire
-    total_slices: int
+    slice_index: int = field(compare=False)  # 0-based on the wire
+    total_slices: int  # L
     mode_id: int
+    mode_param: int  # n_d for MDC, E for SLC, else 0
     plan_seed: int
+    beta_milli: int  # slice-size exponent beta in thousandths
     grid_h: int
     grid_w: int
     channels: int
-    beta_milli: int
-    flags: int = 0
+    quality: float
+    clamp: int
+    height: int  # output image size
+    width: int
+    planes: int
+    prior_fingerprint: bytes  # PriorModel.fingerprint
 
-    @property
-    def beta(self):
-        return self.beta_milli / 1000.0
+    def __post_init__(self):
+        for name, wire in _WIRE.items():
+            value = getattr(self, name)
+            try:
+                wire.pack(value)
+            except struct.error:
+                raise ValueError(f"{name} {value!r} does not fit the "
+                                 "packet header") from None
 
 
 @dataclass(frozen=True)
@@ -54,11 +78,9 @@ class Packet:
     payload: Bitstring
 
     def to_bytes(self) -> bytes:
-        h = self.header
         head = struct.pack(
-            _HEADER_FMT, PACKET_MAGIC, PACKET_VERSION, h.flags, h.image_id,
-            h.slice_index, h.total_slices, h.mode_id, h.plan_seed,
-            h.grid_h, h.grid_w, h.channels, h.beta_milli,
+            _HEADER_FMT, PACKET_MAGIC, PACKET_VERSION,
+            *(getattr(self.header, name) for name in _WIRE),
             len(self.payload.data),
         )
         crc = zlib.crc32(head + self.payload.data) & 0xFFFFFFFF
@@ -70,29 +92,24 @@ class Packet:
 
 
 def packet_from_bytes(data: bytes) -> Packet:
-    head_len = struct.calcsize(_HEADER_FMT)
-    if len(data) < head_len + 4:
+    head_len = HEADER_SIZE - 4
+    if len(data) < HEADER_SIZE:
         raise PacketFormatError("packet shorter than header")
-    fields = struct.unpack(_HEADER_FMT, data[:head_len])
-    (magic, version, flags, image_id, slice_index, total_slices, mode_id,
-     plan_seed, grid_h, grid_w, channels, beta_milli, payload_len) = fields
+    magic, version, *values, payload_len = struct.unpack(_HEADER_FMT,
+                                                         data[:head_len])
     if magic != PACKET_MAGIC:
         raise PacketFormatError(f"bad magic {magic!r}")
     if version != PACKET_VERSION:
         raise PacketFormatError(f"unsupported version {version}")
-    if slice_index >= total_slices:
+    header = PacketHeader(**dict(zip(_WIRE, values)))
+    if header.slice_index >= header.total_slices:
         raise PacketFormatError("slice index out of range")
-    (crc,) = struct.unpack("<I", data[head_len:head_len + 4])
-    payload = data[head_len + 4:head_len + 4 + payload_len]
+    (crc,) = struct.unpack("<I", data[head_len:HEADER_SIZE])
+    payload = data[HEADER_SIZE:HEADER_SIZE + payload_len]
     if len(payload) != payload_len:
         raise PacketFormatError("truncated payload")
     if zlib.crc32(data[:head_len] + payload) & 0xFFFFFFFF != crc:
         raise PacketFormatError("CRC mismatch")
-    header = PacketHeader(
-        image_id=image_id, slice_index=slice_index, total_slices=total_slices,
-        mode_id=mode_id, plan_seed=plan_seed, grid_h=grid_h, grid_w=grid_w,
-        channels=channels, beta_milli=beta_milli, flags=flags,
-    )
     return Packet(header=header, payload=Bitstring(bytes(payload)))
 
 
@@ -107,10 +124,6 @@ PRESET_TABLE = {
     "EP5": (0.9000, 0.9000, 0.1000, 0.1000, 0.214, 10.0),
     "EP6": (0.8507, 0.6305, 0.2000, 0.2982, 0.323, 2.71),
 }
-
-
-class ReducibleChainError(Exception):
-    """Stationary distribution did not converge."""
 
 
 @dataclass(frozen=True)
@@ -199,18 +212,19 @@ def markov3_model(transition, loss_state: int = 2,
     )
 
 
-def stationary_distribution(model: LossModel, tol: float = 1e-12,
-                            max_iter: int = 1_000_000) -> np.ndarray:
-    t = model.transition
+def stationary_distribution(model: LossModel) -> np.ndarray:
+    """The law pi with pi T = pi and sum(pi) = 1, solved directly.
+
+    The balance equations sum to zero, so the last one is replaced by
+    the normalization.  Least squares takes the minimum-norm law when a
+    chain with several closed classes has more than one.
+    """
     n = model.n_states
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        # Lazy step damps periodic chains without moving the fixed point.
-        nxt = 0.5 * (pi + pi @ t)
-        if np.abs(nxt - pi).sum() < tol:
-            return nxt
-        pi = nxt
-    raise ReducibleChainError("power iteration did not converge")
+    a = model.transition.T - np.eye(n)
+    a[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 def stationary(model: LossModel):
@@ -275,28 +289,6 @@ def fec_channel(n_data: int, n_parity: int, trace: LossTrace) -> bool:
     if len(trace) != n_data + n_parity:
         raise ValueError("trace length must be n_data + n_parity")
     return int(trace.flags.sum()) >= n_data
-
-
-def uep_backup(packets, protected_indices):
-    """Append duplicate copies of the protected packets (0-based indices)."""
-    out = list(packets)
-    for idx in protected_indices:
-        if not 0 <= idx < len(packets):
-            raise IndexError(f"no packet {idx} to protect")
-        out.append(packets[idx])
-    return out
-
-
-def merge_backup_flags(n_base: int, protected_indices, trace: LossTrace):
-    """Effective receive flags: a slice arrives if any copy survives."""
-    protected = list(protected_indices)
-    if len(trace) != n_base + len(protected):
-        raise ValueError("trace length must cover base + backup packets")
-    flags = trace.flags[:n_base].copy()
-    for copy_pos, idx in enumerate(protected):
-        if trace.flags[n_base + copy_pos]:
-            flags[idx] = True
-    return flags
 
 
 def write_traces(path, traces):

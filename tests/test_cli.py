@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_encode_decode_roundtrip(tmp_path, image_file):
                  "--out", str(pkt_dir)] + args) == EXIT_OK
     assert len(list(pkt_dir.glob("slice_*.pkt"))) == 5
     assert main(["decode", "--packets", str(pkt_dir),
-                 "--out", str(out), "--channels", "32"]) == EXIT_OK
+                 "--out", str(out)]) == EXIT_OK
     original = read_ppm(image_file)
     decoded = read_ppm(out)
     assert decoded.shape == original.shape
@@ -95,10 +96,64 @@ def test_decode_through_trace(tmp_path, image_file, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text("11011\n")
     assert main(["decode", "--packets", str(pkt_dir), "--trace", str(trace),
-                 "--out", str(out), "--channels", "16"]) == EXIT_OK
+                 "--out", str(out)]) == EXIT_OK
     captured = capsys.readouterr().out
     assert "outcome=concealed" in captured
     assert "decoded=2/5" in captured
+
+
+def test_decode_reads_everything_from_the_packet_headers(tmp_path, capsys):
+    image = synthetic_image(2, height=40, width=56)
+    rgb = np.stack([image, image[::-1], 255 - image], axis=2)
+    path = tmp_path / "input.ppm"
+    write_ppm(path, rgb)
+    pkt_dir = tmp_path / "pkts"
+    out = tmp_path / "out.ppm"
+    assert main(["encode", "--image", str(path), "--out", str(pkt_dir),
+                 "--mode", "MDC:2", "--quality", "2", "--channels", "16",
+                 "--seed", "-1", "--beta", "0.3333", "--L", "6"]) == EXIT_OK
+    assert sorted(p.name for p in pkt_dir.iterdir()) == [
+        f"slice_{i:03d}.pkt" for i in range(6)]
+    assert main(["decode", "--packets", str(pkt_dir),
+                 "--out", str(out)]) == EXIT_OK
+    assert "outcome=lossless decoded=6/6" in capsys.readouterr().out
+    assert read_ppm(out).shape == rgb.shape
+
+
+def test_decode_takes_three_options(capsys):
+    assert main(["decode", "--help"]) == EXIT_OK
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert re.findall(r"--\w+", usage) == ["--packets", "--trace", "--out"]
+
+
+def test_encode_refuses_more_slices_than_the_header_holds(tmp_path, capsys):
+    path = tmp_path / "big.pgm"
+    write_ppm(path, synthetic_image(3, height=512, width=512))
+    capsys.readouterr()
+    assert main(["encode", "--image", str(path), "--out",
+                 str(tmp_path / "pkts"), "--L", "256"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "total_slices 256" in err
+
+
+def test_decode_under_another_model_is_a_validation_error(
+        tmp_path, image_file, monkeypatch, capsys):
+    pkt_dir = tmp_path / "pkts"
+    assert main(["encode", "--image", str(image_file), "--out", str(pkt_dir),
+                 "--channels", "16", "--L", "4"]) == EXIT_OK
+    model = tmp_path / "model.rcpm"
+    assert main(["fit-model", "--synthetic", "2", "--channels", "16",
+                 "--out", str(model)]) == EXIT_OK
+    monkeypatch.setenv(MODEL_ENV, str(model))
+    capsys.readouterr()
+    out = tmp_path / "out.pgm"
+    assert main(["decode", "--packets", str(pkt_dir),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "prior" in err
+    assert not out.exists()
 
 
 def _flip_bit(path, byte=40):
@@ -113,8 +168,7 @@ def test_decode_conceals_a_damaged_packet(tmp_path, image_file, capsys):
     assert main(["encode", "--image", str(image_file), "--out", str(pkt_dir),
                  "--channels", "16", "--L", "4"]) == EXIT_OK
     _flip_bit(pkt_dir / "slice_001.pkt")
-    assert main(["decode", "--packets", str(pkt_dir), "--out", str(out),
-                 "--channels", "16"]) == EXIT_OK
+    assert main(["decode", "--packets", str(pkt_dir), "--out", str(out)]) == EXIT_OK
     captured = capsys.readouterr()
     assert "outcome=concealed decoded=1/4" in captured.out
     assert "slice_001.pkt: CRC mismatch" in captured.err
@@ -130,8 +184,7 @@ def test_decode_with_no_readable_packet_is_a_validation_error(
     for path in pkt_dir.glob("slice_*.pkt"):
         _flip_bit(path)
     capsys.readouterr()
-    assert main(["decode", "--packets", str(pkt_dir), "--out", str(out),
-                 "--channels", "16"]) == EXIT_VALIDATION
+    assert main(["decode", "--packets", str(pkt_dir), "--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err == f"error: no readable packet in {pkt_dir}\n"
     assert not out.exists()
@@ -247,7 +300,7 @@ def test_model_env_var(tmp_path, image_file, monkeypatch):
     assert main(["encode", "--image", str(image_file),
                  "--out", str(pkt_dir)] + args) == EXIT_OK
     assert main(["decode", "--packets", str(pkt_dir),
-                 "--out", str(out), "--channels", "32"]) == EXIT_OK
+                 "--out", str(out)]) == EXIT_OK
     assert psnr_db(read_ppm(image_file), read_ppm(out)) >= 40.0
     # channel mismatch between model file and config is a hard error
     assert main(["encode", "--image", str(image_file),

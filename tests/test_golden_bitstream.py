@@ -2,8 +2,10 @@
 
 Any change to the transform, the predictor, the density tables or the
 range coder that alters a single output byte fails here; the packet
-header carries PACKET_VERSION, so these digests pin it at 1 too.  A
+header carries PACKET_VERSION, so these digests pin it at 2 too.  A
 deliberate format change must bump PACKET_VERSION and re-pin them.
+The payload digests pin the coded bits alone: a header change leaves
+them as they are.
 """
 
 import hashlib
@@ -19,15 +21,15 @@ from resicomp.token_codec import CodecConfig
 # concatenated Packet.to_bytes() of every slice.
 GOLDEN_PACKETS = {
     ("ISC", (), 10, 64, 96, 112):
-        "128a7a19885524a0ce9fa799ed043632427f41ccc57125679ed1c8731111b0b8",
+        "3baa2ba7849c85cf808d2dd1e9203ac3b423b0dcedd295016a134affb320bdc9",
     ("LC", (), 10, 64, 96, 112):
-        "e50352dd66f648767b2ba0db27abe0de5ea2d84ba69833bd04bf45cda28eb0a9",
+        "bdbc98d87c80d645a138a67a39ae6888f5637539ff1cc8b71a579693e1d80016",
     ("MDC", (("n_d", 2),), 10, 64, 96, 112):
-        "a0b79336887669e71cdda132d01d28053ece0e00da8a9d39cf04a179ab566702",
+        "d05d225d670b7b0f7c5123fbea924520c8f4cfe580df88604a19b17f8dcca8da",
     ("SLC", (("enhancements", 1),), 10, 64, 96, 112):
-        "a8b87df1d1093acc9d733d96fe4be2bd895816956172a8e3494fb4f81fb94d6a",
+        "494f691bf5565f14fbbd2e69bc264af926e9f602d509afe4c0cf918862a65d2b",
     ("LC", (), 4, 16, 64, 64):
-        "1fdfd67b1d2cd7420824076780bf8b33f7c1f2628dbb124ae7ff00fbc434b948",
+        "a04cbd70443d9a37a9f39e19723db312f1b8ea17462f956ec6be5e31a4a0a84d",
 }
 
 # Same keys -> digest of the concatenated payload bytes alone.  These

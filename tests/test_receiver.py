@@ -173,24 +173,24 @@ def test_packets_in_any_order(small_image, light_codec, kind, params):
     shuffled = list(packets)
     random.Random(1).shuffle(shuffled)
     for order in (packets[::-1], shuffled):
-        session = Receiver(order[0].header, cfg)
+        session = Receiver(order[0].header)
         for p in order:
             session.add(p)
-        _assert_same(_as_tuple(session.result(*image.shape)), want)
+        _assert_same(_as_tuple(session.result()), want)
 
 
 def test_copies_of_held_slices_change_nothing(small_image, light_codec):
     cfg = _cfg(light_codec)
     packets, _, _, _ = send(small_image, cfg)
-    session = Receiver(packets[0].header, cfg)
+    session = Receiver(packets[0].header)
     for p in packets[:3]:
         session.add(p)
-    want = _as_tuple(session.result(*small_image.shape))
+    want = _as_tuple(session.result())
     corrupt = Packet(header=packets[1].header,
                      payload=Bitstring(b"\xff" * 4))
     for p in (packets[0], packets[2], corrupt):
         session.add(p)
-    _assert_same(_as_tuple(session.result(*small_image.shape)), want)
+    _assert_same(_as_tuple(session.result()), want)
     assert session.packets[2] is packets[1]
 
 
@@ -198,7 +198,7 @@ def test_receive_refuses_flags_that_drop_a_held_packet(small_image,
                                                        light_codec):
     cfg = _cfg(light_codec)
     packets, _, _, _ = send(small_image, cfg)
-    session = Receiver(packets[0].header, cfg)
+    session = Receiver(packets[0].header)
     receive(packets, [1, 1, 0, 0, 0, 0], cfg, *small_image.shape,
             receiver=session)
     with pytest.raises(ValueError):

@@ -8,17 +8,18 @@ from resicomp.entropy_coder import Bitstring
 from resicomp.transport import (HEADER_SIZE, PACKET_MAGIC, PRESET_TABLE,
                                 LossTrace, Packet, PacketFormatError,
                                 PacketHeader, apply_loss, fec_channel,
-                                iid_model, markov3_model, merge_backup_flags,
-                                packet_from_bytes, preset, read_traces,
-                                sample_trace, stationary,
+                                iid_model, markov3_model, packet_from_bytes,
+                                preset, read_traces, sample_trace, stationary,
                                 stationary_distribution, trace_stats,
-                                uep_backup, write_traces)
+                                write_traces)
 
 
 def _header(**overrides):
-    fields = dict(image_id=7, slice_index=2, total_slices=10, mode_id=1,
-                  plan_seed=123456789, grid_h=6, grid_w=7, channels=64,
-                  beta_milli=1000)
+    fields = dict(image_id=7, slice_index=2, total_slices=10, mode_id=2,
+                  mode_param=2, plan_seed=123456789, beta_milli=500,
+                  grid_h=6, grid_w=7, channels=64, quality=0.75, clamp=127,
+                  height=96, width=112, planes=3,
+                  prior_fingerprint=b"\x01\x02\x03\x04\x05\x06\x07\x08")
     fields.update(overrides)
     return PacketHeader(**fields)
 
@@ -146,8 +147,18 @@ def test_packet_wire_roundtrip():
     assert back.payload.data == b"\x01\x02\x03"
 
 
-def test_packet_header_is_forty_bytes():
-    assert HEADER_SIZE == 40
+def test_packet_header_size_is_pinned():
+    # 40 bytes in version 1; version 2 adds the mode parameter, quality,
+    # clamp, output size and prior fingerprint and drops the flags byte.
+    assert HEADER_SIZE == 63
+
+
+@pytest.mark.parametrize("field,value", [
+    ("total_slices", 256), ("image_id", -1), ("image_id", 2**64),
+    ("beta_milli", 65536), ("clamp", 32768), ("quality", "high")])
+def test_header_refuses_values_its_fields_cannot_hold(field, value):
+    with pytest.raises(ValueError, match=field):
+        _header(**{field: value})
 
 
 def test_corrupted_packet_rejected():
@@ -188,24 +199,6 @@ def test_fec_trace_length_checked():
         fec_channel(7, 3, LossTrace(np.ones(9, bool)))
 
 
-def test_uep_backup_appends_duplicates():
-    packets = ["a", "b", "c"]
-    assert uep_backup(packets, []) == packets
-    assert uep_backup(packets, [0]) == ["a", "b", "c", "a"]
-    with pytest.raises(IndexError):
-        uep_backup(packets, [3])
-
-
-def test_merge_backup_flags_or_rule():
-    # base packet 0 lost, but its backup copy survives
-    trace = LossTrace(np.array([0, 1, 1, 1], bool))
-    flags = merge_backup_flags(3, [0], trace)
-    assert flags.tolist() == [True, True, True]
-    # both copies lost
-    trace = LossTrace(np.array([0, 1, 1, 0], bool))
-    assert merge_backup_flags(3, [0], trace).tolist() == [False, True, True]
-
-
 def test_uep_halves_base_loss_probability():
     # Protecting a slice under iid loss squares its loss probability.
     eps = 0.3
@@ -244,3 +237,21 @@ def test_stationary_distribution_row_convergence():
     model = preset("EP2")
     pi = stationary_distribution(model)
     assert np.allclose(pi @ model.transition, pi, atol=1e-10)
+
+
+def test_stationary_distribution_matches_eigenvector_oracle():
+    models = [preset(name) for name in PRESET_TABLE] + [
+        iid_model(0.3),
+        markov3_model([[0.9, 0.08, 0.02], [0.3, 0.5, 0.2],
+                       [0.1, 0.3, 0.6]])]
+    for model in models:
+        assert np.allclose(stationary_distribution(model),
+                           _eig_stationary(model.transition),
+                           rtol=0, atol=1e-12)
+
+
+def test_stationary_distribution_of_a_chain_with_several_closed_classes():
+    # Each state is absorbing; every law is stationary.  The solve takes
+    # the minimum-norm one and raises nothing.
+    model = markov3_model(np.eye(3))
+    assert np.allclose(stationary_distribution(model), [1 / 3] * 3)
