@@ -5,12 +5,23 @@ over unit-width bins centered on the integer symbols, with out-of-range
 tail mass folded into the boundary symbols.  The normal CDF uses a
 pinned rational approximation so encoder and decoder build identical
 integer frequency tables regardless of libm.
+
+The entropy model is indexed.  A symbol's mixture has two components,
+the local estimate and the per-channel prior; the local one is snapped
+to a fixed grid, its mean to the nearest 1/8 and its sigma to one of
+`SIGMA_LEVELS`, geometrically spaced by `SIGMA_RATIO` from
+`SIGMA_FLOOR`.  A table is then a pure function of one integer key:
+(channel, neighbour class, mean index, sigma index).  A position with
+no known neighbour keeps the exact prior for both components and is
+keyed by its channel alone.  The snapping uses only multiplication,
+rounding, square roots and comparisons, so both ends compute the same
+keys whatever their libm.  A `TableStore` holds one stream's tables by
+key and builds, in one batch per call, only the keys it has not seen.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,27 +79,33 @@ def normal_cdf(x):
     return _normal_cdf_in_place(x.reshape(-1).copy()).reshape(x.shape)[()]
 
 
-@dataclass(frozen=True)
+def _cumulative(counts):
+    """Validated (N, S+1) cumulative counts of an (N, S) count matrix."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if np.any(counts < 1):
+        raise ValueError("every count must be >= 1")
+    if np.any(counts.sum(axis=1) != FREQ_TOTAL):
+        raise ValueError(f"counts must sum to {FREQ_TOTAL}")
+    # FREQ_TOTAL fits int32, which halves what a table holds.
+    cums = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int32)
+    np.cumsum(counts, axis=1, out=cums[:, 1:])
+    return cums
+
+
 class FreqTable:
     """Integer frequencies summing to FREQ_TOTAL, each count >= 1.
 
-    Cumulative counts are held in a memoryview, whose items index as
-    Python ints, so the range coder's per-symbol lookups stay in plain
-    Python arithmetic without converting every table to a list.
+    A table holds its cumulative counts alone, about 1 KB at 255
+    symbols, in a memoryview whose items index as Python ints, so the
+    range coder's per-symbol lookups stay in plain Python arithmetic
+    without converting every table to a list.
     """
 
-    counts: np.ndarray
+    __slots__ = ("_cum",)
     total = FREQ_TOTAL
 
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if np.any(c < 1):
-            raise ValueError("every count must be >= 1")
-        if int(c.sum()) != FREQ_TOTAL:
-            raise ValueError(f"counts must sum to {FREQ_TOTAL}")
-        object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "_cum",
-                           memoryview(np.concatenate(([0], np.cumsum(c)))))
+    def __init__(self, counts):
+        self._cum = memoryview(_cumulative(np.reshape(counts, (1, -1)))[0])
 
     @classmethod
     def batch(cls, counts):
@@ -97,23 +114,19 @@ class FreqTable:
         Equivalent to [FreqTable(c) for c in counts] but validates and
         accumulates all rows in single array passes.
         """
-        counts = np.asarray(counts, dtype=np.int64)
-        if np.any(counts < 1):
-            raise ValueError("every count must be >= 1")
-        if np.any(counts.sum(axis=1) != FREQ_TOTAL):
-            raise ValueError(f"counts must sum to {FREQ_TOTAL}")
-        n, s = counts.shape
-        width = s + 1
-        cums = np.zeros((n, width), dtype=np.int64)
-        np.cumsum(counts, axis=1, out=cums[:, 1:])
+        cums = _cumulative(counts)
+        width = cums.shape[1]
         flat = memoryview(cums.reshape(-1))
         tables = []
-        for i, row in enumerate(counts):
+        for i in range(len(cums)):
             table = cls.__new__(cls)
-            object.__setattr__(table, "counts", row)
-            object.__setattr__(table, "_cum", flat[i * width:(i + 1) * width])
+            table._cum = flat[i * width:(i + 1) * width]
             tables.append(table)
         return tables
+
+    @property
+    def counts(self):
+        return np.diff(self._cum)
 
     def low_high(self, index):
         cum = self._cum
@@ -256,3 +269,109 @@ def _quantize_rows(p, out):
             key[rows, j] = np.inf
             rows = rows[need[rows] > 0]
         counts[shrink] = c
+
+
+def build_tables(weights, means, sigmas, v):
+    """One FreqTable per mixture row over symbols -v..v."""
+    return FreqTable.batch(quantize_probs(discretize_batch(weights, means,
+                                                           sigmas, v)))
+
+
+# The snapping grid of the local component.  The packet header's clamp
+# field is int16, so CLAMP_MAX bounds every coded mean and sigma.
+CLAMP_MAX = 32767
+MU_STEPS = 8  # the mean snaps to the nearest 1/MU_STEPS
+SIGMA_RATIO = 1.131
+
+
+def _sigma_levels():
+    """SIGMA_FLOOR times SIGMA_RATIO**i, by repeated float64 products,
+    up to the first level >= CLAMP_MAX."""
+    levels = [SIGMA_FLOOR]
+    while levels[-1] < CLAMP_MAX:
+        levels.append(levels[-1] * SIGMA_RATIO)
+    return np.array(levels)
+
+
+SIGMA_LEVELS = _sigma_levels()
+# A sigma at or above the geometric midpoint of two neighbouring levels
+# snaps to the upper one.  The square root is correctly rounded.
+_SIGMA_CUTS = np.sqrt(SIGMA_LEVELS[:-1] * SIGMA_LEVELS[1:])
+_MU_MAX = MU_STEPS * CLAMP_MAX
+# Keys per channel: 0 for the prior, then one per (mean, sigma) index.
+_CHANNEL_STRIDE = (2 * _MU_MAX + 1) * len(SIGMA_LEVELS) + 1
+
+
+def snap(means, sigmas):
+    """(mean index, sigma index) of local components on the grid.
+
+    The snapped mean is mean_index / MU_STEPS, the snapped sigma
+    SIGMA_LEVELS[sigma_index]; means beyond +-CLAMP_MAX are clipped.
+    """
+    mu = np.rint(np.multiply(means, MU_STEPS))
+    np.clip(mu, -_MU_MAX, _MU_MAX, out=mu)
+    return (mu.astype(np.int64),
+            np.searchsorted(_SIGMA_CUTS, sigmas, side="right"))
+
+
+def mixture_keys(output):
+    """Table key of every symbol of a predictor output, position-major
+    then channel: one (n*C,) int64 array.
+
+    `output` has (n, C, 2) means and sigmas whose component 0 is local,
+    and (n,) bool `has_neighbors`; rows without a neighbour get their
+    channel's prior key.
+    """
+    channels = output.means.shape[1]
+    mu, sigma = snap(output.means[..., 0], output.sigmas[..., 0])
+    local = (mu + _MU_MAX) * len(SIGMA_LEVELS) + sigma + 1
+    local *= output.has_neighbors[:, None]
+    local += np.arange(channels) * _CHANNEL_STRIDE
+    return local.reshape(-1)
+
+
+def snapped_mixtures(output, rows):
+    """(weights, means, sigmas), each (len(rows), 2), of the tables of
+    the symbols at flat indices `rows` (the order of `mixture_keys`)."""
+    weights, means, sigmas = (a.reshape(-1, 2)[rows] for a in
+                              (output.weights, output.means, output.sigmas))
+    local = output.has_neighbors[rows // output.means.shape[1]]
+    mu, sigma = snap(means[local, 0], sigmas[local, 0])
+    means[local, 0] = mu / MU_STEPS
+    sigmas[local, 0] = SIGMA_LEVELS[sigma]
+    return weights, means, sigmas
+
+
+class TableStore:
+    """One stream's frequency tables, by key, each built once.
+
+    `build(weights, means, sigmas, v)` turns mixture rows into tables;
+    it defaults to `build_tables`.  Every output a store is given must
+    come from one prior, whose weights and prior component a key does
+    not carry; then a table depends on its key alone, and the store may
+    meet the keys in any order.
+    """
+
+    def __init__(self, clamp, build=build_tables):
+        self.clamp = clamp
+        self.build = build
+        self._tables = {}
+
+    def __len__(self):
+        return len(self._tables)
+
+    def tables(self, output):
+        """One table per symbol of `output`, in `mixture_keys` order.
+
+        The keys not held yet are built in one batch.
+        """
+        keys = mixture_keys(output)
+        distinct, first = np.unique(keys, return_index=True)
+        held = self._tables
+        new = [i for i, key in enumerate(distinct.tolist())
+               if key not in held]
+        if new:
+            built = self.build(*snapped_mixtures(output, first[new]),
+                               self.clamp)
+            held.update(zip(distinct[new].tolist(), built))
+        return list(map(held.__getitem__, keys.tolist()))

@@ -26,12 +26,12 @@ import numpy as np
 from . import entropy_coder
 from .context_modes import (MODE_MDC, MODE_SLC, ContextMode, context_depths,
                             make_mode)
-from .density import (FreqTable, discretize_batch, quantize_probs,
-                      unique_rows)
+from .density import (FreqTable, TableStore, discretize_batch, mixture_keys,
+                      quantize_probs, snapped_mixtures)
 from .image_io import mse, psnr_db
 from .partition import build_plan
-from .predictor import (PredictorOutput, PriorModel, SynchronizationError,
-                        collect_context, conceal, default_prior, predict)
+from .predictor import (PriorModel, SynchronizationError, collect_context,
+                        conceal, default_prior, predict)
 from .token_codec import BLOCK, CodecConfig, TokenGrid, analyze, synthesize
 from .transport import Packet, PacketHeader
 
@@ -62,24 +62,12 @@ class PipelineConfig:
         return default_prior(self.codec.channels, self.codec.clamp)
 
 
-def _slice_tables(output: PredictorOutput, clamp: int):
-    """Frequency tables for predicted positions, position-major then channel.
-
-    Returns (tables, probs, index): one table per symbol, and the
-    probabilities of the distinct mixtures, symbol j's in probs[index[j]].
-    A table is built once per distinct (weights, means, sigmas) row and
-    shared by every symbol with that row.
-    """
-    k = output.weights.shape[-1]
-    w = output.weights.reshape(-1, k)
-    mu = output.means.reshape(-1, k)
-    sg = output.sigmas.reshape(-1, k)
-    distinct, index = unique_rows(np.concatenate([w, mu, sg], axis=1))
-    probs = discretize_batch(distinct[:, :k], distinct[:, k:2 * k],
-                             distinct[:, 2 * k:], clamp)
-    counts = quantize_probs(probs)
-    tables = FreqTable.batch(counts)
-    return [tables[i] for i in index.tolist()], probs, index
+def _build_tables(weights, means, sigmas, clamp):
+    """density.build_tables, calling the chain by this module's names,
+    so that wrappers around them (perfbench's layer timers) see every
+    table a store builds."""
+    return FreqTable.batch(quantize_probs(discretize_batch(weights, means,
+                                                           sigmas, clamp)))
 
 
 # The mode parameter a header carries, by mode id; other modes carry 0.
@@ -93,30 +81,43 @@ def stream_header(cfg: PipelineConfig, height: int, width: int,
     The plan seed is taken modulo 2**64.  ValueError if a value does not
     fit its field.
     """
+    return _open_config(cfg, height, width, planes)[0]
+
+
+def _open_config(cfg: PipelineConfig, height: int, width: int, planes: int):
+    """(header, mode, prior) of cfg's stream, the mode and prior built once."""
     mode = cfg.make_context_mode()
+    prior = cfg.get_prior()
     beta = mode.default_beta if cfg.beta is None else cfg.beta
     if not 0 <= beta <= 65.535:
         raise ValueError(f"beta {beta} is outside 0..65.535")
     key = _MODE_PARAM.get(mode.mode_id)
-    return PacketHeader(
+    header = PacketHeader(
         image_id=cfg.image_id, slice_index=0, total_slices=cfg.l,
         mode_id=mode.mode_id, mode_param=mode.params[key] if key else 0,
         plan_seed=cfg.plan_seed & (2**64 - 1),
         beta_milli=round(beta * 1000),
-        grid_h=-(-height // BLOCK), grid_w=-(-width // BLOCK),
         channels=cfg.codec.channels, quality=cfg.codec.quality,
         clamp=cfg.codec.clamp, height=height, width=width, planes=planes,
-        prior_fingerprint=cfg.get_prior().fingerprint,
+        prior_fingerprint=prior.fingerprint,
     )
+    return header, mode, prior
 
 
-def open_stream(header: PacketHeader):
-    """(mode, plan, codec) of the stream that a packet header describes."""
-    key = _MODE_PARAM.get(header.mode_id)
-    mode = make_mode(header.mode_id, header.total_slices,
-                     {key: header.mode_param} if key else {})
-    plan = build_plan(header.grid_h, header.grid_w, mode.l, mode,
-                      header.plan_seed, header.beta_milli / 1000)
+def open_stream(header: PacketHeader, mode: ContextMode | None = None):
+    """(mode, plan, codec) of the stream that a packet header describes.
+
+    The token grid covers the output size in BLOCK x BLOCK blocks.  A
+    caller that built the header's context mode already passes it as
+    `mode`.
+    """
+    if mode is None:
+        key = _MODE_PARAM.get(header.mode_id)
+        mode = make_mode(header.mode_id, header.total_slices,
+                         {key: header.mode_param} if key else {})
+    plan = build_plan(-(-header.height // BLOCK), -(-header.width // BLOCK),
+                      mode.l, mode, header.plan_seed,
+                      header.beta_milli / 1000)
     return mode, plan, CodecConfig(header.channels, header.quality,
                                    header.clamp)
 
@@ -127,16 +128,17 @@ def send(image: np.ndarray, cfg: PipelineConfig):
     Returns (packets, grid, plan, mode).
     """
     planes = 1 if image.ndim == 2 else image.shape[2]
-    header = stream_header(cfg, image.shape[0], image.shape[1], planes)
-    mode, plan, codec = open_stream(header)
+    header, mode, prior = _open_config(cfg, image.shape[0], image.shape[1],
+                                       planes)
+    _, plan, codec = open_stream(header, mode)
     grid = analyze(image, codec)
-    prior = cfg.get_prior()
+    store = TableStore(codec.clamp, _build_tables)
     all_received = [1] * mode.l
     packets = []
     for i in range(1, mode.l + 1):
         ctx = collect_context(i, mode, all_received, plan, grid)
         output = predict(ctx, prior, plan.slice_positions(i))
-        tables, _, _ = _slice_tables(output, codec.clamp)
+        tables = store.tables(output)
         rows, cols = output.positions.T
         symbols = (grid.values[rows, cols].astype(np.int64)
                    + codec.clamp).reshape(-1)
@@ -186,12 +188,15 @@ class Receiver:
     Slices decode as soon as their packet and all their context slices
     are in; `result` conceals the rest on a copy, so packets may keep
     arriving.  The prior defaults to the uninformed one of the header's
-    codec; ValueError if its fingerprint is not the header's.
+    codec; ValueError if its fingerprint is not the header's.  `mode` is
+    the header's context mode, if the caller has built it.  The session
+    builds each distinct table once, whichever slice first needs it.
     """
 
-    def __init__(self, header: PacketHeader, prior: PriorModel | None = None):
+    def __init__(self, header: PacketHeader, prior: PriorModel | None = None,
+                 mode: ContextMode | None = None):
         self.header = header
-        self.mode, self.plan, self.codec = open_stream(header)
+        self.mode, self.plan, self.codec = open_stream(header, mode)
         if prior is None:
             prior = default_prior(self.codec.channels, self.codec.clamp)
         if prior.fingerprint != header.prior_fingerprint:
@@ -200,11 +205,12 @@ class Receiver:
         self.prior = prior
         self.l = header.total_slices
         self.depths = context_depths(self.mode)
+        shape = self.plan.owner.shape
         self.grid = TokenGrid(
-            values=np.zeros((header.grid_h, header.grid_w, header.channels),
-                            np.int16),
-            known=np.zeros((header.grid_h, header.grid_w), bool),
+            values=np.zeros((*shape, header.channels), np.int16),
+            known=np.zeros(shape, bool),
         )
+        self.tables = TableStore(self.codec.clamp, _build_tables)
         self.packets = {}  # 1-based slice index -> the packet it holds
         self.decoded = [False] * self.l
         self.corrupt = set()  # 1-based indices whose payload did not decode
@@ -230,10 +236,7 @@ class Receiver:
             return
         clamp = self.codec.clamp
         # Contexts precede their slice, so one ascending sweep from the
-        # lowest new slice decodes everything the packets unblock.  The
-        # loop keeps a slice's tables until the next slice's are built:
-        # freeing them first lets the allocator hand the memory back to
-        # the system and fault it in again for every slice.
+        # lowest new slice decodes everything the packets unblock.
         for i in range(min(new), self.l + 1):
             if (i not in self.packets or self.decoded[i - 1]
                     or i in self.corrupt):
@@ -244,10 +247,9 @@ class Receiver:
             except SynchronizationError:
                 continue
             output = predict(ctx, self.prior, self.plan.slice_positions(i))
-            tables, _, _ = _slice_tables(output, clamp)
             try:
                 symbols = entropy_coder.decode(self.packets[i].payload,
-                                               tables)
+                                               self.tables.tables(output))
             except entropy_coder.CorruptStreamError:
                 self.corrupt.add(i)
                 continue
@@ -304,6 +306,12 @@ class Receiver:
         )
 
 
+def _receiver(cfg: PipelineConfig, out_height: int, out_width: int,
+              planes: int) -> Receiver:
+    header, mode, prior = _open_config(cfg, out_height, out_width, planes)
+    return Receiver(header, prior, mode)
+
+
 def receive(packets, flags, cfg: PipelineConfig, out_height: int,
             out_width: int, planes: int = 1,
             receiver: Receiver | None = None) -> ReceiveResult:
@@ -317,8 +325,7 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
     hold yet are added; flags that drop one it holds raise ValueError.
     """
     if receiver is None:
-        receiver = Receiver(stream_header(cfg, out_height, out_width, planes),
-                            cfg.prior)
+        receiver = _receiver(cfg, out_height, out_width, planes)
     by_slice = {p.header.slice_index + 1: p for p in packets if p is not None}
     if not any(p.header == receiver.header for p in by_slice.values()):
         raise ValueError("no packet matches the config and output size")
@@ -381,7 +388,11 @@ def objective(image: np.ndarray, mask_ratio: float, alpha: float,
     output = predict(masked, prior)
     rate_bits = 0.0
     if len(output.positions):
-        _, probs, index = _slice_tables(output, cfg.codec.clamp)
+        # The coder's tables snap the local component; so does the rate.
+        _, first, index = np.unique(mixture_keys(output), return_index=True,
+                                    return_inverse=True)
+        probs = discretize_batch(*snapped_mixtures(output, first),
+                                 cfg.codec.clamp)
         rows, cols = output.positions.T
         symbols = (grid.values[rows, cols].astype(np.int64)
                    + cfg.codec.clamp).reshape(-1)
@@ -413,8 +424,7 @@ def progressive_receive(packets, cfg: PipelineConfig, out_height: int,
     One receiver session runs across the prefixes, so each slice is
     entropy-decoded once.
     """
-    session = Receiver(stream_header(cfg, out_height, out_width, planes),
-                       cfg.prior)
+    session = _receiver(cfg, out_height, out_width, planes)
     results = []
     for k in range(1, len(packets) + 1):
         flags = [i < k for i in range(len(packets))]

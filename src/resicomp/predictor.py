@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +74,7 @@ class PriorModel:
     def channels(self):
         return len(self.means)
 
-    @property
+    @cached_property
     def fingerprint(self) -> bytes:
         """8-byte BLAKE2b digest of the prior's .rcpm bytes."""
         return hashlib.blake2b(prior_bytes(self), digest_size=8).digest()
@@ -148,6 +149,7 @@ class PredictorOutput:
     means: np.ndarray  # (n, C, 2)
     sigmas: np.ndarray  # (n, C, 2)
     values: np.ndarray  # (n, C) int16
+    has_neighbors: np.ndarray  # (n,) bool, some window neighbor is known
 
 
 def collect_context(index: int, mode: ContextMode, flags, plan: SlicePlan,
@@ -286,6 +288,7 @@ def predict(grid: TokenGrid, prior: PriorModel,
         means=means,
         sigmas=sigmas,
         values=values,
+        has_neighbors=has_neighbors,
     )
 
 

@@ -23,16 +23,16 @@ import numpy as np
 from .entropy_coder import Bitstring
 
 PACKET_MAGIC = b"RCPK"
-PACKET_VERSION = 2
+PACKET_VERSION = 3
 # Header fields and their struct codes in wire order, after the magic
 # and the version byte; the payload length and a crc32 over header and
 # payload follow.  Little-endian, no padding.
 _WIRE = {name: struct.Struct("<" + code) for name, code in (
     ("image_id", "Q"), ("slice_index", "B"), ("total_slices", "B"),
     ("mode_id", "B"), ("mode_param", "B"), ("plan_seed", "Q"),
-    ("beta_milli", "H"), ("grid_h", "H"), ("grid_w", "H"),
-    ("channels", "B"), ("quality", "d"), ("clamp", "h"), ("height", "H"),
-    ("width", "H"), ("planes", "B"), ("prior_fingerprint", "8s"))}
+    ("beta_milli", "H"), ("channels", "B"), ("quality", "d"),
+    ("clamp", "h"), ("height", "H"), ("width", "H"), ("planes", "B"),
+    ("prior_fingerprint", "8s"))}
 _HEADER_FMT = "<4sB" + "".join(f.format[1:] for f in _WIRE.values()) + "I"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT) + 4  # + trailing crc32
 
@@ -52,12 +52,10 @@ class PacketHeader:
     mode_param: int  # n_d for MDC, E for SLC, else 0
     plan_seed: int
     beta_milli: int  # slice-size exponent beta in thousandths
-    grid_h: int
-    grid_w: int
     channels: int
     quality: float
     clamp: int
-    height: int  # output image size
+    height: int  # output image size; the token grid follows from it
     width: int
     planes: int
     prior_fingerprint: bytes  # PriorModel.fingerprint

@@ -2,10 +2,12 @@
 
 Any change to the transform, the predictor, the density tables or the
 range coder that alters a single output byte fails here; the packet
-header carries PACKET_VERSION, so these digests pin it at 2 too.  A
+header carries PACKET_VERSION, so these digests pin it at 3 too.  A
 deliberate format change must bump PACKET_VERSION and re-pin them.
 The payload digests pin the coded bits alone: a header change leaves
-them as they are.
+them as they are.  Version 3 snaps the local mixture component to a
+grid, which changed every payload that has a known neighbour; ISC has
+none, so its payload digest is the one of versions 1 and 2.
 """
 
 import hashlib
@@ -21,15 +23,15 @@ from resicomp.token_codec import CodecConfig
 # concatenated Packet.to_bytes() of every slice.
 GOLDEN_PACKETS = {
     ("ISC", (), 10, 64, 96, 112):
-        "3baa2ba7849c85cf808d2dd1e9203ac3b423b0dcedd295016a134affb320bdc9",
+        "8fcfbbfe9ad7b10f4b141423c9c806ebc8adf4f8223fe0869b83f1236db87737",
     ("LC", (), 10, 64, 96, 112):
-        "bdbc98d87c80d645a138a67a39ae6888f5637539ff1cc8b71a579693e1d80016",
+        "2a721026aa0524f2eecec903649f4d0d949875ee82f99866c30330d625398854",
     ("MDC", (("n_d", 2),), 10, 64, 96, 112):
-        "d05d225d670b7b0f7c5123fbea924520c8f4cfe580df88604a19b17f8dcca8da",
+        "a66becb557faecddb51464ff53e7d6e6e2c07da4f97bfc517b36d5d69195235f",
     ("SLC", (("enhancements", 1),), 10, 64, 96, 112):
-        "494f691bf5565f14fbbd2e69bc264af926e9f602d509afe4c0cf918862a65d2b",
+        "65f6eceb7eb1ed55619843f94bbf763f0ce3a8e3e60678ec6606d488e3e053f8",
     ("LC", (), 4, 16, 64, 64):
-        "a04cbd70443d9a37a9f39e19723db312f1b8ea17462f956ec6be5e31a4a0a84d",
+        "6d91fd7137f1c03985ee7ca892316a9b0e44ab90486a4637d66da0fea35b3256",
 }
 
 # Same keys -> digest of the concatenated payload bytes alone.  These
@@ -39,14 +41,14 @@ GOLDEN_PAYLOADS = {
     ("ISC", (), 10, 64, 96, 112):
         "20d1988b0c5546cb000586f183f671c752ec1db99ce54b091787c2df3ce33eaf",
     ("LC", (), 10, 64, 96, 112):
-        "9c53e3517220dae002024bb09df4c7b2aae24c0606b79ffc57a16ec744a556e4",
+        "3bcab8cd0e4d35d01c9a63efa667c4b25c08692b9b23b083e5e7f76b4d5d90fb",
     ("MDC", (("n_d", 2),), 10, 64, 96, 112):
-        "c331defa046562eb4258cdf0f83b6cf59b828d1ed4280e1682b5d35bbdb95f00",
+        "3f78cb93ecf87d2ac540a4ea91720435f8ea646e30ebcb510001711755ab5bef",
     # SLC:1 has LC's context matrix and default beta, so LC's bits.
     ("SLC", (("enhancements", 1),), 10, 64, 96, 112):
-        "9c53e3517220dae002024bb09df4c7b2aae24c0606b79ffc57a16ec744a556e4",
+        "3bcab8cd0e4d35d01c9a63efa667c4b25c08692b9b23b083e5e7f76b4d5d90fb",
     ("LC", (), 4, 16, 64, 64):
-        "bbb9abc7df8f49b235e47c676c368396abbaf768803b804c9cdae94abfb669dc",
+        "1b2a6e162c88897e7a22a3316310077f6cd6070656b8147f75580983babe649d",
 }
 
 # MDC:2 L=10 at C=64 with slices 3 and 8 lost: description 1 loses its

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resicomp import entropy_coder, pipeline
-from resicomp.density import FreqTable
+from resicomp.density import FreqTable, TableStore
 from resicomp.entropy_coder import Bitstring
 from resicomp.pipeline import (OUTCOME_CONCEALED, OUTCOME_FAILED,
                                OUTCOME_LOSSLESS, SLICE_CORRUPT, SLICE_DECODED,
@@ -18,7 +18,7 @@ from resicomp.pipeline import (OUTCOME_CONCEALED, OUTCOME_FAILED,
 from resicomp.predictor import (SynchronizationError, collect_context,
                                 conceal, predict)
 from resicomp.synthetic import synthetic_image
-from resicomp.token_codec import CodecConfig, TokenGrid, synthesize
+from resicomp.token_codec import BLOCK, CodecConfig, TokenGrid, synthesize
 from resicomp.transport import Packet
 
 
@@ -37,11 +37,12 @@ def _receive_from_scratch(packets, flags, cfg, out_height, out_width):
     ref = [p.header for p in packets if p is not None][-1]
     l = ref.total_slices
     mode = cfg.make_context_mode()
-    plan = pipeline.build_plan(ref.grid_h, ref.grid_w, l, mode,
-                               ref.plan_seed, ref.beta_milli / 1000.0)
+    grid_h, grid_w = -(-ref.height // BLOCK), -(-ref.width // BLOCK)
+    plan = pipeline.build_plan(grid_h, grid_w, l, mode, ref.plan_seed,
+                               ref.beta_milli / 1000.0)
     prior = cfg.get_prior()
-    grid = TokenGrid(np.zeros((ref.grid_h, ref.grid_w, ref.channels)),
-                     np.zeros((ref.grid_h, ref.grid_w), bool))
+    grid = TokenGrid(np.zeros((grid_h, grid_w, ref.channels)),
+                     np.zeros((grid_h, grid_w), bool))
     depths = pipeline.context_depths(mode)
     decoded = [False] * l
     status = [SliceStatus(SLICE_LOST)] * l
@@ -57,7 +58,7 @@ def _receive_from_scratch(packets, flags, cfg, out_height, out_width):
         if mode.contexts_of(i):
             depths_predicted.add(depths[i - 1])
         output = predict(ctx, prior, plan.slice_positions(i))
-        tables, _, _ = pipeline._slice_tables(output, cfg.codec.clamp)
+        tables = TableStore(cfg.codec.clamp).tables(output)
         try:
             symbols = entropy_coder.decode(by_slice[i].payload, tables)
         except entropy_coder.CorruptStreamError:
@@ -168,15 +169,20 @@ def test_swapped_payloads_report_a_corrupt_slice(small_image, light_codec):
 def test_packets_in_any_order(small_image, light_codec, kind, params):
     cfg = _cfg(light_codec, kind, 8, params)
     image = synthetic_image(5, height=48, width=64)
-    packets, _, _, _ = send(image, cfg)
+    packets, grid, _, _ = send(image, cfg)
     want = _as_tuple(receive(packets, [1] * cfg.l, cfg, *image.shape))
     shuffled = list(packets)
     random.Random(1).shuffle(shuffled)
     for order in (packets[::-1], shuffled):
+        # The session's table store meets the keys in another order than
+        # the sender's; the tables, and so the tokens, are the same.
         session = Receiver(order[0].header)
         for p in order:
             session.add(p)
-        _assert_same(_as_tuple(session.result()), want)
+        result = session.result()
+        assert result.outcome == OUTCOME_LOSSLESS
+        assert np.array_equal(result.grid.values, grid.values)
+        _assert_same(_as_tuple(result), want)
 
 
 def test_copies_of_held_slices_change_nothing(small_image, light_codec):

@@ -5,6 +5,8 @@ and `open_stream`), so every config `send` accepts must survive the
 wire, and a receiver must refuse packets of another stream.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -16,8 +18,8 @@ from resicomp.pipeline import (OUTCOME_CONCEALED, OUTCOME_LOSSLESS,
                                send, stream_header)
 from resicomp.predictor import PriorModel
 from resicomp.synthetic import synthetic_image
-from resicomp.token_codec import CodecConfig
-from resicomp.transport import packet_from_bytes
+from resicomp.token_codec import BLOCK, CodecConfig
+from resicomp.transport import Packet, packet_from_bytes
 
 _IMAGE = synthetic_image(0, height=96, width=112)  # 6x7 token grid
 
@@ -196,3 +198,21 @@ def test_a_receiver_refuses_a_prior_the_stream_was_not_coded_with():
     other = PriorModel(means=np.zeros(16), stds=np.full(16, 5.0))
     with pytest.raises(ValueError, match="prior"):
         Receiver(packets[0].header, other)
+
+
+def test_a_rewritten_output_size_sets_the_grid():
+    # The header carries no grid size: a header that names another
+    # output size also names another grid, never the old 3x3 one.
+    image = synthetic_image(7, height=48, width=48)
+    cfg = PipelineConfig(codec=CodecConfig(channels=16), mode_kind="LC", l=4)
+    packets, grid, _, _ = send(image, cfg)
+    rewritten = _over_the_wire(
+        Packet(header=replace(p.header, height=1000), payload=p.payload)
+        for p in packets)
+    session = Receiver(rewritten[0].header)
+    session.add(*rewritten)
+    result = session.result()
+    assert result.image.shape == (1000, 48)
+    assert result.grid.values.shape == (-(-1000 // BLOCK), 3, 16)
+    assert not (result.outcome == OUTCOME_LOSSLESS
+                and result.grid.values.shape == grid.values.shape)

@@ -1,9 +1,9 @@
 """The shared-table builder against a per-row reference.
 
-`pipeline._slice_tables` builds one frequency table per distinct mixture
-row, and `discretize_batch` integrates each distinct component once.
-Both must give, for every symbol, exactly the counts that integrating
-and quantizing that symbol's row alone gives.  The reference below is
+A `TableStore` builds one frequency table per distinct key, and
+`discretize_batch` integrates each distinct component once.  Both must
+give, for every symbol, exactly the counts that integrating and
+quantizing that symbol's (snapped) row alone gives.  The reference below is
 the direct evaluation: every component of every row integrated over
 all bins with the pinned CDF written as one expression, then
 largest-remainder quantization by a full sort.
@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resicomp import density
-from resicomp.density import (FREQ_TOTAL, SIGMA_FLOOR, FreqTable,
-                              discretize_batch, normal_cdf, quantize_probs,
-                              unique_rows)
-from resicomp.pipeline import _slice_tables
-from resicomp.predictor import PredictorOutput
+from resicomp.density import (FREQ_TOTAL, SIGMA_FLOOR, SIGMA_LEVELS,
+                              FreqTable, TableStore, discretize_batch,
+                              normal_cdf, quantize_probs, unique_rows)
+from resicomp.predictor import default_prior, predict
+from resicomp.token_codec import TokenGrid
 
 
 def _normal_cdf(x):
@@ -151,32 +151,40 @@ def test_blocked_build_equals_per_row_reference_across_blocks():
         assert counts[i].tolist() == _quantize_row(ref)
 
 
+def _snapped_row(output, j, c):
+    """Symbol (j, c)'s mixture with the local component on the grid,
+    found by nearest level in log space rather than by midpoints."""
+    weights, means, sigmas = (a[j, c].copy() for a in
+                              (output.weights, output.means, output.sigmas))
+    if output.has_neighbors[j]:
+        means[0] = np.rint(means[0] * 8) / 8
+        sigmas[0] = SIGMA_LEVELS[np.argmin(np.abs(np.log(sigmas[0]
+                                                          / SIGMA_LEVELS)))]
+    return weights, means, sigmas
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=3).flatmap(_mixture_rows),
-       st.sampled_from([1, 127]), st.integers(min_value=1, max_value=3))
-def test_slice_tables_equal_per_row_reference(rows, clamp, channels):
-    weights, means, sigmas = rows
-    n = len(weights) // channels
-    if n == 0:
-        return
-    k = weights.shape[1]
-    shape = (n, channels, k)
-    output = PredictorOutput(
-        positions=np.array([(0, c) for c in range(n)], dtype=np.intp),
-        weights=weights[:n * channels].reshape(shape),
-        means=means[:n * channels].reshape(shape),
-        sigmas=sigmas[:n * channels].reshape(shape),
-        values=np.zeros((n, channels), dtype=np.int16),
-    )
-    tables, probs, index = _slice_tables(output, clamp)
-    assert len(tables) == len(index) == n * channels
-    assert len({id(t) for t in tables}) == len(probs)
-    weights, means, sigmas = (a[:n * channels] for a in rows)
-    for j, table in enumerate(tables):
-        ref = _discretize_row(weights[j], means[j], sigmas[j], clamp)
-        assert np.array_equal(probs[index[j]], ref)
-        assert table.counts.tolist() == _quantize_row(ref)
-        assert table is tables[int(np.flatnonzero(index == index[j])[0])]
+@given(st.data(), st.sampled_from([1, 3, 127]),
+       st.integers(min_value=1, max_value=3))
+def test_store_tables_equal_per_row_reference(data, clamp, channels):
+    h, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    values = np.array(data.draw(st.lists(
+        st.integers(-clamp, clamp), min_size=h * w * channels,
+        max_size=h * w * channels))).reshape(h, w, channels)
+    known = np.array(data.draw(st.lists(st.booleans(), min_size=h * w,
+                                        max_size=h * w))).reshape(h, w)
+    grid = TokenGrid(values.astype(np.int16), known)
+    output = predict(grid, default_prior(channels, clamp),
+                     np.argwhere(np.ones((h, w), bool)))
+    store = TableStore(clamp)
+    tables = store.tables(output)
+    assert len(tables) == h * w * channels
+    assert len({id(t) for t in tables}) == len(store)
+    for j in range(h * w):
+        for c in range(channels):
+            ref = _discretize_row(*_snapped_row(output, j, c), clamp)
+            assert tables[j * channels + c].counts.tolist() == \
+                _quantize_row(ref)
 
 
 @settings(max_examples=60, deadline=None)

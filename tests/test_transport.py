@@ -17,8 +17,8 @@ from resicomp.transport import (HEADER_SIZE, PACKET_MAGIC, PRESET_TABLE,
 def _header(**overrides):
     fields = dict(image_id=7, slice_index=2, total_slices=10, mode_id=2,
                   mode_param=2, plan_seed=123456789, beta_milli=500,
-                  grid_h=6, grid_w=7, channels=64, quality=0.75, clamp=127,
-                  height=96, width=112, planes=3,
+                  channels=64, quality=0.75, clamp=127, height=96,
+                  width=112, planes=3,
                   prior_fingerprint=b"\x01\x02\x03\x04\x05\x06\x07\x08")
     fields.update(overrides)
     return PacketHeader(**fields)
@@ -149,8 +149,9 @@ def test_packet_wire_roundtrip():
 
 def test_packet_header_size_is_pinned():
     # 40 bytes in version 1; version 2 adds the mode parameter, quality,
-    # clamp, output size and prior fingerprint and drops the flags byte.
-    assert HEADER_SIZE == 63
+    # clamp, output size and prior fingerprint and drops the flags byte;
+    # version 3 drops the grid size, which follows from the output size.
+    assert HEADER_SIZE == 59
 
 
 @pytest.mark.parametrize("field,value", [
