@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import re
 
@@ -246,6 +247,44 @@ def test_sweep_and_config(tmp_path, capsys):
     assert schemes == {"LC", "ISC", "FEC:7/3"}
     summary = capsys.readouterr().out
     assert "failure_ratio" in summary
+
+
+PINNED_SWEEP = (
+    "synthetic_images = 2\n"
+    "modes = LC, ISC, MDC:2, SLC:1\n"
+    "l_values = 4\n"
+    "presets = EP3, EP6\n"
+    "repetitions = 2\n"
+    "fec = 4/2\n"
+    "channels = 16\n"
+    "master_seed = 3\n"
+)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_output_is_pinned(tmp_path, capsys, jobs):
+    # Seeds, plan seed, row order, CSV bytes and summary of a sweep with
+    # every mode kind and an FEC pair; serial and pooled runs agree.
+    config = tmp_path / "sweep.cfg"
+    config.write_text(PINNED_SWEEP)
+    out_csv = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(config), "--output", str(out_csv),
+                 "--jobs", jobs]) == EXIT_OK
+    data = out_csv.read_bytes()
+    assert data.count(b"\r\n") == 41
+    assert hashlib.sha256(data).hexdigest() == (
+        "3240eb2a7027bb00717b54ca4d40ebdb2d8bc20a034c9c7e161e602ed52e9712")
+    summary = capsys.readouterr().out.encode()
+    assert hashlib.sha256(summary).hexdigest() == (
+        "8c4cabee37f26e0262383e7413f2929463ecf5ca5811a67868c26a12c27493f9")
+
+
+def test_simulate_output_is_pinned(capsys):
+    assert main(["simulate", "--mode", "MDC:2", "--L", "4", "--preset", "EP6",
+                 "--seed", "7", "--channels", "16"]) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "5d9fd43e7ec1c3bc4a3b5ce59467c8cab72307d1c23e40cbab35831e9dd5b4e4")
 
 
 def test_parse_config_defaults(tmp_path):
