@@ -1,24 +1,19 @@
 #!/usr/bin/env python3
 """Sweep context modes against packet-loss presets.
 
-Runs send -> lossy channel -> receive episodes over a synthetic corpus,
-writes one CSV row per episode, and prints a per-(mode, preset) summary
-of mean PSNR and failure ratio.
+A flag front end to `resicomp sweep`: the flags become a sweep config
+(synthetic images, one L, no FEC pairs) that runs through the same
+episodes, seeds, CSV and per-(scheme, L, preset) summary of mean PSNR,
+mean bpp and failure ratio.
 
 Example:
     python3 scripts/run_resilience_sweep.py --presets EP3 EP5 --reps 50
 """
 
 import argparse
-import csv
 import sys
-from collections import defaultdict
 
-from resicomp.cli import CSV_FIELDS, derive_seed, parse_mode_spec, run_episode
-from resicomp.pipeline import OUTCOME_FAILED, PipelineConfig
-from resicomp.synthetic import synthetic_corpus
-from resicomp.token_codec import CodecConfig
-from resicomp.transport import preset
+from resicomp.cli import ConfigError, SweepSpec, run_sweep
 
 
 def main(argv=None):
@@ -38,36 +33,15 @@ def main(argv=None):
     parser.add_argument("--output", default="resilience.csv")
     args = parser.parse_args(argv)
 
-    codec = CodecConfig(channels=args.channels)
-    corpus = synthetic_corpus(args.images)
-    rows = []
-    for m, spec in enumerate(args.modes):
-        kind, params = parse_mode_spec(spec)
-        for p, name in enumerate(args.presets):
-            model = preset(name)
-            for i, image in enumerate(corpus):
-                cfg = PipelineConfig(codec=codec, mode_kind=kind, l=args.L,
-                                     mode_params=params, image_id=i)
-                for rep in range(args.reps):
-                    trace_seed = derive_seed(args.seed, m, p, i, rep)
-                    rows.append(run_episode(image, cfg, model, trace_seed))
-
-    with open(args.output, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-
-    groups = defaultdict(list)
-    for row in rows:
-        groups[(row["mode"], row["loss_preset"])].append(row)
-    print(f"{len(rows)} episodes -> {args.output}")
-    print(f"{'mode':<8} {'preset':<7} {'mean_psnr':>9} {'failure_ratio':>13} "
-          f"{'mean_bpp':>8}")
-    for (mode, name), group in sorted(groups.items()):
-        psnr = sum(r["psnr_db"] for r in group) / len(group)
-        fail = sum(r["outcome"] == OUTCOME_FAILED for r in group) / len(group)
-        bpp = sum(r["bpp"] for r in group) / len(group)
-        print(f"{mode:<8} {name:<7} {psnr:>9.2f} {fail:>13.3f} {bpp:>8.3f}")
+    spec = SweepSpec(synthetic_images=args.images, modes=args.modes,
+                     l_values=[args.L], presets=args.presets,
+                     repetitions=args.reps, output=args.output,
+                     master_seed=args.seed, channels=args.channels)
+    try:
+        spec.validate()
+        run_sweep(spec)
+    except ConfigError as exc:
+        parser.error(str(exc))
     return 0
 
 

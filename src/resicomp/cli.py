@@ -73,6 +73,11 @@ class SweepSpec:
     channels: int = 64
 
     def validate(self):
+        for name in ("modes", "l_values", "presets"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
+        if min(self.l_values) < 1:
+            raise ConfigError("every L in l_values must be >= 1")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         for name in self.presets:
@@ -190,11 +195,32 @@ def _load_images(spec: SweepSpec):
                  (".ppm", ".pgm", ".png", ".jpg", ".jpeg")]
         if not paths:
             raise ConfigError(f"no images found in {spec.image_dir}")
-        return [(p.stem, read_image(p)) for p in paths]
-    return [
-        (f"synthetic{i:03d}", img)
-        for i, img in enumerate(synthetic_corpus(spec.synthetic_images))
-    ]
+        return [read_image(p) for p in paths]
+    return synthetic_corpus(spec.synthetic_images)
+
+
+def _episode_row(image, cfg: PipelineConfig, model, trace_seed: int, mode,
+                 packets, plan, out_image, outcome, slices_decoded,
+                 rate=1.0):
+    """The CSV row of one episode; `rate` scales its bits (FEC parity)."""
+    psnr, bpp, bpp_total = pipeline.evaluate(image, out_image, outcome,
+                                             packets)
+    n_pixels = image.shape[0] * image.shape[1]
+    return {
+        "image_id": cfg.image_id,
+        "mode": mode,
+        "L": cfg.l,
+        "beta": plan.beta,
+        "loss_preset": model.meta.get("preset", model.kind),
+        "seed": trace_seed,
+        "eps_target": model.meta.get("eps", ""),
+        "bits_payload": int(bpp * rate * n_pixels),
+        "bits_total": int(bpp_total * rate * n_pixels),
+        "bpp": round(bpp * rate, 6),
+        "outcome": outcome,
+        "psnr_db": round(psnr, 4),
+        "slices_decoded": slices_decoded,
+    }
 
 
 def run_episode(image, cfg: PipelineConfig, model, trace_seed: int):
@@ -205,26 +231,12 @@ def run_episode(image, cfg: PipelineConfig, model, trace_seed: int):
     _, flags = transport.apply_loss(packets, trace)
     result = pipeline.receive(packets, flags, cfg, image.shape[0],
                               image.shape[1], planes)
-    psnr, bpp, bpp_total = pipeline.evaluate(image, result.image,
-                                             result.outcome, packets)
-    n_pixels = image.shape[0] * image.shape[1]
-    return {
-        "image_id": cfg.image_id,
-        "mode": cfg.mode_kind + (
-            f":{cfg.mode_params.get('n_d') or cfg.mode_params.get('enhancements')}"
-            if cfg.mode_params else ""),
-        "L": cfg.l,
-        "beta": plan.beta,
-        "loss_preset": model.meta.get("preset", model.kind),
-        "seed": trace_seed,
-        "eps_target": model.meta.get("eps", ""),
-        "bits_payload": int(bpp * n_pixels),
-        "bits_total": int(bpp_total * n_pixels),
-        "bpp": round(bpp, 6),
-        "outcome": result.outcome,
-        "psnr_db": round(psnr, 4),
-        "slices_decoded": len(result.decoded_slices),
-    }
+    mode = cfg.mode_kind + (
+        f":{cfg.mode_params.get('n_d') or cfg.mode_params.get('enhancements')}"
+        if cfg.mode_params else "")
+    return _episode_row(image, cfg, model, trace_seed, mode, packets, plan,
+                        result.image, result.outcome,
+                        len(result.decoded_slices))
 
 
 def run_fec_episode(image, cfg: PipelineConfig, model, trace_seed: int,
@@ -237,56 +249,34 @@ def run_fec_episode(image, cfg: PipelineConfig, model, trace_seed: int,
     planes = 1 if image.ndim == 2 else image.shape[2]
     packets, _, plan, _ = pipeline.send(image, cfg)
     trace = sample_trace(model, n_data + n_parity, trace_seed)
-    ok = transport.fec_channel(n_data, n_parity, trace)
-    if ok:
-        flags = [True] * len(packets)
-        result = pipeline.receive(packets, flags, cfg, image.shape[0],
-                                  image.shape[1], planes)
-        outcome = result.outcome
-        out_image = result.image
+    if transport.fec_channel(n_data, n_parity, trace):
+        result = pipeline.receive(packets, [True] * len(packets), cfg,
+                                  image.shape[0], image.shape[1], planes)
+        out_image, outcome = result.image, result.outcome
+        slices_decoded = len(result.decoded_slices)
     else:
-        outcome = pipeline.OUTCOME_FAILED
-        out_image = image
-    psnr, bpp, bpp_total = pipeline.evaluate(image, out_image, outcome, packets)
-    multiplier = (n_data + n_parity) / n_data
-    n_pixels = image.shape[0] * image.shape[1]
-    return {
-        "image_id": cfg.image_id,
-        "mode": f"FEC:{n_data}/{n_parity}",
-        "L": cfg.l,
-        "beta": plan.beta,
-        "loss_preset": model.meta.get("preset", model.kind),
-        "seed": trace_seed,
-        "eps_target": model.meta.get("eps", ""),
-        "bits_payload": int(bpp * multiplier * n_pixels),
-        "bits_total": int(bpp_total * multiplier * n_pixels),
-        "bpp": round(bpp * multiplier, 6),
-        "outcome": outcome,
-        "psnr_db": round(psnr, 4),
-        "slices_decoded": cfg.l if outcome != pipeline.OUTCOME_FAILED else 0,
-    }
+        out_image, outcome, slices_decoded = image, pipeline.OUTCOME_FAILED, 0
+    return _episode_row(image, cfg, model, trace_seed,
+                        f"FEC:{n_data}/{n_parity}", packets, plan, out_image,
+                        outcome, slices_decoded,
+                        rate=(n_data + n_parity) / n_data)
 
 
-def _sweep_task(task):
-    kind = task["kind"]
-    if kind == "mode":
-        return run_episode(task["image"], task["cfg"], task["model"],
-                           task["seed"])
-    return run_fec_episode(task["image"], task["cfg"], task["model"],
-                           task["seed"], task["n_data"], task["n_parity"])
+def run_sweep(spec: SweepSpec, jobs: int = 1):
+    """Run every episode of a sweep, write its CSV and print the summary.
 
-
-def cmd_sweep(args):
-    spec = parse_config(args.config)
-    if args.output:
-        spec.output = args.output
+    Episodes run in a fixed order (preset, image, repetition, then each
+    mode at each L and each FEC pair at the first L) with seeds split
+    from the master seed, so `jobs` worker processes give the same bytes
+    as one.  The prior is the `RESICOMP_MODEL` file's, if it is set.
+    """
     images = _load_images(spec)
     prior = load_env_prior(spec.channels)
     codec = CodecConfig(channels=spec.channels, quality=spec.quality)
-    tasks = []
+    tasks = []  # (function, *args): each episode is the call it makes
     for preset_idx, preset_name in enumerate(spec.presets):
         model = preset(preset_name)
-        for image_idx, (name, image) in enumerate(images):
+        for image_idx, image in enumerate(images):
             for rep in range(spec.repetitions):
                 seed = derive_seed(spec.master_seed, image_idx, rep, preset_idx)
                 for mode_idx, mode_spec in enumerate(spec.modes):
@@ -297,32 +287,35 @@ def cmd_sweep(args):
                             mode_params=params, plan_seed=spec.master_seed,
                             image_id=image_idx, prior=prior,
                         )
-                        tasks.append({
-                            "kind": "mode", "image": image, "cfg": cfg,
-                            "model": model,
-                            "seed": derive_seed(seed, mode_idx, l),
-                        })
+                        tasks.append((run_episode, image, cfg, model,
+                                      derive_seed(seed, mode_idx, l)))
                 for fec_idx, (n_data, n_parity) in enumerate(spec.fec_grid):
                     cfg = PipelineConfig(
                         codec=codec, mode_kind="LC", l=spec.l_values[0],
                         plan_seed=spec.master_seed, image_id=image_idx,
                         prior=prior,
                     )
-                    tasks.append({
-                        "kind": "fec", "image": image, "cfg": cfg,
-                        "model": model, "seed": derive_seed(seed, 1000 + fec_idx),
-                        "n_data": n_data, "n_parity": n_parity,
-                    })
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
+                    tasks.append((run_fec_episode, image, cfg, model,
+                                  derive_seed(seed, 1000 + fec_idx),
+                                  n_data, n_parity))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(*task) for task in tasks]
+            rows = [future.result() for future in futures]
     else:
-        rows = [_sweep_task(t) for t in tasks]
+        rows = [fn(*args) for fn, *args in tasks]
     with open(spec.output, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     _print_summary(rows)
+
+
+def cmd_sweep(args):
+    spec = parse_config(args.config)
+    if args.output:
+        spec.output = args.output
+    run_sweep(spec, args.jobs)
     return EXIT_OK
 
 

@@ -70,6 +70,11 @@ def _build_tables(weights, means, sigmas, clamp):
                                                            sigmas, clamp)))
 
 
+# A CRC-valid header sets what the receiver allocates before reading any
+# payload (a plan over the grid and a grid x channels int16 array), so
+# the grid is bounded: 2**16 positions is a 4096x4096 image.
+MAX_GRID_POSITIONS = 2**16
+
 # The mode parameter a header carries, by mode id; other modes carry 0.
 _MODE_PARAM = {MODE_MDC: "n_d", MODE_SLC: "enhancements"}
 
@@ -109,8 +114,14 @@ def open_stream(header: PacketHeader, mode: ContextMode | None = None):
 
     The token grid covers the output size in BLOCK x BLOCK blocks.  A
     caller that built the header's context mode already passes it as
-    `mode`.
+    `mode`.  ValueError if the grid has more than MAX_GRID_POSITIONS
+    positions, before anything is built for it.
     """
+    positions = -(-header.height // BLOCK) * -(-header.width // BLOCK)
+    if positions > MAX_GRID_POSITIONS:
+        raise ValueError(
+            f"a {header.height}x{header.width} image needs {positions} token "
+            f"positions, more than the {MAX_GRID_POSITIONS} a stream may have")
     if mode is None:
         key = _MODE_PARAM.get(header.mode_id)
         mode = make_mode(header.mode_id, header.total_slices,

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from resicomp.cli import (CSV_FIELDS, EXIT_IO, EXIT_OK, EXIT_USAGE,
                           derive_seed, main, parse_config, parse_mode_spec)
 from resicomp.image_io import psnr_db, read_ppm, write_ppm
 from resicomp.synthetic import synthetic_image
-from resicomp.transport import read_traces
+from resicomp.transport import packet_from_bytes, read_traces
 
 
 @pytest.fixture()
@@ -191,6 +192,33 @@ def test_decode_with_no_readable_packet_is_a_validation_error(
     assert not out.exists()
 
 
+def test_packets_of_an_image_over_the_size_bound_are_refused(
+        tmp_path, image_file, capsys):
+    # 257x256 token positions, one row of blocks over 4096x4096.
+    height, width = 16 * 257, 16 * 256
+    pkt_dir = tmp_path / "pkts"
+    assert main(["encode", "--image", str(image_file), "--out", str(pkt_dir),
+                 "--channels", "16", "--L", "4"]) == EXIT_OK
+    for path in pkt_dir.glob("slice_*.pkt"):
+        packet = packet_from_bytes(path.read_bytes())
+        header = replace(packet.header, height=height, width=width)
+        path.write_bytes(replace(packet, header=header).to_bytes())
+    capsys.readouterr()
+    out = tmp_path / "out.pgm"
+    assert main(["decode", "--packets", str(pkt_dir),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "token positions" in err[0]
+    assert not out.exists()
+
+    big = tmp_path / "big.pgm"
+    write_ppm(big, np.zeros((height, width), np.uint8))
+    assert main(["encode", "--image", str(big), "--out", str(tmp_path / "b"),
+                 "--channels", "16"]) == EXIT_VALIDATION
+    assert "token positions" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 def test_trace_command(tmp_path):
     out = tmp_path / "traces.txt"
     assert main(["trace", "--preset", "EP5", "-n", "2000",
@@ -313,6 +341,25 @@ def test_parse_config_rejects_bad_input(tmp_path):
     path.write_text("presets = EP9\n")
     with pytest.raises(ConfigError, match="EP9"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("modes =\n", "modes"),
+    ("presets =\n", "presets"),
+    ("l_values =\nfec = 4/2\n", "l_values"),
+    ("l_values = 4, 0\n", "L"),
+    ("l_values = -3\n", "L"),
+])
+def test_sweep_refuses_empty_lists_and_nonpositive_l(tmp_path, capsys, text,
+                                                     match):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(path)
+    assert main(["sweep", "--config", str(path),
+                 "--output", str(tmp_path / "out.csv")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_exit_codes(tmp_path):

@@ -4,7 +4,7 @@ import csv
 import importlib.util
 from pathlib import Path
 
-from resicomp.cli import CSV_FIELDS
+from resicomp.cli import CSV_FIELDS, EXIT_OK, main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 TINY = ["--images", "1", "--L", "4", "--channels", "16"]
@@ -47,19 +47,30 @@ def test_progressive_demo(capsys):
 
 
 def test_resilience_sweep(capsys, tmp_path):
+    # The script is a flag front end to `resicomp sweep`: the same
+    # summary on stdout and the same CSV bytes as the equivalent config.
     output = tmp_path / "resilience.csv"
     assert _main("run_resilience_sweep")(
         TINY + ["--reps", "1", "--output", str(output)]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == f"8 episodes -> {output}"
-    rows = _rows(out, f"{'mode':<8} {'preset':<7} {'mean_psnr':>9} "
-                      f"{'failure_ratio':>13} {'mean_bpp':>8}")
-    assert [tuple(r[:2]) for r in rows] == [
-        (mode, preset) for mode in ("ISC", "LC", "MDC:2", "SLC:1")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("scheme,L,preset,episodes,mean_psnr_db,mean_bpp,"
+                        "failure_ratio")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [tuple(r[:4]) for r in rows] == [
+        (mode, "4", preset, "1") for mode in ("ISC", "LC", "MDC:2", "SLC:1")
         for preset in ("EP3", "EP5")]
     for row in rows:
-        assert 0.0 <= float(row[3]) <= 1.0
+        assert 0.0 <= float(row[6]) <= 1.0
     with open(output, newline="") as f:
         episodes = list(csv.DictReader(f))
     assert len(episodes) == 8
     assert list(episodes[0]) == CSV_FIELDS
+
+    config = tmp_path / "sweep.cfg"
+    config.write_text("synthetic_images = 1\nmodes = ISC, LC, MDC:2, SLC:1\n"
+                      "l_values = 4\npresets = EP3, EP5\nchannels = 16\n")
+    cli_output = tmp_path / "cli.csv"
+    assert main(["sweep", "--config", str(config),
+                 "--output", str(cli_output)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == lines
+    assert cli_output.read_bytes() == output.read_bytes()

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from resicomp.pipeline import (OUTCOME_CONCEALED, OUTCOME_LOSSLESS,
-                               SLICE_DECODED, SLICE_REJECTED, PipelineConfig,
-                               Receiver, SliceStatus, open_stream, receive,
-                               send, stream_header)
+from resicomp import pipeline
+from resicomp.pipeline import (MAX_GRID_POSITIONS, OUTCOME_CONCEALED,
+                               OUTCOME_LOSSLESS, SLICE_DECODED,
+                               SLICE_REJECTED, PipelineConfig, Receiver,
+                               SliceStatus, open_stream, receive, send,
+                               stream_header)
 from resicomp.predictor import PriorModel
 from resicomp.synthetic import synthetic_image
 from resicomp.token_codec import BLOCK, CodecConfig
@@ -216,3 +218,27 @@ def test_a_rewritten_output_size_sets_the_grid():
     assert result.grid.values.shape == (-(-1000 // BLOCK), 3, 16)
     assert not (result.outcome == OUTCOME_LOSSLESS
                 and result.grid.values.shape == grid.values.shape)
+
+
+def test_a_grid_over_the_bound_is_refused():
+    # 257x256 token positions, one row of blocks over 4096x4096.
+    assert MAX_GRID_POSITIONS == 256 * 256
+    height, width = BLOCK * 257, BLOCK * 256
+    with pytest.raises(ValueError, match="token positions"):
+        open_stream(stream_header(_cfg(), height, width))
+    with pytest.raises(ValueError, match="token positions"):
+        send(np.zeros((height, width), np.uint8), _cfg())
+
+
+def test_the_largest_header_is_refused_before_any_plan(monkeypatch):
+    header = replace(stream_header(_cfg(), 48, 48), height=65535,
+                     width=65535, channels=255)
+
+    def no_plan(*args):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(pipeline, "build_plan", no_plan)
+    with pytest.raises(ValueError, match="token positions"):
+        open_stream(header)
+    with pytest.raises(ValueError, match="token positions"):
+        Receiver(header)
