@@ -117,17 +117,17 @@ def open_stream(header: PacketHeader, mode: ContextMode | None = None):
     `mode`.  ValueError if the grid has more than MAX_GRID_POSITIONS
     positions, before anything is built for it.
     """
-    positions = -(-header.height // BLOCK) * -(-header.width // BLOCK)
-    if positions > MAX_GRID_POSITIONS:
+    grid_h, grid_w = -(-header.height // BLOCK), -(-header.width // BLOCK)
+    if grid_h * grid_w > MAX_GRID_POSITIONS:
         raise ValueError(
-            f"a {header.height}x{header.width} image needs {positions} token "
-            f"positions, more than the {MAX_GRID_POSITIONS} a stream may have")
+            f"a {header.height}x{header.width} image needs {grid_h * grid_w} "
+            f"token positions, more than the {MAX_GRID_POSITIONS} a stream "
+            "may have")
     if mode is None:
         key = _MODE_PARAM.get(header.mode_id)
         mode = make_mode(header.mode_id, header.total_slices,
                          {key: header.mode_param} if key else {})
-    plan = build_plan(-(-header.height // BLOCK), -(-header.width // BLOCK),
-                      mode.l, mode, header.plan_seed,
+    plan = build_plan(grid_h, grid_w, mode.l, mode, header.plan_seed,
                       header.beta_milli / 1000)
     return mode, plan, CodecConfig(header.channels, header.quality,
                                    header.clamp)
