@@ -7,7 +7,9 @@ from resicomp.pipeline import (FAILED_PSNR_DB, OUTCOME_CONCEALED,
                                OUTCOME_FAILED, OUTCOME_LOSSLESS,
                                PipelineConfig, evaluate, objective,
                                progressive_receive, receive, send)
-from resicomp.predictor import PriorModel, load_prior, save_prior
+from resicomp.predictor import PriorModel, fit_prior, load_prior, save_prior
+from resicomp.synthetic import synthetic_image
+from resicomp.token_codec import analyze
 from resicomp.transport import Packet
 
 
@@ -190,6 +192,42 @@ def test_objective_full_mask_uses_prior_rate(small_image, light_codec):
     # them, at least a fraction of a bit each under the wide prior
     grid_positions = (small_image.shape[0] // 16) * (small_image.shape[1] // 16)
     assert report.rate_bits > grid_positions
+
+
+# (mode kind, mask ratio, prior) -> float.hex of (rate_bits,
+# distortion_quantized, distortion_concealed) of synthetic_image(0) at
+# C=16, L=6, rng seed 3.  "fitted" is fit_prior over synthetic images 1
+# and 2 with logits (1.0, 0.5, -0.5), so the pooled weights of a
+# position with a known neighbour are not the default ones.  The
+# objective does not read the context mode, so LC and ISC agree.
+OBJECTIVE_PINS = {
+    ("LC", 0.3, "default"): ("0x1.2d93ad2ff263fp+9", "0x1.c036db6db6db7p+0",
+                             "0x1.af7a79e79e79ep+6"),
+    ("LC", 1.0, "default"): ("0x1.88152dd9f0569p+11", "0x1.c036db6db6db7p+0",
+                             "0x1.1f06d53cf3cf4p+14"),
+    ("ISC", 0.3, "default"): ("0x1.2d93ad2ff263fp+9", "0x1.c036db6db6db7p+0",
+                              "0x1.af7a79e79e79ep+6"),
+    ("ISC", 1.0, "default"): ("0x1.88152dd9f0569p+11", "0x1.c036db6db6db7p+0",
+                              "0x1.1f06d53cf3cf4p+14"),
+    ("LC", 0.3, "fitted"): ("0x1.24c5ca4f096d8p+9", "0x1.c036db6db6db7p+0",
+                            "0x1.af7a79e79e79ep+6"),
+    ("LC", 1.0, "fitted"): ("0x1.f198f1abb5c7ap+10", "0x1.c036db6db6db7p+0",
+                            "0x1.391bd86186186p+9"),
+}
+
+
+@pytest.mark.parametrize("kind, ratio, prior", sorted(OBJECTIVE_PINS))
+def test_objective_is_pinned(smooth_image, light_codec, kind, ratio, prior):
+    fitted = None
+    if prior == "fitted":
+        fitted = fit_prior([analyze(synthetic_image(s), light_codec)
+                            for s in (1, 2)], logits=(1.0, 0.5, -0.5))
+    cfg = _cfg(light_codec, kind=kind, prior=fitted)
+    r = objective(smooth_image, ratio, alpha=0.1, lam=0.0035, cfg=cfg,
+                  rng_seed=3)
+    got = (r.rate_bits.hex(), r.distortion_quantized.hex(),
+           r.distortion_concealed.hex())
+    assert got == OBJECTIVE_PINS[kind, ratio, prior]
 
 
 def test_progressive_final_step_is_lossless(small_image, light_codec):
