@@ -368,7 +368,12 @@ def cmd_decode(args):
     first = packets[0].header
     session = pipeline.Receiver(first, load_env_prior(first.channels))
     total = session.l
-    flags = read_traces(args.trace)[0].flags if args.trace else [True] * total
+    flags = [True] * total
+    if args.trace:
+        traces = read_traces(args.trace)
+        if not traces:
+            raise ConfigError(f"trace file {args.trace} holds no trace")
+        flags = traces[0].flags
     if len(flags) != total:
         raise ConfigError("trace length does not match packet count")
     session.add(*(p for p in packets if p.header.slice_index < total
@@ -382,6 +387,8 @@ def cmd_decode(args):
 
 
 def cmd_trace(args):
+    if args.episodes < 1:
+        raise ConfigError("--episodes must be at least 1")
     model = preset(args.preset)
     traces = [
         sample_trace(model, args.n, derive_seed(args.seed, episode))

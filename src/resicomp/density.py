@@ -7,16 +7,18 @@ pinned rational approximation so encoder and decoder build identical
 integer frequency tables regardless of libm.
 
 The entropy model is indexed.  A symbol's mixture has two components,
-the local estimate and the per-channel prior; the local one is snapped
-to a fixed grid, its mean to the nearest 1/8 and its sigma to one of
-`SIGMA_LEVELS`, geometrically spaced by `SIGMA_RATIO` from
-`SIGMA_FLOOR`.  A table is then a pure function of one integer key:
-(channel, neighbour class, mean index, sigma index).  A position with
-no known neighbour keeps the exact prior for both components and is
-keyed by its channel alone.  The snapping uses only multiplication,
-rounding, square roots and comparisons, so both ends compute the same
-keys whatever their libm.  A `TableStore` holds one stream's tables by
-key and builds, in one batch per call, only the keys it has not seen.
+the predictor's local estimate and the per-channel prior; the local one
+is snapped to a fixed grid, its mean to the nearest 1/8 and its sigma to
+one of `SIGMA_LEVELS`, geometrically spaced by `SIGMA_RATIO` from
+`SIGMA_FLOOR`.  A symbol is then named by one integer key: (channel,
+neighbour class, mean index, sigma index).  A position with no known
+neighbour keeps the exact prior for both components and is keyed by its
+channel alone.  The snapping uses only multiplication, rounding, square
+roots and comparisons, so both ends compute the same keys whatever
+their libm.  A `TableStore` holds one stream's prior and its tables by
+key; `key_mixtures` turns a key and the prior into the mixture, so a
+table is a function of its key, and the store builds, in one batch per
+call, only the keys it has not seen.
 """
 
 from __future__ import annotations
@@ -223,19 +225,25 @@ def quantize_probs(probs):
         raise ValueError("alphabet larger than frequency total")
     counts = np.empty(p.shape, dtype=np.int64)
     for start in range(0, len(p), _BLOCK_ROWS):
-        _quantize_rows(p[start:start + _BLOCK_ROWS],
-                       counts[start:start + _BLOCK_ROWS])
+        largest_remainder(p[start:start + _BLOCK_ROWS] * FREQ_TOTAL,
+                          FREQ_TOTAL, counts[start:start + _BLOCK_ROWS])
     return counts if np.asarray(probs).ndim > 1 else counts[0]
 
 
-def _quantize_rows(p, out):
-    """quantize_probs of the (N, S) rows p, written into out."""
-    s = p.shape[1]
-    scaled = p * FREQ_TOTAL
+def largest_remainder(scaled, total, out):
+    """Integer parts of each (N, S) row of shares `scaled`, summing to
+    `total`, written into the int64 array `out`.
+
+    Every part is the floor of its share, at least 1; the deficit goes
+    one each to the largest remainders, ties toward lower index, and a
+    surplus comes off the smallest remainders, ties toward higher index.
+    ValueError if a row cannot keep every part at least 1.
+    """
+    s = scaled.shape[1]
     base = np.floor(scaled).astype(np.int64)
     counts = np.maximum(base, 1, out=out)
     remainder = scaled - base
-    deficit = FREQ_TOTAL - counts.sum(axis=1)
+    deficit = total - counts.sum(axis=1)
     grow = np.flatnonzero(deficit > 0)
     if grow.size:
         # One more to each of the `deficit` largest remainders, ties
@@ -318,41 +326,47 @@ def mixture_keys(output):
     """Table key of every symbol of a predictor output, position-major
     then channel: one (n*C,) int64 array.
 
-    `output` has (n, C, 2) means and sigmas whose component 0 is local,
-    and (n,) bool `has_neighbors`; rows without a neighbour get their
-    channel's prior key.
+    `output` has (n, C) local means and sigmas and (n,) bool
+    `has_neighbors`; rows without a neighbour get their channel's prior
+    key.
     """
     channels = output.means.shape[1]
-    mu, sigma = snap(output.means[..., 0], output.sigmas[..., 0])
+    mu, sigma = snap(output.means, output.sigmas)
     local = (mu + _MU_MAX) * len(SIGMA_LEVELS) + sigma + 1
     local *= output.has_neighbors[:, None]
     local += np.arange(channels) * _CHANNEL_STRIDE
     return local.reshape(-1)
 
 
-def snapped_mixtures(output, rows):
-    """(weights, means, sigmas), each (len(rows), 2), of the tables of
-    the symbols at flat indices `rows` (the order of `mixture_keys`)."""
-    weights, means, sigmas = (a.reshape(-1, 2)[rows] for a in
-                              (output.weights, output.means, output.sigmas))
-    local = output.has_neighbors[rows // output.means.shape[1]]
-    mu, sigma = snap(means[local, 0], sigmas[local, 0])
-    means[local, 0] = mu / MU_STEPS
+def key_mixtures(keys, prior):
+    """(weights, means, sigmas), each (len(keys), 2), of the mixtures
+    that the int64 `keys` stand for under `prior`.
+
+    Component 0 is the snapped local component, or the channel's prior
+    for neighbour class 0; component 1 is the channel's prior.  The
+    weights are `prior.mixture_weights` of the key's neighbour class.
+    """
+    channel, rest = np.divmod(keys, _CHANNEL_STRIDE)
+    local = rest > 0
+    mu, sigma = np.divmod(rest[local] - 1, len(SIGMA_LEVELS))
+    means = np.repeat(prior.means[channel][:, None], 2, axis=1)
+    sigmas = np.repeat(prior.stds[channel][:, None], 2, axis=1)
+    means[local, 0] = (mu - _MU_MAX) / MU_STEPS
     sigmas[local, 0] = SIGMA_LEVELS[sigma]
-    return weights, means, sigmas
+    return prior.mixture_weights[local.astype(np.intp)], means, sigmas
 
 
 class TableStore:
     """One stream's frequency tables, by key, each built once.
 
-    `build(weights, means, sigmas, v)` turns mixture rows into tables;
-    it defaults to `build_tables`.  Every output a store is given must
-    come from one prior, whose weights and prior component a key does
-    not carry; then a table depends on its key alone, and the store may
-    meet the keys in any order.
+    The store holds the stream's prior (a `predictor.PriorModel`) and
+    builds a key's table from the key alone, by `key_mixtures`, so it
+    may meet the keys in any order.  `build(weights, means, sigmas, v)`
+    turns mixture rows into tables; it defaults to `build_tables`.
     """
 
-    def __init__(self, clamp, build=build_tables):
+    def __init__(self, prior, clamp, build=build_tables):
+        self.prior = prior
         self.clamp = clamp
         self.build = build
         self._tables = {}
@@ -365,13 +379,11 @@ class TableStore:
 
         The keys not held yet are built in one batch.
         """
-        keys = mixture_keys(output)
-        distinct, first = np.unique(keys, return_index=True)
+        keys = mixture_keys(output).tolist()
         held = self._tables
-        new = [i for i, key in enumerate(distinct.tolist())
-               if key not in held]
+        new = sorted(set(keys).difference(held))
         if new:
-            built = self.build(*snapped_mixtures(output, first[new]),
-                               self.clamp)
-            held.update(zip(distinct[new].tolist(), built))
-        return list(map(held.__getitem__, keys.tolist()))
+            built = self.build(*key_mixtures(np.array(new, np.int64),
+                                             self.prior), self.clamp)
+            held.update(zip(new, built))
+        return list(map(held.__getitem__, keys))

@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .density import largest_remainder
+
 # Plastic constant: the real root of x^3 = x + 1.
 _PLASTIC = 1.32471795724474602596
 _ALPHA1 = 1.0 / _PLASTIC
@@ -58,8 +60,8 @@ def qlds_positions(h: int, w: int, seed: int) -> list:
 def slice_sizes(n: int, l: int, context_counts, beta: float) -> list:
     """Integer slice sizes proportional to (1 + C_l/L)^beta, summing to n.
 
-    Largest-remainder integerization with ties broken toward lower slice
-    index; every size is at least 1.
+    Largest-remainder integerization (`density.largest_remainder`) with
+    ties broken toward lower slice index; every size is at least 1.
     """
     if l < 1:
         raise ValueError("need at least one slice")
@@ -69,22 +71,9 @@ def slice_sizes(n: int, l: int, context_counts, beta: float) -> list:
         raise ValueError(f"cannot split {n} tokens into {l} nonempty slices")
     weights = np.array([(1.0 + c / l) ** beta for c in context_counts])
     quotas = n * weights / weights.sum()
-    base = np.floor(quotas).astype(np.int64)
-    sizes = np.maximum(base, 1)
-    remainder = quotas - base
-    order = np.lexsort((np.arange(l), -remainder))
-    deficit = n - int(sizes.sum())
-    if deficit > 0:
-        for idx in order[:deficit]:
-            sizes[idx] += 1
-    elif deficit < 0:
-        for idx in order[::-1]:
-            if deficit == 0:
-                break
-            take = min(int(sizes[idx]) - 1, -deficit)
-            sizes[idx] -= take
-            deficit += take
-    return [int(s) for s in sizes]
+    sizes = np.empty((1, l), dtype=np.int64)
+    largest_remainder(quotas[None], n, sizes)
+    return sizes[0].tolist()
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ import numpy as np
 from . import entropy_coder
 from .context_modes import (MODE_MDC, MODE_SLC, ContextMode, context_depths,
                             make_mode)
-from .density import (FreqTable, TableStore, discretize_batch, mixture_keys,
-                      quantize_probs, snapped_mixtures)
+from .density import (FreqTable, TableStore, discretize_batch, key_mixtures,
+                      mixture_keys, quantize_probs)
 from .image_io import mse, psnr_db
 from .partition import build_plan
 from .predictor import (PriorModel, SynchronizationError, collect_context,
@@ -143,7 +143,7 @@ def send(image: np.ndarray, cfg: PipelineConfig):
                                        planes)
     _, plan, codec = open_stream(header, mode)
     grid = analyze(image, codec)
-    store = TableStore(codec.clamp, _build_tables)
+    store = TableStore(prior, codec.clamp, _build_tables)
     all_received = [1] * mode.l
     packets = []
     for i in range(1, mode.l + 1):
@@ -221,7 +221,7 @@ class Receiver:
             values=np.zeros((*shape, header.channels), np.int16),
             known=np.zeros(shape, bool),
         )
-        self.tables = TableStore(self.codec.clamp, _build_tables)
+        self.tables = TableStore(prior, self.codec.clamp, _build_tables)
         self.packets = {}  # 1-based slice index -> the packet it holds
         self.decoded = [False] * self.l
         self.corrupt = set()  # 1-based indices whose payload did not decode
@@ -400,10 +400,8 @@ def objective(image: np.ndarray, mask_ratio: float, alpha: float,
     rate_bits = 0.0
     if len(output.positions):
         # The coder's tables snap the local component; so does the rate.
-        _, first, index = np.unique(mixture_keys(output), return_index=True,
-                                    return_inverse=True)
-        probs = discretize_batch(*snapped_mixtures(output, first),
-                                 cfg.codec.clamp)
+        keys, index = np.unique(mixture_keys(output), return_inverse=True)
+        probs = discretize_batch(*key_mixtures(keys, prior), cfg.codec.clamp)
         rows, cols = output.positions.T
         symbols = (grid.values[rows, cols].astype(np.int64)
                    + cfg.codec.clamp).reshape(-1)

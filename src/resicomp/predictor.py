@@ -1,11 +1,13 @@
 """Dual-head statistical context model.
 
 Given a partially masked token grid, produce for every masked position
-and channel (a) a 2-component Gaussian mixture for conditional entropy
-coding and (b) an integer value prediction for loss concealment.  The
-first component summarizes the known neighborhood inside a fixed window
-(inverse-distance weighting); the second is a global per-channel prior
-shipped in the model file, so encoder and decoder reproduce identical
+and channel (a) a local Gaussian estimate (mean, sigma) for conditional
+entropy coding and (b) an integer value prediction for loss
+concealment.  The local estimate summarizes the known neighborhood
+inside a fixed window (inverse-distance weighting); where no window
+neighbor is known it is the global per-channel prior shipped in the
+model file.  `density` mixes it with that prior under the prior's
+pooled weights, so encoder and decoder reproduce identical
 distributions with zero side information.
 """
 
@@ -75,6 +77,17 @@ class PriorModel:
         return len(self.means)
 
     @cached_property
+    def mixture_weights(self) -> np.ndarray:
+        """(2, 2) weights of the (local, prior) mixture components, by
+        neighbour class: row 0 where no window neighbor is known, where
+        the three logits count equally, row 1 where one is.  The last
+        two logits both weigh the prior component, so their weights are
+        pooled by one addition."""
+        s = _softmax(self.logits)
+        third = 1.0 / MIXTURES
+        return np.array([[third, third + third], [s[0], s[1] + s[2]]])
+
+    @cached_property
     def fingerprint(self) -> bytes:
         """8-byte BLAKE2b digest of the prior's .rcpm bytes."""
         return hashlib.blake2b(prior_bytes(self), digest_size=8).digest()
@@ -137,17 +150,16 @@ def load_prior(path) -> PriorModel:
 
 @dataclass
 class PredictorOutput:
-    """Mixture parameters and value predictions at a list of positions.
+    """Local estimates and value predictions at a list of positions.
 
     Row j of every array belongs to grid position `positions[j]`.  The
-    K=2 mixture components are the local estimate (the prior where no
-    window neighbor is known) and the prior.
+    local (mean, sigma) is the prior's where no window neighbor is
+    known; `density.TableStore` mixes it with the prior.
     """
 
     positions: np.ndarray  # (n, 2) intp, (row, col) of each prediction
-    weights: np.ndarray  # (n, C, 2)
-    means: np.ndarray  # (n, C, 2)
-    sigmas: np.ndarray  # (n, C, 2)
+    means: np.ndarray  # (n, C) local means
+    sigmas: np.ndarray  # (n, C) local sigmas
     values: np.ndarray  # (n, C) int16
     has_neighbors: np.ndarray  # (n,) bool, some window neighbor is known
 
@@ -243,13 +255,12 @@ def predict(grid: TokenGrid, prior: PriorModel,
 
     `positions` is a sequence of (row, col) pairs; it defaults to the
     grid's masked positions in row-major order, the ones concealment
-    fills.  The dominant component is the inverse-distance-weighted
-    local estimate where any window neighbor is known; elsewhere both
-    components are the prior.  The value head is the rounded
-    mean of the dominant component, so both heads agree by construction.
+    fills.  The local estimate is the inverse-distance-weighted window
+    estimate where any window neighbor is known and the prior
+    elsewhere.  The value head is its rounded mean, so both heads agree
+    by construction.
     """
-    channels = grid.channels
-    if prior.channels != channels:
+    if prior.channels != grid.channels:
         raise ValueError("prior channel count does not match grid")
     if positions is None:
         positions = np.argwhere(~grid.known)
@@ -263,31 +274,13 @@ def predict(grid: TokenGrid, prior: PriorModel,
     local_mean = sv / safe_w
     local_var = np.maximum(sv2 / safe_w - local_mean * local_mean, 0.0)
     local_sigma = np.maximum(SIGMA_FLOOR, np.sqrt(local_var))
-
-    n = len(positions)
-    prior_mean = np.broadcast_to(prior.means, (n, channels))
-    prior_std = np.broadcast_to(prior.stds, (n, channels))
     neighbor_sel = has_neighbors[:, None]
-    mean1 = np.where(neighbor_sel, local_mean, prior_mean)
-    sigma1 = np.where(neighbor_sel, local_sigma, prior_std)
-
-    means = np.stack([mean1, prior_mean], axis=-1)
-    sigmas = np.stack([sigma1, prior_std], axis=-1)
-    # The file's last two logits both weigh the prior component, so their
-    # weights are pooled by one addition.  With no neighbor known, the
-    # three logits count equally.
-    s = _softmax(prior.logits)
-    third = 1.0 / MIXTURES
-    weights = np.where(neighbor_sel[..., None], [s[0], s[1] + s[2]],
-                       [third, third + third])
-    weights = np.broadcast_to(weights, means.shape).copy()
-    values = np.rint(mean1).astype(np.int16)
+    means = np.where(neighbor_sel, local_mean, prior.means)
     return PredictorOutput(
         positions=positions,
-        weights=weights,
         means=means,
-        sigmas=sigmas,
-        values=values,
+        sigmas=np.where(neighbor_sel, local_sigma, prior.stds),
+        values=np.rint(means).astype(np.int16),
         has_neighbors=has_neighbors,
     )
 

@@ -129,7 +129,6 @@ class LossModel:
     kind: str  # "markov2" | "markov3" | "iid"
     transition: np.ndarray  # (S, S) row-stochastic
     loss_states: frozenset
-    state_names: tuple
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -176,7 +175,6 @@ def preset(name: str) -> LossModel:
         kind="markov2",
         transition=transition,
         loss_states=frozenset({1}),
-        state_names=("G", "B"),
         meta={
             "preset": name,
             "p_G": p_g, "p_B": p_b, "p_I": p_i, "p_B_to_G": p_bg,
@@ -194,19 +192,16 @@ def iid_model(eps: float) -> LossModel:
         kind="iid",
         transition=transition,
         loss_states=frozenset({1}),
-        state_names=("G", "B"),
         meta={"eps": eps},
     )
 
 
-def markov3_model(transition, loss_state: int = 2,
-                  state_names=("G", "I", "B")) -> LossModel:
+def markov3_model(transition, loss_state: int = 2) -> LossModel:
     """Generic three-state chain with a user-supplied transition matrix."""
     return LossModel(
         kind="markov3",
         transition=np.asarray(transition, dtype=np.float64),
         loss_states=frozenset({loss_state}),
-        state_names=tuple(state_names),
     )
 
 

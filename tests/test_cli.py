@@ -230,6 +230,32 @@ def test_trace_command(tmp_path):
     assert abs(eps - 0.214) / 0.214 < 0.25  # short traces, loose band
 
 
+@pytest.mark.parametrize("episodes", ["0", "-1"])
+def test_trace_refuses_fewer_than_one_episode(tmp_path, capsys, episodes):
+    out = tmp_path / "traces.txt"
+    assert main(["trace", "--preset", "EP3", "-n", "4", "--episodes",
+                 episodes, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_decode_through_an_empty_trace_is_a_validation_error(
+        tmp_path, image_file, capsys):
+    pkt_dir = tmp_path / "pkts"
+    out = tmp_path / "out.pgm"
+    assert main(["encode", "--image", str(image_file), "--out", str(pkt_dir),
+                 "--channels", "16", "--L", "4"]) == EXIT_OK
+    trace = tmp_path / "trace.txt"
+    trace.write_text("")
+    capsys.readouterr()
+    assert main(["decode", "--packets", str(pkt_dir), "--trace", str(trace),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
 def test_simulate_deterministic(capsys):
     argv = ["simulate", "--mode", "LC", "--L", "6", "--preset", "EP3",
             "--seed", "7", "--channels", "16"]

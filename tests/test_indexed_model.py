@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from resicomp.density import (CLAMP_MAX, MU_STEPS, SIGMA_FLOOR, SIGMA_LEVELS,
                               SIGMA_RATIO, FreqTable, TableStore,
-                              build_tables, mixture_keys, snap,
-                              snapped_mixtures)
+                              build_tables, key_mixtures, mixture_keys, snap)
 from resicomp.pipeline import OUTCOME_LOSSLESS, PipelineConfig, receive, send
 from resicomp.predictor import PredictorOutput, collect_context, predict
 from resicomp.synthetic import synthetic_image
@@ -54,15 +53,14 @@ def test_snapping_is_close_and_idempotent(mu, sigma):
 def _output(channel_rows, channels):
     """A PredictorOutput with one position per (channel, has, mu, sigma)."""
     n = len(channel_rows)
-    means = np.zeros((n, channels, 2))
-    sigmas = np.full((n, channels, 2), SIGMA_FLOOR)
+    means = np.zeros((n, channels))
+    sigmas = np.full((n, channels), SIGMA_FLOOR)
     has = np.zeros(n, bool)
     for j, (c, neighbour, mu, sigma) in enumerate(channel_rows):
-        means[j, c, 0], sigmas[j, c, 0], has[j] = mu, sigma, neighbour
+        means[j, c], sigmas[j, c], has[j] = mu, sigma, neighbour
     return PredictorOutput(
-        positions=np.zeros((n, 2), np.intp), weights=np.full_like(means, 0.5),
-        means=means, sigmas=sigmas, values=np.zeros((n, channels), np.int16),
-        has_neighbors=has)
+        positions=np.zeros((n, 2), np.intp), means=means, sigmas=sigmas,
+        values=np.zeros((n, channels), np.int16), has_neighbors=has)
 
 
 @st.composite
@@ -121,11 +119,10 @@ def _lc(channels=16, l=6):
 
 def test_a_table_is_the_same_alone_and_in_any_batch():
     image = synthetic_image(3, height=64, width=64)
-    _, _, outputs = _slice_outputs(image, _lc())
-    rows = []
-    for output in outputs:
-        _, first = np.unique(mixture_keys(output), return_index=True)
-        rows.append(snapped_mixtures(output, first))
+    cfg = _lc()
+    _, _, outputs = _slice_outputs(image, cfg)
+    rows = [key_mixtures(np.unique(mixture_keys(output)), cfg.get_prior())
+            for output in outputs]
     weights, means, sigmas = (np.concatenate(a) for a in zip(*rows))
     assert len(weights) > 2 * 64  # crosses the build's row blocks
     alone = [build_tables(weights[j:j + 1], means[j:j + 1],
@@ -139,8 +136,9 @@ def test_a_table_is_the_same_alone_and_in_any_batch():
 
 def test_store_tables_are_shared_by_key():
     image = synthetic_image(3, height=64, width=64)
-    _, _, outputs = _slice_outputs(image, _lc())
-    store = TableStore(127)
+    cfg = _lc()
+    _, _, outputs = _slice_outputs(image, cfg)
+    store = TableStore(cfg.get_prior(), 127)
     seen = {}
     for output in outputs:
         tables = store.tables(output)

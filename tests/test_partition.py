@@ -87,6 +87,53 @@ def test_slice_sizes_invariants(l, extra, beta, data):
     assert max(abs(d - 2 * s) for d, s in zip(doubled, sizes)) <= 3
 
 
+def _slice_sizes_by_loop(n, l, context_counts, beta):
+    """slice_sizes as a per-slice loop: floor at 1, grow the largest
+    remainders (ties toward lower index), shrink the smallest (ties
+    toward higher index)."""
+    weights = np.array([(1.0 + c / l) ** beta for c in context_counts])
+    quotas = n * weights / weights.sum()
+    base = np.floor(quotas).astype(np.int64)
+    sizes = np.maximum(base, 1)
+    remainder = quotas - base
+    order = np.lexsort((np.arange(l), -remainder))
+    deficit = n - int(sizes.sum())
+    if deficit > 0:
+        for idx in order[:deficit]:
+            sizes[idx] += 1
+    elif deficit < 0:
+        for idx in order[::-1]:
+            if deficit == 0:
+                break
+            take = min(int(sizes[idx]) - 1, -deficit)
+            sizes[idx] -= take
+            deficit += take
+    return [int(s) for s in sizes]
+
+
+_PRESETS = (("LC", {}), ("ISC", {}), ("MDC", {"n_d": 1}),
+            ("SLC", {"enhancements": 1}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    l=st.integers(min_value=1, max_value=40),
+    extra=st.one_of(st.integers(0, 40), st.integers(0, 70_000)),
+    beta=st.floats(min_value=0.0, max_value=65.535),
+    data=st.data(),
+)
+def test_slice_sizes_equal_the_loop(l, extra, beta, data):
+    counts = data.draw(st.one_of(
+        st.lists(st.integers(0, l - 1), min_size=l, max_size=l),
+        st.sampled_from([make_mode(kind, l, params).context_counts()
+                         for kind, params in _PRESETS
+                         if kind != "SLC" or l >= 2]),
+    ))
+    n = l + extra
+    assert slice_sizes(n, l, counts, beta) == \
+        _slice_sizes_by_loop(n, l, counts, beta)
+
+
 def test_doubling_tight_on_hand_examples():
     for n, l, counts, beta in [(100, 10, [0] * 10, 0.0),
                                (100, 4, [0, 1, 2, 3], 1.0)]:

@@ -5,7 +5,8 @@ Each sum must equal, bit for bit, the zero-padded full-grid convolution
 `scipy.ndimage.convolve(..., mode="constant", cval=0.0)` at that
 position, and every output array must equal the full-grid predictor's
 at that position byte for byte.  The reference below is that full-grid
-predictor, evaluated on the whole grid and then indexed.
+predictor, evaluated on the whole grid and then indexed, with the
+pooled mixture weights that `PriorModel.mixture_weights` must equal.
 """
 
 from unittest import mock
@@ -42,24 +43,25 @@ def _reference(grid, prior):
     prior_std = np.broadcast_to(prior.stds, (h, w, channels))
     neighbor_sel = has_neighbors[:, :, None]
     mean1 = np.where(neighbor_sel, local_mean, prior_mean)
-    sigma1 = np.where(neighbor_sel, local_sigma, prior_std)
-    weights = np.where(neighbor_sel[..., None],
-                       _softmax(prior.logits).reshape(1, 1, 1, MIXTURES),
-                       np.full((1, 1, 1, MIXTURES), 1.0 / MIXTURES))
-    # The trailing two components are the same prior Gaussian; pool
-    # their weights by one addition.
-    weights = np.concatenate(
-        [weights[..., :1], weights[..., 1:2] + weights[..., 2:]], axis=-1)
-    means = np.stack([mean1, prior_mean], axis=-1)
     return {
         "sum_w": sum_w,
         "sv": sv,
         "sv2": sv2,
-        "weights": np.broadcast_to(weights, means.shape),
-        "means": means,
-        "sigmas": np.stack([sigma1, prior_std], axis=-1),
+        "means": mean1,
+        "sigmas": np.where(neighbor_sel, local_sigma, prior_std),
         "values": np.rint(mean1).astype(np.int16),
     }
+
+
+def _reference_weights(prior):
+    """(2, 2) pooled weights: row 0 without a window neighbor, row 1
+    with one."""
+    weights = np.stack([np.full(MIXTURES, 1.0 / MIXTURES),
+                        _softmax(prior.logits)])
+    # The trailing two components are the same prior Gaussian; pool
+    # their weights by one addition.
+    return np.concatenate(
+        [weights[:, :1], weights[:, 1:2] + weights[:, 2:]], axis=-1)
 
 
 def _assert_matches(grid, prior, positions):
@@ -73,17 +75,20 @@ def _assert_matches(grid, prior, positions):
         want = np.ascontiguousarray(ref[name][rows, cols])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
-    for name in ("weights", "means", "sigmas", "values"):
+    for name in ("means", "sigmas", "values"):
         got = getattr(out, name)
         want = np.ascontiguousarray(ref[name][rows, cols])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
+    assert np.array_equal(out.has_neighbors, ref["sum_w"][rows, cols] > 0.0)
+    want = _reference_weights(prior)
+    assert prior.mixture_weights.tobytes() == want.tobytes()
 
 
 def _prior(channels, window, rng):
     return PriorModel(means=rng.normal(0.0, 20.0, channels),
                       stds=rng.uniform(SIGMA_FLOOR, 30.0, channels),
-                      window=window)
+                      window=window, logits=rng.normal(0.0, 3.0, MIXTURES))
 
 
 @st.composite
@@ -140,8 +145,7 @@ def test_empty_position_list():
     for positions in ([], np.empty((0, 2), dtype=np.intp)):
         out = predict(grid, _prior(3, 3, rng), positions)
         assert out.positions.shape == (0, 2)
-        assert out.weights.shape == out.means.shape == out.sigmas.shape \
-            == (0, 3, 2)
+        assert out.means.shape == out.sigmas.shape == (0, 3)
         assert out.values.shape == (0, 3)
         assert out.values.dtype == np.int16
 

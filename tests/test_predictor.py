@@ -105,7 +105,8 @@ def test_collect_context_equals_per_position_copy(case):
         prior = default_prior(grid.channels)
         a = predict(got, prior, plan.slice_positions(i))
         b = predict(want, prior, plan.slice_positions(i))
-        for name in ("positions", "weights", "means", "sigmas", "values"):
+        for name in ("positions", "means", "sigmas", "values",
+                     "has_neighbors"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
@@ -126,12 +127,11 @@ def test_all_mask_grid_falls_back_to_prior():
     # every position, row-major, position independent and equal to the prior
     assert out.positions.tolist() == [[r, c] for r in range(3)
                                       for c in range(4)]
-    assert out.means.shape == out.sigmas.shape == out.weights.shape \
-        == (12, 4, 2)
+    assert out.means.shape == out.sigmas.shape == (12, 4)
+    assert not out.has_neighbors.any()
     assert np.all(out.means == out.means[0])
-    for k in range(2):
-        assert np.array_equal(out.means[0, :, k], prior.means)
-        assert np.array_equal(out.sigmas[0, :, k], prior.stds)
+    assert np.array_equal(out.means[0], prior.means)
+    assert np.array_equal(out.sigmas[0], prior.stds)
     assert np.all(out.values == np.rint(prior.means).astype(np.int16))
 
 
@@ -202,7 +202,7 @@ def test_predict_is_local():
     assert np.all(base.values == 50)
     for a, b in ((base.values, changed.values), (base.means, changed.means),
                  (base.sigmas, changed.sigmas),
-                 (base.weights, changed.weights)):
+                 (base.has_neighbors, changed.has_neighbors)):
         assert a.tobytes() == b.tobytes()
     # ...while a known token inside the window does change it.
     near_known = known.copy()
@@ -220,7 +220,7 @@ def test_heads_are_consistent():
     out = predict(_grid(values, known), default_prior(4))
     assert np.array_equal(out.positions, np.argwhere(~known))
     assert np.array_equal(out.values,
-                          np.rint(out.means[:, :, 0]).astype(np.int16))
+                          np.rint(out.means).astype(np.int16))
 
 
 def test_mixture_weights_softmax():
@@ -228,14 +228,17 @@ def test_mixture_weights_softmax():
     known = np.zeros((5, 10), bool)
     known[:3, :3] = True
     known[1, 1] = False
-    out = predict(_grid(np.zeros((5, 10, 2)), known), default_prior(2),
+    prior = default_prior(2)
+    out = predict(_grid(np.zeros((5, 10, 2)), known), prior,
                   [(1, 1), (3, 8)])
+    assert out.has_neighbors.tolist() == [True, False]
     logits = np.array(DEFAULT_LOGITS)
     s = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
     # The trailing two logits both weigh the prior; pooled by one addition.
-    assert out.weights[0].tolist() == [[s[0], s[1] + s[2]]] * 2
+    # Row 1 is the neighbour class, row 0 the class without neighbours.
+    assert prior.mixture_weights[1].tolist() == [s[0], s[1] + s[2]]
     third = 1.0 / 3.0
-    assert out.weights[1].tolist() == [[third, third + third]] * 2
+    assert prior.mixture_weights[0].tolist() == [third, third + third]
 
 
 def test_fit_prior_floors_std():

@@ -58,7 +58,7 @@ def _receive_from_scratch(packets, flags, cfg, out_height, out_width):
         if mode.contexts_of(i):
             depths_predicted.add(depths[i - 1])
         output = predict(ctx, prior, plan.slice_positions(i))
-        tables = TableStore(cfg.codec.clamp).tables(output)
+        tables = TableStore(prior, cfg.codec.clamp).tables(output)
         try:
             symbols = entropy_coder.decode(by_slice[i].payload, tables)
         except entropy_coder.CorruptStreamError:

@@ -151,16 +151,17 @@ def test_blocked_build_equals_per_row_reference_across_blocks():
         assert counts[i].tolist() == _quantize_row(ref)
 
 
-def _snapped_row(output, j, c):
-    """Symbol (j, c)'s mixture with the local component on the grid,
-    found by nearest level in log space rather than by midpoints."""
-    weights, means, sigmas = (a[j, c].copy() for a in
-                              (output.weights, output.means, output.sigmas))
+def _snapped_row(output, prior, j, c):
+    """Symbol (j, c)'s mixture of its local estimate and the prior, with
+    the local component on the grid, found by nearest level in log space
+    rather than by midpoints."""
+    mean, sigma = output.means[j, c], output.sigmas[j, c]
     if output.has_neighbors[j]:
-        means[0] = np.rint(means[0] * 8) / 8
-        sigmas[0] = SIGMA_LEVELS[np.argmin(np.abs(np.log(sigmas[0]
-                                                          / SIGMA_LEVELS)))]
-    return weights, means, sigmas
+        mean = np.rint(mean * 8) / 8
+        sigma = SIGMA_LEVELS[np.argmin(np.abs(np.log(sigma / SIGMA_LEVELS)))]
+    weights = prior.mixture_weights[int(output.has_neighbors[j])]
+    return (weights, np.array([mean, prior.means[c]]),
+            np.array([sigma, prior.stds[c]]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -174,15 +175,15 @@ def test_store_tables_equal_per_row_reference(data, clamp, channels):
     known = np.array(data.draw(st.lists(st.booleans(), min_size=h * w,
                                         max_size=h * w))).reshape(h, w)
     grid = TokenGrid(values.astype(np.int16), known)
-    output = predict(grid, default_prior(channels, clamp),
-                     np.argwhere(np.ones((h, w), bool)))
-    store = TableStore(clamp)
+    prior = default_prior(channels, clamp)
+    output = predict(grid, prior, np.argwhere(np.ones((h, w), bool)))
+    store = TableStore(prior, clamp)
     tables = store.tables(output)
     assert len(tables) == h * w * channels
     assert len({id(t) for t in tables}) == len(store)
     for j in range(h * w):
         for c in range(channels):
-            ref = _discretize_row(*_snapped_row(output, j, c), clamp)
+            ref = _discretize_row(*_snapped_row(output, prior, j, c), clamp)
             assert tables[j * channels + c].counts.tolist() == \
                 _quantize_row(ref)
 
