@@ -188,14 +188,19 @@ def _pipeline_config(args):
         plan_seed=args.seed, prior=load_env_prior(args.channels))
 
 
+def _read_image_dir(path):
+    """The images in directory `path`, by file name; files without an
+    image suffix are skipped.  ConfigError if none is left."""
+    paths = [p for p in sorted(Path(path).iterdir())
+             if p.suffix.lower() in (".ppm", ".pgm", ".png", ".jpg", ".jpeg")]
+    if not paths:
+        raise ConfigError(f"no images found in {path}")
+    return [read_image(p) for p in paths]
+
+
 def _load_images(spec: SweepSpec):
     if spec.image_dir:
-        paths = sorted(Path(spec.image_dir).iterdir())
-        paths = [p for p in paths if p.suffix.lower() in
-                 (".ppm", ".pgm", ".png", ".jpg", ".jpeg")]
-        if not paths:
-            raise ConfigError(f"no images found in {spec.image_dir}")
-        return [read_image(p) for p in paths]
+        return _read_image_dir(spec.image_dir)
     return synthetic_corpus(spec.synthetic_images)
 
 
@@ -211,9 +216,9 @@ def _episode_row(image, cfg: PipelineConfig, model, trace_seed: int, mode,
         "mode": mode,
         "L": cfg.l,
         "beta": plan.beta,
-        "loss_preset": model.meta.get("preset", model.kind),
+        "loss_preset": model.meta["preset"],
         "seed": trace_seed,
-        "eps_target": model.meta.get("eps", ""),
+        "eps_target": model.meta["eps"],
         "bits_payload": int(bpp * rate * n_pixels),
         "bits_total": int(bpp_total * rate * n_pixels),
         "bpp": round(bpp * rate, 6),
@@ -423,8 +428,8 @@ def cmd_modes(args):
 
 
 def cmd_fit_model(args):
-    images = ([read_image(p) for p in sorted(Path(args.images).iterdir())]
-              if args.images else synthetic_corpus(args.synthetic))
+    images = (_read_image_dir(args.images) if args.images
+              else synthetic_corpus(args.synthetic))
     codec = CodecConfig(channels=args.channels, quality=args.quality)
     grids = [analyze(img, codec) for img in images]
     prior = fit_prior(grids)

@@ -17,13 +17,11 @@ MODE_ISC = 0
 MODE_LC = 1
 MODE_MDC = 2
 MODE_SLC = 3
-MODE_CUSTOM = 255
+MODE_CUSTOM = 255  # a matrix built as ContextMode directly, not by make_mode
 
-MODE_NAMES = {MODE_ISC: "ISC", MODE_LC: "LC", MODE_MDC: "MDC", MODE_SLC: "SLC",
-              MODE_CUSTOM: "CUSTOM"}
+MODE_NAMES = {MODE_ISC: "ISC", MODE_LC: "LC", MODE_MDC: "MDC", MODE_SLC: "SLC"}
 
-_DEFAULT_BETA = {MODE_ISC: 0.0, MODE_LC: 1.0, MODE_MDC: 0.5, MODE_SLC: 1.0,
-                 MODE_CUSTOM: 1.0}
+_DEFAULT_BETA = {MODE_ISC: 0.0, MODE_LC: 1.0, MODE_MDC: 0.5, MODE_SLC: 1.0}
 
 
 @dataclass(frozen=True)
@@ -49,10 +47,6 @@ class ContextMode:
         g = g.copy()
         g.setflags(write=False)
         object.__setattr__(self, "g", g)
-
-    @property
-    def name(self):
-        return MODE_NAMES.get(self.mode_id, f"mode{self.mode_id}")
 
     @property
     def default_beta(self):

@@ -15,10 +15,9 @@ neighbour class, mean index, sigma index).  A position with no known
 neighbour keeps the exact prior for both components and is keyed by its
 channel alone.  The snapping uses only multiplication, rounding, square
 roots and comparisons, so both ends compute the same keys whatever
-their libm.  A `TableStore` holds one stream's prior and its tables by
-key; `key_mixtures` turns a key and the prior into the mixture, so a
-table is a function of its key, and the store builds, in one batch per
-call, only the keys it has not seen.
+their libm.  `key_mixtures` turns a key and the prior into the mixture,
+so a table is a function of its key; `pipeline.TableStore` holds a
+stream's tables by key and builds only the keys it has not seen.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ _BLOCK_ROWS = 64
 
 
 def _normal_cdf_in_place(x):
-    """Overwrite the float64 array x with normal_cdf(x).
+    """Overwrite the float64 array x with the standard normal CDF of x.
 
     The operations are those of 0.5 * (1 + erf(x / sqrt 2)) written out
     with Horner's rule, in the pinned order; only the temporaries differ.
@@ -75,12 +74,6 @@ def _normal_cdf_in_place(x):
     return x
 
 
-def normal_cdf(x):
-    """Standard normal CDF via the pinned erf approximation."""
-    x = np.asarray(x, dtype=np.float64)
-    return _normal_cdf_in_place(x.reshape(-1).copy()).reshape(x.shape)[()]
-
-
 def _cumulative(counts):
     """Validated (N, S+1) cumulative counts of an (N, S) count matrix."""
     counts = np.asarray(counts, dtype=np.int64)
@@ -95,7 +88,8 @@ def _cumulative(counts):
 
 
 class FreqTable:
-    """Integer frequencies summing to FREQ_TOTAL, each count >= 1.
+    """Integer frequencies summing to FREQ_TOTAL, each count >= 1, made
+    by `batch`.
 
     A table holds its cumulative counts alone, about 1 KB at 255
     symbols, in a memoryview whose items index as Python ints, so the
@@ -106,15 +100,11 @@ class FreqTable:
     __slots__ = ("_cum",)
     total = FREQ_TOTAL
 
-    def __init__(self, counts):
-        self._cum = memoryview(_cumulative(np.reshape(counts, (1, -1)))[0])
-
     @classmethod
     def batch(cls, counts):
-        """Build one table per row of an (N, S) count matrix.
-
-        Equivalent to [FreqTable(c) for c in counts] but validates and
-        accumulates all rows in single array passes.
+        """One table per row of an (N, S) count matrix, all rows validated
+        and accumulated in single array passes; the tables are views of
+        one shared buffer.
         """
         cums = _cumulative(counts)
         width = cums.shape[1]
@@ -279,12 +269,6 @@ def largest_remainder(scaled, total, out):
         counts[shrink] = c
 
 
-def build_tables(weights, means, sigmas, v):
-    """One FreqTable per mixture row over symbols -v..v."""
-    return FreqTable.batch(quantize_probs(discretize_batch(weights, means,
-                                                           sigmas, v)))
-
-
 # The snapping grid of the local component.  The packet header's clamp
 # field is int16, so CLAMP_MAX bounds every coded mean and sigma.
 CLAMP_MAX = 32767
@@ -355,35 +339,3 @@ def key_mixtures(keys, prior):
     sigmas[local, 0] = SIGMA_LEVELS[sigma]
     return prior.mixture_weights[local.astype(np.intp)], means, sigmas
 
-
-class TableStore:
-    """One stream's frequency tables, by key, each built once.
-
-    The store holds the stream's prior (a `predictor.PriorModel`) and
-    builds a key's table from the key alone, by `key_mixtures`, so it
-    may meet the keys in any order.  `build(weights, means, sigmas, v)`
-    turns mixture rows into tables; it defaults to `build_tables`.
-    """
-
-    def __init__(self, prior, clamp, build=build_tables):
-        self.prior = prior
-        self.clamp = clamp
-        self.build = build
-        self._tables = {}
-
-    def __len__(self):
-        return len(self._tables)
-
-    def tables(self, output):
-        """One table per symbol of `output`, in `mixture_keys` order.
-
-        The keys not held yet are built in one batch.
-        """
-        keys = mixture_keys(output).tolist()
-        held = self._tables
-        new = sorted(set(keys).difference(held))
-        if new:
-            built = self.build(*key_mixtures(np.array(new, np.int64),
-                                             self.prior), self.clamp)
-            held.update(zip(new, built))
-        return list(map(held.__getitem__, keys))

@@ -10,7 +10,6 @@ count.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,9 +104,6 @@ class SlicePlan:
         lo, hi = self.boundaries[index - 1], self.boundaries[index]
         return self.positions[lo:hi]
 
-    def slice_size(self, index: int) -> int:
-        return self.boundaries[index] - self.boundaries[index - 1]
-
     @cached_property
     def owner(self) -> np.ndarray:
         """(h, w) array of each position's 1-based slice index."""
@@ -117,15 +113,6 @@ class SlicePlan:
                                       np.diff(self.boundaries))
         owner.setflags(write=False)
         return owner
-
-    def serialize(self) -> bytes:
-        """Canonical little-endian byte layout for equality checks."""
-        beta_milli = int(round(self.beta * 1000))
-        head = struct.pack(
-            "<HHHQH", self.h, self.w, self.l, self.seed & (2**64 - 1), beta_milli
-        )
-        body = struct.pack(f"<{self.l + 1}I", *self.boundaries)
-        return head + body
 
 
 def build_plan(h: int, w: int, l: int, mode, seed: int, beta=None) -> SlicePlan:

@@ -26,8 +26,8 @@ import numpy as np
 from . import entropy_coder
 from .context_modes import (MODE_MDC, MODE_SLC, ContextMode, context_depths,
                             make_mode)
-from .density import (FreqTable, TableStore, discretize_batch, key_mixtures,
-                      mixture_keys, quantize_probs)
+from .density import (FreqTable, discretize_batch, key_mixtures, mixture_keys,
+                      quantize_probs)
 from .image_io import mse, psnr_db
 from .partition import build_plan
 from .predictor import (PriorModel, SynchronizationError, collect_context,
@@ -62,12 +62,37 @@ class PipelineConfig:
         return default_prior(self.codec.channels, self.codec.clamp)
 
 
-def _build_tables(weights, means, sigmas, clamp):
-    """density.build_tables, calling the chain by this module's names,
-    so that wrappers around them (perfbench's layer timers) see every
-    table a store builds."""
-    return FreqTable.batch(quantize_probs(discretize_batch(weights, means,
-                                                           sigmas, clamp)))
+class TableStore:
+    """One stream's frequency tables, by key, each built once.
+
+    A table is a function of its key, the stream's prior and the clamp:
+    the store builds a key's table from `key_mixtures(key, prior)` alone,
+    so it may meet the keys in any order.  The build calls
+    `discretize_batch`, `quantize_probs` and `FreqTable.batch` by this
+    module's names, so wrappers around them see every table built.
+    """
+
+    def __init__(self, prior: PriorModel, clamp: int):
+        self.prior = prior
+        self.clamp = clamp
+        self._tables = {}
+
+    def __len__(self):
+        return len(self._tables)
+
+    def tables(self, output):
+        """One table per symbol of `output`, in `mixture_keys` order.
+
+        The keys not held yet are built in one batch.
+        """
+        keys = mixture_keys(output).tolist()
+        held = self._tables
+        new = sorted(set(keys).difference(held))
+        if new:
+            mixtures = key_mixtures(np.array(new, np.int64), self.prior)
+            held.update(zip(new, FreqTable.batch(quantize_probs(
+                discretize_batch(*mixtures, self.clamp)))))
+        return list(map(held.__getitem__, keys))
 
 
 # A CRC-valid header sets what the receiver allocates before reading any
@@ -143,7 +168,7 @@ def send(image: np.ndarray, cfg: PipelineConfig):
                                        planes)
     _, plan, codec = open_stream(header, mode)
     grid = analyze(image, codec)
-    store = TableStore(prior, codec.clamp, _build_tables)
+    store = TableStore(prior, codec.clamp)
     all_received = [1] * mode.l
     packets = []
     for i in range(1, mode.l + 1):
@@ -202,6 +227,11 @@ class Receiver:
     codec; ValueError if its fingerprint is not the header's.  `mode` is
     the header's context mode, if the caller has built it.  The session
     builds each distinct table once, whichever slice first needs it.
+
+    Only wire bytes are checked, by `transport.packet_from_bytes`'s CRC.
+    The `Packet` objects handed to a session are trusted: a payload moved
+    into another slice's packet can decode as `lossless` with wrong
+    tokens.
     """
 
     def __init__(self, header: PacketHeader, prior: PriorModel | None = None,
@@ -221,7 +251,7 @@ class Receiver:
             values=np.zeros((*shape, header.channels), np.int16),
             known=np.zeros(shape, bool),
         )
-        self.tables = TableStore(prior, self.codec.clamp, _build_tables)
+        self.tables = TableStore(prior, self.codec.clamp)
         self.packets = {}  # 1-based slice index -> the packet it holds
         self.decoded = [False] * self.l
         self.corrupt = set()  # 1-based indices whose payload did not decode
@@ -232,6 +262,9 @@ class Receiver:
 
         A packet for a slice the session already holds is ignored, and
         so is one of another stream, whose slice is marked rejected.
+        Packets are trusted as given (only wire bytes are checked, by
+        `packet_from_bytes`'s CRC): a payload moved into another slice's
+        packet can decode as `lossless` with wrong tokens.
         """
         new = []
         for packet in packets:
@@ -328,18 +361,25 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
             receiver: Receiver | None = None) -> ReceiveResult:
     """Decode received packets; conceal what cannot be entropy-decoded.
 
-    flags[i] says whether slice i + 1's packet counts as received.  Of
-    several packets for one slice the last one counts.  Packets of
-    another stream than `stream_header` gives for cfg and the output
-    size are rejected; ValueError if no packet matches.  With a
-    `receiver` session for that stream, only the packets it does not
-    hold yet are added; flags that drop one it holds raise ValueError.
+    flags[i] says whether slice i + 1's packet counts as received;
+    ValueError unless there is one flag per slice.  Of several packets
+    for one slice the last one counts.  Packets of another stream than
+    `stream_header` gives for cfg and the output size are rejected;
+    ValueError if no packet matches.  With a `receiver` session for that
+    stream, only the packets it does not hold yet are added; flags that
+    drop one it holds raise ValueError.  Only wire bytes are checked, by
+    `packet_from_bytes`'s CRC; the `Packet` objects given here are
+    trusted, so a payload moved into another slice's packet can decode as
+    `lossless` with wrong tokens.
     """
     if receiver is None:
         receiver = _receiver(cfg, out_height, out_width, planes)
     by_slice = {p.header.slice_index + 1: p for p in packets if p is not None}
     if not any(p.header == receiver.header for p in by_slice.values()):
         raise ValueError("no packet matches the config and output size")
+    if len(flags) != receiver.l:
+        raise ValueError(f"{len(flags)} flags for a stream of {receiver.l} "
+                         "slices")
     arrived = [i for i in range(1, receiver.l + 1)
                if flags[i - 1] and i in by_slice]
     dropped = receiver.packets.keys() - set(arrived)

@@ -154,7 +154,7 @@ class PredictorOutput:
 
     Row j of every array belongs to grid position `positions[j]`.  The
     local (mean, sigma) is the prior's where no window neighbor is
-    known; `density.TableStore` mixes it with the prior.
+    known; `pipeline.TableStore` mixes it with the prior.
     """
 
     positions: np.ndarray  # (n, 2) intp, (row, col) of each prediction

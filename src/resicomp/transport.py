@@ -4,12 +4,11 @@ A packet header describes the whole stream (mode, slice plan, codec,
 output size and a prior fingerprint) and refuses values its fields
 cannot hold.
 
-Loss models are Markov chains with a designated set of loss states.
-The named presets EP1..EP6 are calibrated two-state (good/bad) chains
-that reproduce each pattern's stationary loss probability and mean
-burst length exactly; the published four-parameter three-state records
-are kept as metadata, and fully custom three-state chains are supported
-for research use.
+Loss models are two-state (good/bad) Markov chains; a packet sent in
+the bad state, `LOSS_STATE`, is lost.  The named presets EP1..EP6 are
+calibrated chains that reproduce each pattern's stationary loss
+probability and mean burst length exactly; the published four-parameter
+three-state records are kept as metadata.
 """
 
 from __future__ import annotations
@@ -124,28 +123,25 @@ PRESET_TABLE = {
 }
 
 
+# The chain's state in which a packet is lost; state 0 delivers it.
+LOSS_STATE = 1
+
+
 @dataclass(frozen=True)
 class LossModel:
-    kind: str  # "markov2" | "markov3" | "iid"
-    transition: np.ndarray  # (S, S) row-stochastic
-    loss_states: frozenset
+    """The two-state chain `preset` builds, with its preset record."""
+
+    transition: np.ndarray  # (2, 2) row-stochastic
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = np.asarray(self.transition, dtype=np.float64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("transition matrix must be square")
+        t = np.array(self.transition, dtype=np.float64)
+        if t.shape != (2, 2):
+            raise ValueError("transition matrix must be 2 x 2")
         if np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("transition rows must sum to 1")
-        if self.kind == "markov3" and len(self.loss_states) != 1:
-            raise ValueError("markov3 must have exactly one loss state")
-        t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
-
-    @property
-    def n_states(self):
-        return self.transition.shape[0]
 
 
 @dataclass(frozen=True)
@@ -172,36 +168,12 @@ def preset(name: str) -> LossModel:
         [1.0 - p_b, p_b],
     ])
     return LossModel(
-        kind="markov2",
         transition=transition,
-        loss_states=frozenset({1}),
         meta={
             "preset": name,
             "p_G": p_g, "p_B": p_b, "p_I": p_i, "p_B_to_G": p_bg,
             "eps": eps, "gamma": gamma_printed,
         },
-    )
-
-
-def iid_model(eps: float) -> LossModel:
-    """Memoryless loss as a degenerate two-state chain."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must be in [0, 1)")
-    transition = np.array([[1.0 - eps, eps], [1.0 - eps, eps]])
-    return LossModel(
-        kind="iid",
-        transition=transition,
-        loss_states=frozenset({1}),
-        meta={"eps": eps},
-    )
-
-
-def markov3_model(transition, loss_state: int = 2) -> LossModel:
-    """Generic three-state chain with a user-supplied transition matrix."""
-    return LossModel(
-        kind="markov3",
-        transition=np.asarray(transition, dtype=np.float64),
-        loss_states=frozenset({loss_state}),
     )
 
 
@@ -212,21 +184,17 @@ def stationary_distribution(model: LossModel) -> np.ndarray:
     the normalization.  Least squares takes the minimum-norm law when a
     chain with several closed classes has more than one.
     """
-    n = model.n_states
-    a = model.transition.T - np.eye(n)
+    a = model.transition.T - np.eye(2)
     a[-1] = 1.0
-    b = np.zeros(n)
+    b = np.zeros(2)
     b[-1] = 1.0
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 def stationary(model: LossModel):
     """(eps, gamma): stationary loss probability and mean burst length."""
-    pi = stationary_distribution(model)
-    loss = sorted(model.loss_states)
-    eps = float(sum(pi[s] for s in loss))
-    bad = loss[-1]
-    self_loop = float(model.transition[bad, bad])
+    eps = float(stationary_distribution(model)[LOSS_STATE])
+    self_loop = float(model.transition[LOSS_STATE, LOSS_STATE])
     gamma = 1.0 / (1.0 - self_loop) if self_loop < 1.0 else float("inf")
     return eps, gamma
 
@@ -240,18 +208,17 @@ def sample_trace(model: LossModel, n_packets: int, rng_seed: int) -> LossTrace:
     cum_rows = np.cumsum(model.transition, axis=1)
     uniforms = rng.random(n_packets)
     state = int(np.searchsorted(np.cumsum(pi), uniforms[0], side="right"))
-    state = min(state, model.n_states - 1)
-    loss = model.loss_states
+    state = min(state, 1)
     lost = np.empty(n_packets, dtype=bool)
-    lost[0] = state in loss
-    rows = [cum_rows[s] for s in range(model.n_states)]
+    lost[0] = state == LOSS_STATE
+    rows = list(cum_rows)
     for i in range(1, n_packets):
         row = rows[state]
         u = uniforms[i]
         state = 0
         while row[state] <= u:
             state += 1
-        lost[i] = state in loss
+        lost[i] = state == LOSS_STATE
     return LossTrace(flags=~lost)
 
 

@@ -276,6 +276,11 @@ def test_modes_command(capsys):
     assert "1110" in out.replace(" ", "")
 
 
+def test_modes_refuses_custom(capsys):
+    assert main(["modes", "CUSTOM"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: unknown mode kind 'CUSTOM'\n"
+
+
 def test_sweep_and_config(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text(
@@ -444,6 +449,30 @@ def test_bad_model_file_is_a_validation_error(tmp_path, image_file,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert reason in err
+
+
+def test_fit_model_reads_only_the_images_in_a_directory(tmp_path, image_file):
+    alone, mixed = tmp_path / "alone", tmp_path / "mixed"
+    for folder in (alone, mixed):
+        folder.mkdir()
+        (folder / "input.pgm").write_bytes(image_file.read_bytes())
+    (mixed / "README.txt").write_text("not an image\n")
+    for folder in (alone, mixed):
+        assert main(["fit-model", "--images", str(folder), "--channels", "16",
+                     "--out", str(folder / "model.rcpm")]) == EXIT_OK
+    assert (mixed / "model.rcpm").read_bytes() == \
+        (alone / "model.rcpm").read_bytes()
+
+
+def test_fit_model_on_a_directory_without_images_is_a_validation_error(
+        tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    model = tmp_path / "model.rcpm"
+    assert main(["fit-model", "--images", str(empty), "--channels", "16",
+                 "--out", str(model)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: no images found in {empty}\n"
+    assert not model.exists()
 
 
 def test_model_env_changes_bitstream(tmp_path, image_file, monkeypatch):

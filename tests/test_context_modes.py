@@ -137,7 +137,7 @@ def test_invalid_parameters_rejected():
         make_mode("SLC", 4, {"enhancements": 0})
     with pytest.raises(ValueError):
         make_mode("XYZ", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mode kind 'CUSTOM'"):
         make_mode("CUSTOM", 4)
 
 

@@ -8,13 +8,18 @@ from resicomp.entropy_coder import (Bitstring, CorruptStreamError,
                                     RangeDecoder, decode, encode)
 
 
+def _table(counts):
+    """The table of one row of counts."""
+    return FreqTable.batch(np.asarray(counts)[None])[0]
+
+
 def _uniform_table(size=256):
-    return FreqTable(counts=np.full(size, FREQ_TOTAL // size, dtype=np.int64))
+    return _table(np.full(size, FREQ_TOTAL // size, dtype=np.int64))
 
 
 def _random_table(rng, size):
     probs = rng.dirichlet(np.full(size, 0.3))
-    return FreqTable(counts=quantize_probs(probs))
+    return _table(quantize_probs(probs))
 
 
 def test_empty_payload_is_small():
@@ -52,7 +57,7 @@ def test_roundtrip_property(data):
     )
     counts = np.array(counts, dtype=np.int64)
     probs = counts / counts.sum()
-    table = FreqTable(counts=quantize_probs(probs))
+    table = _table(quantize_probs(probs))
     symbols = data.draw(
         st.lists(st.integers(min_value=0, max_value=size - 1),
                  min_size=0, max_size=60)
@@ -91,7 +96,7 @@ def test_truncated_stream_raises(rng):
 
 
 def test_swapped_table_never_crashes(rng):
-    skewed = FreqTable(counts=quantize_probs(
+    skewed = _table(quantize_probs(
         np.concatenate(([0.99], np.full(255, 0.01 / 255)))
     ))
     uniform = _uniform_table()

@@ -11,10 +11,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resicomp import pipeline
 from resicomp.density import (CLAMP_MAX, MU_STEPS, SIGMA_FLOOR, SIGMA_LEVELS,
-                              SIGMA_RATIO, FreqTable, TableStore,
-                              build_tables, key_mixtures, mixture_keys, snap)
-from resicomp.pipeline import OUTCOME_LOSSLESS, PipelineConfig, receive, send
+                              SIGMA_RATIO, FreqTable, key_mixtures,
+                              mixture_keys, snap)
+from resicomp.pipeline import (OUTCOME_LOSSLESS, PipelineConfig, TableStore,
+                               receive, send)
 from resicomp.predictor import PredictorOutput, collect_context, predict
 from resicomp.synthetic import synthetic_image
 from resicomp.token_codec import CodecConfig
@@ -117,6 +119,12 @@ def _lc(channels=16, l=6):
                           l=l)
 
 
+def _build_tables(weights, means, sigmas, v):
+    """`TableStore`'s build chain, by the names `pipeline` calls."""
+    return pipeline.FreqTable.batch(pipeline.quantize_probs(
+        pipeline.discretize_batch(weights, means, sigmas, v)))
+
+
 def test_a_table_is_the_same_alone_and_in_any_batch():
     image = synthetic_image(3, height=64, width=64)
     cfg = _lc()
@@ -125,11 +133,13 @@ def test_a_table_is_the_same_alone_and_in_any_batch():
             for output in outputs]
     weights, means, sigmas = (np.concatenate(a) for a in zip(*rows))
     assert len(weights) > 2 * 64  # crosses the build's row blocks
-    alone = [build_tables(weights[j:j + 1], means[j:j + 1],
-                          sigmas[j:j + 1], 127)[0] for j in range(len(weights))]
+    alone = [_build_tables(weights[j:j + 1], means[j:j + 1],
+                           sigmas[j:j + 1], 127)[0]
+             for j in range(len(weights))]
     order = np.random.default_rng(2).permutation(len(weights))
     for batch in (np.arange(len(weights)), order, order[:100]):
-        tables = build_tables(weights[batch], means[batch], sigmas[batch], 127)
+        tables = _build_tables(weights[batch], means[batch], sigmas[batch],
+                               127)
         for j, table in zip(batch, tables):
             assert bytes(table._cum) == bytes(alone[j]._cum)
 

@@ -248,6 +248,16 @@ def test_receive_requires_packets(light_codec):
         receive([None] * 6, [0] * 6, cfg, 48, 48)
 
 
+@pytest.mark.parametrize("n_flags", [3, 7])
+def test_receive_refuses_a_wrong_number_of_flags(small_image, light_codec,
+                                                 n_flags):
+    cfg = _cfg(light_codec)
+    packets, _, _, _ = send(small_image, cfg)
+    assert len(packets) == 6
+    with pytest.raises(ValueError, match=f"{n_flags} flags"):
+        receive(packets, [True] * n_flags, cfg, *small_image.shape)
+
+
 def test_receive_mode_mismatch_rejected(small_image, light_codec):
     cfg = _cfg(light_codec, kind="LC")
     packets, _, _, _ = send(small_image, cfg)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resicomp import entropy_coder, pipeline
-from resicomp.density import FreqTable, TableStore
+from resicomp.density import FreqTable
 from resicomp.entropy_coder import Bitstring
 from resicomp.pipeline import (OUTCOME_CONCEALED, OUTCOME_FAILED,
                                OUTCOME_LOSSLESS, SLICE_CORRUPT, SLICE_DECODED,
@@ -58,7 +58,7 @@ def _receive_from_scratch(packets, flags, cfg, out_height, out_width):
         if mode.contexts_of(i):
             depths_predicted.add(depths[i - 1])
         output = predict(ctx, prior, plan.slice_positions(i))
-        tables = TableStore(prior, cfg.codec.clamp).tables(output)
+        tables = pipeline.TableStore(prior, cfg.codec.clamp).tables(output)
         try:
             symbols = entropy_coder.decode(by_slice[i].payload, tables)
         except entropy_coder.CorruptStreamError:

@@ -6,10 +6,10 @@ import pytest
 
 from resicomp.entropy_coder import Bitstring
 from resicomp.transport import (HEADER_SIZE, PACKET_MAGIC, PRESET_TABLE,
-                                LossTrace, Packet, PacketFormatError,
-                                PacketHeader, apply_loss, fec_channel,
-                                iid_model, markov3_model, packet_from_bytes,
-                                preset, read_traces, sample_trace, stationary,
+                                LossModel, LossTrace, Packet,
+                                PacketFormatError, PacketHeader, apply_loss,
+                                fec_channel, packet_from_bytes, preset,
+                                read_traces, sample_trace, stationary,
                                 stationary_distribution, trace_stats,
                                 write_traces)
 
@@ -68,22 +68,24 @@ def test_all_presets_hit_their_targets():
         assert gamma == pytest.approx(gamma_target, rel=0.01), name
 
 
+def _memoryless(eps):
+    """Loss with probability eps at every packet, whatever came before."""
+    return LossModel([[1.0 - eps, eps], [1.0 - eps, eps]])
+
+
 def test_iid_stationary():
-    eps, gamma = stationary(iid_model(0.1))
+    eps, gamma = stationary(_memoryless(0.1))
     assert eps == pytest.approx(0.1)
     assert gamma == pytest.approx(1 / 0.9)
 
 
 def test_absorbing_good_state_means_no_loss():
-    model = markov3_model(
-        [[1.0, 0.0, 0.0], [0.5, 0.3, 0.2], [0.1, 0.3, 0.6]], loss_state=2
-    )
-    eps, _ = stationary(model)
+    eps, _ = stationary(LossModel([[1.0, 0.0], [0.5, 0.5]]))
     assert eps == pytest.approx(0.0, abs=1e-9)
 
 
 def test_lossless_model_delivers_everything():
-    trace = sample_trace(iid_model(0.0), 500, rng_seed=3)
+    trace = sample_trace(_memoryless(0.0), 500, rng_seed=3)
     assert trace.flags.all()
 
 
@@ -230,8 +232,15 @@ def test_trace_file_rejects_garbage(tmp_path):
 
 
 def test_transition_rows_validated():
-    with pytest.raises(ValueError):
-        markov3_model([[0.5, 0.5, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+    with pytest.raises(ValueError, match="sum to 1"):
+        LossModel([[0.5, 0.6], [0.2, 0.8]])
+
+
+@pytest.mark.parametrize("transition", [
+    np.eye(3), [0.5, 0.5], [[1.0], [1.0]]])
+def test_loss_model_is_a_two_state_chain(transition):
+    with pytest.raises(ValueError, match="2 x 2"):
+        LossModel(transition)
 
 
 def test_stationary_distribution_row_convergence():
@@ -242,9 +251,7 @@ def test_stationary_distribution_row_convergence():
 
 def test_stationary_distribution_matches_eigenvector_oracle():
     models = [preset(name) for name in PRESET_TABLE] + [
-        iid_model(0.3),
-        markov3_model([[0.9, 0.08, 0.02], [0.3, 0.5, 0.2],
-                       [0.1, 0.3, 0.6]])]
+        _memoryless(0.3), LossModel([[0.9, 0.1], [0.65, 0.35]])]
     for model in models:
         assert np.allclose(stationary_distribution(model),
                            _eig_stationary(model.transition),
@@ -254,5 +261,5 @@ def test_stationary_distribution_matches_eigenvector_oracle():
 def test_stationary_distribution_of_a_chain_with_several_closed_classes():
     # Each state is absorbing; every law is stationary.  The solve takes
     # the minimum-norm one and raises nothing.
-    model = markov3_model(np.eye(3))
-    assert np.allclose(stationary_distribution(model), [1 / 3] * 3)
+    model = LossModel(np.eye(2))
+    assert np.allclose(stationary_distribution(model), [1 / 2] * 2)
