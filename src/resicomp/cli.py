@@ -97,6 +97,8 @@ class SweepSpec:
 def parse_mode_spec(spec: str):
     """'LC' -> ('LC', {}); 'MDC:2' -> ('MDC', {'n_d': 2}); 'SLC:1' likewise."""
     parts = spec.split(":")
+    if len(parts) > 2:
+        raise ConfigError(f"mode spec {spec!r} has more than one ':'")
     kind = parts[0].upper()
     params = {}
     if len(parts) > 1:
@@ -198,10 +200,15 @@ def _read_image_dir(path):
     return [read_image(p) for p in paths]
 
 
-def _load_images(spec: SweepSpec):
-    if spec.image_dir:
-        return _read_image_dir(spec.image_dir)
-    return synthetic_corpus(spec.synthetic_images)
+def _load_images(image_dir, synthetic):
+    """The images in `image_dir` if it is given, else `synthetic`
+    synthetic ones.  ConfigError if that is none."""
+    if image_dir:
+        return _read_image_dir(image_dir)
+    if synthetic < 1:
+        raise ConfigError(f"no images: {synthetic} synthetic images "
+                          "asked for")
+    return synthetic_corpus(synthetic)
 
 
 def _episode_row(image, cfg: PipelineConfig, model, trace_seed: int, mode,
@@ -275,7 +282,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
     from the master seed, so `jobs` worker processes give the same bytes
     as one.  The prior is the `RESICOMP_MODEL` file's, if it is set.
     """
-    images = _load_images(spec)
+    images = _load_images(spec.image_dir, spec.synthetic_images)
     prior = load_env_prior(spec.channels)
     codec = CodecConfig(channels=spec.channels, quality=spec.quality)
     tasks = []  # (function, *args): each episode is the call it makes
@@ -428,8 +435,7 @@ def cmd_modes(args):
 
 
 def cmd_fit_model(args):
-    images = (_read_image_dir(args.images) if args.images
-              else synthetic_corpus(args.synthetic))
+    images = _load_images(args.images, args.synthetic)
     codec = CodecConfig(channels=args.channels, quality=args.quality)
     grids = [analyze(img, codec) for img in images]
     prior = fit_prior(grids)

@@ -22,8 +22,6 @@ stream's tables by key and builds only the keys it has not seen.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 import numpy as np
 
 SIGMA_FLOOR = 0.11
@@ -92,13 +90,14 @@ class FreqTable:
     by `batch`.
 
     A table holds its cumulative counts alone, about 1 KB at 255
-    symbols, in a memoryview whose items index as Python ints, so the
-    range coder's per-symbol lookups stay in plain Python arithmetic
-    without converting every table to a list.
+    symbols: `cum[s]` and `cum[s + 1]` bound symbol s, and `cum[-1]` is
+    FREQ_TOTAL.  `cum` is a memoryview whose items index as Python ints,
+    and the range coder reads it directly, so its per-symbol lookups
+    stay in plain Python arithmetic without converting every table to a
+    list.
     """
 
-    __slots__ = ("_cum",)
-    total = FREQ_TOTAL
+    __slots__ = ("cum",)
 
     @classmethod
     def batch(cls, counts):
@@ -112,21 +111,9 @@ class FreqTable:
         tables = []
         for i in range(len(cums)):
             table = cls.__new__(cls)
-            table._cum = flat[i * width:(i + 1) * width]
+            table.cum = flat[i * width:(i + 1) * width]
             tables.append(table)
         return tables
-
-    @property
-    def counts(self):
-        return np.diff(self._cum)
-
-    def low_high(self, index):
-        cum = self._cum
-        return cum[index], cum[index + 1]
-
-    def find(self, value):
-        """Index of the symbol whose cumulative span contains value."""
-        return bisect_right(self._cum, value) - 1
 
 
 def unique_rows(a):

@@ -1,15 +1,16 @@
 """Bit-exact 32-bit range coder driven by integer frequency tables.
 
 Carry-propagating byte renormalization in the classic cache/pending
-style.  The decoder consumes one table per symbol, so tables produced
-from already-decoded context can be supplied lazily.
+style.  `encode` and `decode` each run one loop over a slice's symbols
+and read every table's cumulative counts, `FreqTable.cum`, directly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .density import FreqTable
+from .density import FREQ_TOTAL
 
 _TOP = 1 << 24
 _MASK32 = (1 << 32) - 1
@@ -28,95 +29,66 @@ class Bitstring:
         return 8 * len(self.data)
 
 
-class RangeEncoder:
-    def __init__(self):
-        self.low = 0  # holds up to 33 bits until the carry is flushed
-        self.range = _MASK32
-        self.cache = 0
-        self.pending = 0
-        self.started = False
-        self.out = bytearray()
-
-    def encode(self, table: FreqTable, index: int):
-        low_count, high_count = table.low_high(index)
-        r = self.range // table.total
-        self.low += r * low_count
-        self.range = r * (high_count - low_count)
-        while self.range < _TOP:
-            self._shift_low()
-            self.range = (self.range << 8) & _MASK32
-
-    def _shift_low(self):
-        if self.low < 0xFF000000 or self.low > _MASK32:
-            carry = self.low >> 32
-            if self.started:
-                self.out.append((self.cache + carry) & 0xFF)
-            else:
-                # First shift only primes the cache; the leading byte
-                # would always be zero and is not emitted.
-                self.started = True
-                if carry:
-                    raise AssertionError("carry before first byte")
-            while self.pending:
-                self.out.append((0xFF + carry) & 0xFF)
-                self.pending -= 1
-            self.cache = (self.low >> 24) & 0xFF
-        else:
-            self.pending += 1
-        self.low = (self.low << 8) & _MASK32
-
-    def finish(self) -> Bitstring:
-        for _ in range(5):
-            self._shift_low()
-        return Bitstring(bytes(self.out))
-
-
-class RangeDecoder:
-    def __init__(self, bits: Bitstring):
-        self.data = bits.data
-        self.pos = 0
-        self.range = _MASK32
-        self.code = 0
-        for _ in range(4):
-            self.code = ((self.code << 8) | self._next_byte()) & _MASK32
-
-    def _next_byte(self):
-        if self.pos >= len(self.data):
-            raise CorruptStreamError("bitstring exhausted")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def decode(self, table: FreqTable) -> int:
-        r = self.range // table.total
-        value = self.code // r
-        if value >= table.total:
-            raise CorruptStreamError("decoder state out of range")
-        index = table.find(value)
-        low_count, high_count = table.low_high(index)
-        self.code -= r * low_count
-        self.range = r * (high_count - low_count)
-        while self.range < _TOP:
-            self.code = ((self.code << 8) | self._next_byte()) & _MASK32
-            self.range = (self.range << 8) & _MASK32
-        if self.code >= self.range:
-            raise CorruptStreamError("decoder state overflow")
-        return index
-
-
 def encode(indices, tables) -> Bitstring:
     """Encode symbol indices, one FreqTable per symbol."""
     indices = list(indices)
     tables = list(tables)
     if len(indices) != len(tables):
         raise ValueError("one table per symbol required")
-    enc = RangeEncoder()
-    for idx, table in zip(indices, tables):
-        enc.encode(table, idx)
-    return enc.finish()
+    out = bytearray()
+
+    def shift(low, cache, pending):
+        """Move low's top byte out: (low, cache, pending) after it."""
+        if low < 0xFF000000 or low > _MASK32:
+            carry = low >> 32
+            out.append((cache + carry) & 0xFF)
+            out.extend((b"\x00" if carry else b"\xff") * pending)
+            return (low << 8) & _MASK32, (low >> 24) & 0xFF, 0
+        return (low << 8) & _MASK32, cache, pending + 1
+
+    # low holds up to 33 bits until the carry is flushed.
+    low, rng, cache, pending = 0, _MASK32, 0, 0
+    for index, table in zip(indices, tables):
+        cum = table.cum
+        r = rng // FREQ_TOTAL
+        low_count = cum[index]
+        low += r * low_count
+        rng = r * (cum[index + 1] - low_count)
+        while rng < _TOP:
+            low, cache, pending = shift(low, cache, pending)
+            rng <<= 8
+    for _ in range(5):
+        low, cache, pending = shift(low, cache, pending)
+    # Until the first shift low + rng < 2**32, so no carry reaches the
+    # leading byte: it is always zero and is not sent.
+    return Bitstring(bytes(out[1:]))
 
 
 def decode(bits: Bitstring, tables) -> list:
     """Decode exactly len(tables) symbol indices."""
-    dec = RangeDecoder(bits)
-    return [dec.decode(table) for table in tables]
+    data = bits.data
+    if len(data) < 4:
+        raise CorruptStreamError("bitstring exhausted")
+    code = int.from_bytes(data[:4], "big")
+    pos, rng = 4, _MASK32
+    symbols = []
+    for table in tables:
+        cum = table.cum
+        r = rng // FREQ_TOTAL
+        value = code // r
+        if value >= FREQ_TOTAL:
+            raise CorruptStreamError("decoder state out of range")
+        index = bisect_right(cum, value) - 1
+        low_count = cum[index]
+        code -= r * low_count
+        rng = r * (cum[index + 1] - low_count)
+        while rng < _TOP:
+            if pos >= len(data):
+                raise CorruptStreamError("bitstring exhausted")
+            code = ((code << 8) | data[pos]) & _MASK32
+            pos += 1
+            rng <<= 8
+        if code >= rng:
+            raise CorruptStreamError("decoder state overflow")
+        symbols.append(index)
+    return symbols

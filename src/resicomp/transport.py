@@ -204,20 +204,14 @@ def sample_trace(model: LossModel, n_packets: int, rng_seed: int) -> LossTrace:
     if n_packets < 1:
         raise ValueError("need at least one packet")
     rng = np.random.default_rng(rng_seed)
-    pi = stationary_distribution(model)
-    cum_rows = np.cumsum(model.transition, axis=1)
-    uniforms = rng.random(n_packets)
-    state = int(np.searchsorted(np.cumsum(pi), uniforms[0], side="right"))
-    state = min(state, 1)
+    uniforms = rng.random(n_packets).tolist()
+    # From state s the chain moves to state 1 when u >= P(s -> 0).
+    stay = model.transition[:, 0].tolist()
+    state = int(uniforms[0] >= stationary_distribution(model)[0])
     lost = np.empty(n_packets, dtype=bool)
     lost[0] = state == LOSS_STATE
-    rows = list(cum_rows)
     for i in range(1, n_packets):
-        row = rows[state]
-        u = uniforms[i]
-        state = 0
-        while row[state] <= u:
-            state += 1
+        state = int(uniforms[i] >= stay[state])
         lost[i] = state == LOSS_STATE
     return LossTrace(flags=~lost)
 

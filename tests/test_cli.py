@@ -281,6 +281,23 @@ def test_modes_refuses_custom(capsys):
     assert capsys.readouterr().err == "error: unknown mode kind 'CUSTOM'\n"
 
 
+@pytest.mark.parametrize("spec", ["MDC:2:9", "LC::", "SLC:1:"])
+def test_a_mode_spec_with_extra_fields_is_a_validation_error(tmp_path, capsys,
+                                                            spec):
+    with pytest.raises(ConfigError):
+        parse_mode_spec(spec)
+    assert main(["modes", spec, "--L", "4"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: mode spec {spec!r} has more than one ':'\n"
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"synthetic_images = 1\nmodes = {spec}\n")
+    out_csv = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(config),
+                 "--output", str(out_csv)]) == EXIT_VALIDATION
+    assert not out_csv.exists()
+
+
 def test_sweep_and_config(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text(
@@ -473,6 +490,30 @@ def test_fit_model_on_a_directory_without_images_is_a_validation_error(
                  "--out", str(model)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: no images found in {empty}\n"
     assert not model.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_fit_model_on_no_synthetic_images_is_a_validation_error(
+        tmp_path, capsys, count):
+    model = tmp_path / "model.rcpm"
+    assert main(["fit-model", "--synthetic", count, "--channels", "16",
+                 "--out", str(model)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        f"error: no images: {count} synthetic images asked for\n"
+    assert not model.exists()
+
+
+def test_sweep_over_no_images_is_a_validation_error(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("synthetic_images = 0\nmodes = LC\nl_values = 4\n"
+                      "channels = 16\n")
+    out_csv = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(config),
+                 "--output", str(out_csv)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no images: 0 synthetic images asked for\n"
+    assert not out_csv.exists()
 
 
 def test_model_env_changes_bitstream(tmp_path, image_file, monkeypatch):

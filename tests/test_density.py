@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -65,14 +66,15 @@ def test_mean_shift_moves_argmax():
 
 def test_uniform_freq_table():
     table = _table(quantize_probs(np.full(256, 1.0 / 256)))
-    assert np.all(table.counts == 256)
+    assert np.all(np.diff(table.cum) == 256)
 
 
 def test_zero_probability_symbol_gets_floor_count():
     probs = np.array([0.5, 0.5, 0.0])
     table = _table(quantize_probs(probs))
-    assert table.counts[2] == 1
-    assert table.counts.sum() == FREQ_TOTAL
+    counts = np.diff(table.cum)
+    assert counts[2] == 1
+    assert counts.sum() == FREQ_TOTAL
 
 
 def _quantize_reference(probs):
@@ -119,19 +121,19 @@ def test_quantize_batch_rows_independent(rng):
 def test_freq_table_batch_equals_scalar_construction(rng):
     counts = quantize_probs(rng.dirichlet(np.ones(255), size=16))
     for a, b in zip(FreqTable.batch(counts), [_table(c) for c in counts]):
-        assert np.array_equal(a.counts, b.counts)
-        assert a.low_high(100) == b.low_high(100)
+        assert np.array_equal(np.diff(a.cum), np.diff(b.cum))
+        assert a.cum[100:102].tolist() == b.cum[100:102].tolist()
 
 
 def test_freq_table_lookup():
     counts = np.array([13107, 19661, FREQ_TOTAL - 13107 - 19661],
                       dtype=np.int64)
     table = _table(counts)
-    assert table.low_high(0) == (0, 13107)
-    assert table.low_high(1) == (13107, 13107 + 19661)
-    assert table.find(0) == 0
-    assert table.find(13107) == 1
-    assert table.find(FREQ_TOTAL - 1) == 2
+    assert table.cum[0:2].tolist() == [0, 13107]
+    assert table.cum[1:3].tolist() == [13107, 13107 + 19661]
+    assert bisect_right(table.cum, 0) - 1 == 0
+    assert bisect_right(table.cum, 13107) - 1 == 1
+    assert bisect_right(table.cum, FREQ_TOTAL - 1) - 1 == 2
 
 
 def test_freq_table_rejects_bad_counts():

@@ -141,7 +141,7 @@ def test_a_table_is_the_same_alone_and_in_any_batch():
         tables = _build_tables(weights[batch], means[batch], sigmas[batch],
                                127)
         for j, table in zip(batch, tables):
-            assert bytes(table._cum) == bytes(alone[j]._cum)
+            assert bytes(table.cum) == bytes(alone[j].cum)
 
 
 def test_store_tables_are_shared_by_key():
