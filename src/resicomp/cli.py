@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline, transport
-from .context_modes import make_mode
+from .context_modes import MODE_IDS, MODE_PARAM, make_mode
 from .image_io import read_image, write_ppm
 from .pipeline import PipelineConfig
 from .predictor import fit_prior, load_prior, save_prior
@@ -76,8 +76,6 @@ class SweepSpec:
         for name in ("modes", "l_values", "presets"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
-        if min(self.l_values) < 1:
-            raise ConfigError("every L in l_values must be >= 1")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         for name in self.presets:
@@ -89,6 +87,11 @@ class SweepSpec:
                 raise ConfigError("mode MDC needs N_d, e.g. MDC:2")
             if kind == "SLC" and "enhancements" not in params:
                 raise ConfigError("mode SLC needs E, e.g. SLC:1")
+            for l in self.l_values:
+                try:
+                    make_mode(kind, l, params)
+                except ValueError as exc:
+                    raise ConfigError(f"mode {spec} at L={l}: {exc}")
         for pair in self.fec_grid:
             if len(pair) != 2 or pair[0] < 1 or pair[1] < 0:
                 raise ConfigError(f"bad FEC pair {pair}")
@@ -106,12 +109,10 @@ def parse_mode_spec(spec: str):
             value = int(parts[1])
         except ValueError:
             raise ConfigError(f"bad mode parameter in {spec!r}")
-        if kind == "MDC":
-            params["n_d"] = value
-        elif kind == "SLC":
-            params["enhancements"] = value
-        else:
+        key = MODE_PARAM.get(MODE_IDS.get(kind))
+        if key is None:
             raise ConfigError(f"mode {kind} takes no parameter")
+        params[key] = value
     return kind, params
 
 
@@ -215,9 +216,9 @@ def _episode_row(image, cfg: PipelineConfig, model, trace_seed: int, mode,
                  packets, plan, out_image, outcome, slices_decoded,
                  rate=1.0):
     """The CSV row of one episode; `rate` scales its bits (FEC parity)."""
-    psnr, bpp, bpp_total = pipeline.evaluate(image, out_image, outcome,
-                                             packets)
-    n_pixels = image.shape[0] * image.shape[1]
+    psnr, bpp, _ = pipeline.evaluate(image, out_image, outcome, packets)
+    bits_payload = sum(p.payload.bit_length for p in packets)
+    bits_total = sum(p.wire_bits for p in packets)
     return {
         "image_id": cfg.image_id,
         "mode": mode,
@@ -226,8 +227,8 @@ def _episode_row(image, cfg: PipelineConfig, model, trace_seed: int, mode,
         "loss_preset": model.meta["preset"],
         "seed": trace_seed,
         "eps_target": model.meta["eps"],
-        "bits_payload": int(bpp * rate * n_pixels),
-        "bits_total": int(bpp_total * rate * n_pixels),
+        "bits_payload": int(bits_payload * rate),
+        "bits_total": int(bits_total * rate),
         "bpp": round(bpp * rate, 6),
         "outcome": outcome,
         "psnr_db": round(psnr, 4),
@@ -280,8 +281,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
     Episodes run in a fixed order (preset, image, repetition, then each
     mode at each L and each FEC pair at the first L) with seeds split
     from the master seed, so `jobs` worker processes give the same bytes
-    as one.  The prior is the `RESICOMP_MODEL` file's, if it is set.
+    as one.  ConfigError if `jobs` is below 1.  The prior is the
+    `RESICOMP_MODEL` file's, if it is set.
     """
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, not {jobs}")
     images = _load_images(spec.image_dir, spec.synthetic_images)
     prior = load_env_prior(spec.channels)
     codec = CodecConfig(channels=spec.channels, quality=spec.quality)
@@ -310,6 +314,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
                     tasks.append((run_fec_episode, image, cfg, model,
                                   derive_seed(seed, 1000 + fec_idx),
                                   n_data, n_parity))
+    # A fork pool starts all its workers at the first submit.
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(*task) for task in tasks]

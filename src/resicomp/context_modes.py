@@ -9,7 +9,7 @@ soon as its own packet and its context packets arrive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,11 @@ MODE_SLC = 3
 MODE_CUSTOM = 255  # a matrix built as ContextMode directly, not by make_mode
 
 MODE_NAMES = {MODE_ISC: "ISC", MODE_LC: "LC", MODE_MDC: "MDC", MODE_SLC: "SLC"}
+MODE_IDS = {name: mode_id for mode_id, name in MODE_NAMES.items()}
 
-_DEFAULT_BETA = {MODE_ISC: 0.0, MODE_LC: 1.0, MODE_MDC: 0.5, MODE_SLC: 1.0}
+DEFAULT_BETA = {MODE_ISC: 0.0, MODE_LC: 1.0, MODE_MDC: 0.5, MODE_SLC: 1.0}
+# The one parameter a preset takes, by mode id; the others take none.
+MODE_PARAM = {MODE_MDC: "n_d", MODE_SLC: "enhancements"}
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,6 @@ class ContextMode:
     l: int
     g: np.ndarray  # (L, L) bool, 0-based indexing internally
     mode_id: int
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=bool)
@@ -50,7 +52,7 @@ class ContextMode:
 
     @property
     def default_beta(self):
-        return _DEFAULT_BETA.get(self.mode_id, 1.0)
+        return DEFAULT_BETA.get(self.mode_id, 1.0)
 
     def contexts_of(self, index: int) -> tuple:
         """1-based context slice indices of slice `index` (1-based)."""
@@ -60,19 +62,24 @@ class ContextMode:
         return [int(n) for n in self.g.sum(axis=1)]
 
 
+def preset_id(kind) -> int:
+    """The id of the preset mode named `kind`, in any case, or of id `kind`."""
+    named = isinstance(kind, str)
+    mode_id = MODE_IDS.get(kind.upper()) if named else kind
+    if mode_id not in MODE_NAMES:
+        raise ValueError(f"unknown mode {'kind' if named else 'id'} {kind!r}")
+    return mode_id
+
+
 def make_mode(kind, l: int, params=None) -> ContextMode:
     """Build a preset mode.
 
-    kind: one of "ISC", "LC", "MDC", "SLC" (or the mode id).  MDC
-    requires params["n_d"], SLC params["enhancements"].  Other matrices
-    are built as ContextMode directly and checked with `validate`.
+    kind: a preset name or id, as `preset_id` takes it.  MDC requires
+    params["n_d"], SLC params["enhancements"].  Other matrices are built
+    as ContextMode directly and checked with `validate`.
     """
-    params = dict(params or {})
-    if isinstance(kind, str):
-        lookup = {v: k for k, v in MODE_NAMES.items()}
-        if kind.upper() not in lookup:
-            raise ValueError(f"unknown mode kind {kind!r}")
-        kind = lookup[kind.upper()]
+    kind = preset_id(kind)
+    params = params or {}
     if l < 1:
         raise ValueError("need at least one slice")
     g = np.zeros((l, l), dtype=bool)
@@ -108,9 +115,7 @@ def make_mode(kind, l: int, params=None) -> ContextMode:
             same = branch == branch[i - 1]
             earlier = rank < rank[i - 1]
             g[i, 1:] = same & earlier
-    else:
-        raise ValueError(f"unknown mode id {kind}")
-    mode = ContextMode(l=l, g=g, mode_id=kind, params=params)
+    mode = ContextMode(l=l, g=g, mode_id=kind)
     report = validate(mode)
     if report is not None:
         raise ValueError(f"invalid mode: {report}")

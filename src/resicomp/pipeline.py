@@ -1,8 +1,9 @@
 """End-to-end sender, receiver, progressive decoding, and objectives.
 
 A packet header describes its whole stream: `stream_header` maps a
-config and an image size to it, `open_stream` maps it back to the mode,
-slice plan and codec, and both ends code with what `open_stream` reads.
+config and an image size to it, and `open_stream` maps it back to the
+mode, slice plan and codec.  `send` opens the header it writes, a
+`Receiver` the header it is given; neither builds a mode elsewhere.
 The sender tokenizes, partitions, and entropy-codes each slice under
 the context mode's dependency matrix, packetizing one slice per packet.
 The receiver is a session (`Receiver`) built from one header: packets
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import entropy_coder
-from .context_modes import (MODE_MDC, MODE_SLC, ContextMode, context_depths,
-                            make_mode)
+from .context_modes import (DEFAULT_BETA, MODE_PARAM, context_depths,
+                            make_mode, preset_id)
 from .density import (FreqTable, discretize_batch, key_mixtures, mixture_keys,
                       quantize_probs)
 from .image_io import mse, psnr_db
@@ -52,9 +53,6 @@ class PipelineConfig:
     plan_seed: int = 0
     image_id: int = 0
     prior: PriorModel | None = None  # None = uninformed default
-
-    def make_context_mode(self) -> ContextMode:
-        return make_mode(self.mode_kind, self.l, self.mode_params)
 
     def get_prior(self) -> PriorModel:
         if self.prior is not None:
@@ -100,47 +98,38 @@ class TableStore:
 # the grid is bounded: 2**16 positions is a 4096x4096 image.
 MAX_GRID_POSITIONS = 2**16
 
-# The mode parameter a header carries, by mode id; other modes carry 0.
-_MODE_PARAM = {MODE_MDC: "n_d", MODE_SLC: "enhancements"}
-
 
 def stream_header(cfg: PipelineConfig, height: int, width: int,
                   planes: int = 1) -> PacketHeader:
     """Slice 0's header of cfg's stream for a height x width image.
 
-    The plan seed is taken modulo 2**64.  ValueError if a value does not
-    fit its field.
+    It builds no mode; `open_stream` checks that the header makes one.
+    The plan seed is taken modulo 2**64.  ValueError for an unknown mode
+    kind or a value that does not fit its field.
     """
-    return _open_config(cfg, height, width, planes)[0]
-
-
-def _open_config(cfg: PipelineConfig, height: int, width: int, planes: int):
-    """(header, mode, prior) of cfg's stream, the mode and prior built once."""
-    mode = cfg.make_context_mode()
-    prior = cfg.get_prior()
-    beta = mode.default_beta if cfg.beta is None else cfg.beta
+    mode_id = preset_id(cfg.mode_kind)
+    key = MODE_PARAM.get(mode_id)
+    beta = DEFAULT_BETA[mode_id] if cfg.beta is None else cfg.beta
     if not 0 <= beta <= 65.535:
         raise ValueError(f"beta {beta} is outside 0..65.535")
-    key = _MODE_PARAM.get(mode.mode_id)
-    header = PacketHeader(
+    return PacketHeader(
         image_id=cfg.image_id, slice_index=0, total_slices=cfg.l,
-        mode_id=mode.mode_id, mode_param=mode.params[key] if key else 0,
+        mode_id=mode_id, mode_param=cfg.mode_params.get(key, 0) if key else 0,
         plan_seed=cfg.plan_seed & (2**64 - 1),
         beta_milli=round(beta * 1000),
         channels=cfg.codec.channels, quality=cfg.codec.quality,
         clamp=cfg.codec.clamp, height=height, width=width, planes=planes,
-        prior_fingerprint=prior.fingerprint,
+        prior_fingerprint=cfg.get_prior().fingerprint,
     )
-    return header, mode, prior
 
 
-def open_stream(header: PacketHeader, mode: ContextMode | None = None):
+def open_stream(header: PacketHeader):
     """(mode, plan, codec) of the stream that a packet header describes.
 
-    The token grid covers the output size in BLOCK x BLOCK blocks.  A
-    caller that built the header's context mode already passes it as
-    `mode`.  ValueError if the grid has more than MAX_GRID_POSITIONS
-    positions, before anything is built for it.
+    The token grid covers the output size in BLOCK x BLOCK blocks.
+    ValueError if the grid has more than MAX_GRID_POSITIONS positions or
+    `planes` is outside 1..channels, before anything is built for it,
+    and if the header's mode is not valid.
     """
     grid_h, grid_w = -(-header.height // BLOCK), -(-header.width // BLOCK)
     if grid_h * grid_w > MAX_GRID_POSITIONS:
@@ -148,10 +137,12 @@ def open_stream(header: PacketHeader, mode: ContextMode | None = None):
             f"a {header.height}x{header.width} image needs {grid_h * grid_w} "
             f"token positions, more than the {MAX_GRID_POSITIONS} a stream "
             "may have")
-    if mode is None:
-        key = _MODE_PARAM.get(header.mode_id)
-        mode = make_mode(header.mode_id, header.total_slices,
-                         {key: header.mode_param} if key else {})
+    if not 1 <= header.planes <= header.channels:
+        raise ValueError(f"planes {header.planes} is outside "
+                         f"1..{header.channels}: each plane needs a channel")
+    key = MODE_PARAM.get(header.mode_id)
+    mode = make_mode(header.mode_id, header.total_slices,
+                     {key: header.mode_param} if key else {})
     plan = build_plan(grid_h, grid_w, mode.l, mode, header.plan_seed,
                       header.beta_milli / 1000)
     return mode, plan, CodecConfig(header.channels, header.quality,
@@ -164,9 +155,9 @@ def send(image: np.ndarray, cfg: PipelineConfig):
     Returns (packets, grid, plan, mode).
     """
     planes = 1 if image.ndim == 2 else image.shape[2]
-    header, mode, prior = _open_config(cfg, image.shape[0], image.shape[1],
-                                       planes)
-    _, plan, codec = open_stream(header, mode)
+    header = stream_header(cfg, image.shape[0], image.shape[1], planes)
+    mode, plan, codec = open_stream(header)
+    prior = cfg.get_prior()
     grid = analyze(image, codec)
     store = TableStore(prior, codec.clamp)
     all_received = [1] * mode.l
@@ -224,9 +215,8 @@ class Receiver:
     Slices decode as soon as their packet and all their context slices
     are in; `result` conceals the rest on a copy, so packets may keep
     arriving.  The prior defaults to the uninformed one of the header's
-    codec; ValueError if its fingerprint is not the header's.  `mode` is
-    the header's context mode, if the caller has built it.  The session
-    builds each distinct table once, whichever slice first needs it.
+    codec; ValueError if its fingerprint is not the header's.  Each
+    distinct table is built once, whichever slice first needs it.
 
     Only wire bytes are checked, by `transport.packet_from_bytes`'s CRC.
     The `Packet` objects handed to a session are trusted: a payload moved
@@ -234,10 +224,9 @@ class Receiver:
     tokens.
     """
 
-    def __init__(self, header: PacketHeader, prior: PriorModel | None = None,
-                 mode: ContextMode | None = None):
+    def __init__(self, header: PacketHeader, prior: PriorModel | None = None):
         self.header = header
-        self.mode, self.plan, self.codec = open_stream(header, mode)
+        self.mode, self.plan, self.codec = open_stream(header)
         if prior is None:
             prior = default_prior(self.codec.channels, self.codec.clamp)
         if prior.fingerprint != header.prior_fingerprint:
@@ -350,12 +339,6 @@ class Receiver:
         )
 
 
-def _receiver(cfg: PipelineConfig, out_height: int, out_width: int,
-              planes: int) -> Receiver:
-    header, mode, prior = _open_config(cfg, out_height, out_width, planes)
-    return Receiver(header, prior, mode)
-
-
 def receive(packets, flags, cfg: PipelineConfig, out_height: int,
             out_width: int, planes: int = 1,
             receiver: Receiver | None = None) -> ReceiveResult:
@@ -373,7 +356,8 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
     `lossless` with wrong tokens.
     """
     if receiver is None:
-        receiver = _receiver(cfg, out_height, out_width, planes)
+        receiver = Receiver(stream_header(cfg, out_height, out_width, planes),
+                            cfg.prior)
     by_slice = {p.header.slice_index + 1: p for p in packets if p is not None}
     if not any(p.header == receiver.header for p in by_slice.values()):
         raise ValueError("no packet matches the config and output size")
@@ -473,7 +457,8 @@ def progressive_receive(packets, cfg: PipelineConfig, out_height: int,
     One receiver session runs across the prefixes, so each slice is
     entropy-decoded once.
     """
-    session = _receiver(cfg, out_height, out_width, planes)
+    session = Receiver(stream_header(cfg, out_height, out_width, planes),
+                       cfg.prior)
     results = []
     for k in range(1, len(packets) + 1):
         flags = [i < k for i in range(len(packets))]

@@ -2,17 +2,24 @@ import csv
 import hashlib
 import io
 import re
+from concurrent.futures import Future
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from resicomp import cli, pipeline
 from resicomp.cli import (CSV_FIELDS, EXIT_IO, EXIT_OK, EXIT_USAGE,
                           EXIT_VALIDATION, MODEL_ENV, ConfigError,
                           derive_seed, main, parse_config, parse_mode_spec)
+from resicomp.entropy_coder import Bitstring
 from resicomp.image_io import psnr_db, read_ppm, write_ppm
+from resicomp.pipeline import PipelineConfig, stream_header
 from resicomp.synthetic import synthetic_image
-from resicomp.transport import packet_from_bytes, read_traces
+from resicomp.token_codec import CodecConfig
+from resicomp.transport import (HEADER_SIZE, Packet, packet_from_bytes,
+                                preset, read_traces)
 
 
 @pytest.fixture()
@@ -349,10 +356,89 @@ def test_sweep_output_is_pinned(tmp_path, capsys, jobs):
     data = out_csv.read_bytes()
     assert data.count(b"\r\n") == 41
     assert hashlib.sha256(data).hexdigest() == (
-        "3240eb2a7027bb00717b54ca4d40ebdb2d8bc20a034c9c7e161e602ed52e9712")
+        "4c11e8d481fda70e6fa15c0e1d7d050602bb8b79d4587f321741f6aa1e83c820")
     summary = capsys.readouterr().out.encode()
     assert hashlib.sha256(summary).hexdigest() == (
         "8c4cabee37f26e0262383e7413f2929463ecf5ca5811a67868c26a12c27493f9")
+
+
+def test_sweep_bits_are_the_packets_own():
+    # 408 / (96 * 112) * (96 * 112) is 407.99...; bpp times the pixel
+    # count truncated it to 407.
+    image = synthetic_image(0, height=96, width=112)
+    cfg = PipelineConfig(codec=CodecConfig(channels=16), l=1)
+    packet = Packet(header=stream_header(cfg, 96, 112),
+                    payload=Bitstring(bytes(51)))
+    row = cli._episode_row(image, cfg, preset("EP3"), 0, "LC", [packet],
+                           SimpleNamespace(beta=1.0), image, "lossless", 1)
+    assert row["bits_payload"] == 408
+    assert row["bits_total"] == 8 * (HEADER_SIZE + 51)
+    assert row["bpp"] == round(408 / (96 * 112), 6)
+
+
+def _tiny_sweep(tmp_path, text="modes = LC, ISC\n"):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("synthetic_images = 1\nl_values = 4\npresets = EP3\n"
+                      "channels = 16\n" + text)
+    return config
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
+    out_csv = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(_tiny_sweep(tmp_path)),
+                 "--output", str(out_csv), "--jobs", jobs]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        f"error: --jobs must be at least 1, not {jobs}\n"
+    assert not out_csv.exists()
+
+
+def test_sweep_pool_has_no_more_workers_than_episodes(tmp_path, monkeypatch):
+    # A fork pool starts every worker at the first submit, so the count
+    # asked for is the count started; no real pool is started here.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    config = _tiny_sweep(tmp_path)
+    for jobs in ("5000", "1"):
+        assert main(["sweep", "--config", str(config), "--output",
+                     str(tmp_path / f"{jobs}.csv"), "--jobs", jobs]) == EXIT_OK
+    assert sizes == [2]  # two episodes; one job runs without a pool
+    assert (tmp_path / "5000.csv").read_bytes() == \
+        (tmp_path / "1.csv").read_bytes()
+
+
+def test_sweep_checks_every_mode_at_every_l_before_any_episode(
+        tmp_path, capsys, monkeypatch):
+    def no_send(*args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(pipeline, "send", no_send)
+    config = _tiny_sweep(tmp_path, "modes = LC, MDC:20\n")
+    with pytest.raises(ConfigError, match="MDC:20 at L=4"):
+        parse_config(config)
+    out_csv = tmp_path / "out.csv"
+    for jobs in ("1", "2"):
+        assert main(["sweep", "--config", str(config), "--output",
+                     str(out_csv), "--jobs", jobs]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == 2 * (
+        "error: mode MDC:20 at L=4: MDC requires 1 <= n_d <= L\n")
+    assert not out_csv.exists()
 
 
 def test_simulate_output_is_pinned(capsys):

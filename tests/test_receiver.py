@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resicomp import entropy_coder, pipeline
+from resicomp.context_modes import make_mode
 from resicomp.density import FreqTable
 from resicomp.entropy_coder import Bitstring
 from resicomp.pipeline import (OUTCOME_CONCEALED, OUTCOME_FAILED,
@@ -36,7 +37,7 @@ def _receive_from_scratch(packets, flags, cfg, out_height, out_width):
     by_slice = {p.header.slice_index + 1: p for p in packets if p is not None}
     ref = [p.header for p in packets if p is not None][-1]
     l = ref.total_slices
-    mode = cfg.make_context_mode()
+    mode = make_mode(cfg.mode_kind, cfg.l, cfg.mode_params)
     grid_h, grid_w = -(-ref.height // BLOCK), -(-ref.width // BLOCK)
     plan = pipeline.build_plan(grid_h, grid_w, l, mode, ref.plan_seed,
                                ref.beta_milli / 1000.0)

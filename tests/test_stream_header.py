@@ -13,6 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from resicomp import pipeline
+from resicomp.entropy_coder import Bitstring
 from resicomp.pipeline import (MAX_GRID_POSITIONS, OUTCOME_CONCEALED,
                                OUTCOME_LOSSLESS, SLICE_DECODED,
                                SLICE_REJECTED, PipelineConfig, Receiver,
@@ -100,13 +101,7 @@ def test_every_accepted_config_survives_the_wire_or_is_refused(case):
         return
     # Extreme qualities overflow the synthesis; the tokens are the test.
     with np.errstate(all="ignore"):
-        try:
-            result, grid = _round_trip(image, cfg)
-        except ValueError as exc:
-            # Only the plane split is checked after the header.
-            assert "channel per plane" in str(exc)
-            event("refused by the plane split")
-            return
+        result, grid = _round_trip(image, cfg)
     event("round trip")
     _assert_lossless(result, grid)
 
@@ -241,4 +236,25 @@ def test_the_largest_header_is_refused_before_any_plan(monkeypatch):
     with pytest.raises(ValueError, match="token positions"):
         open_stream(header)
     with pytest.raises(ValueError, match="token positions"):
+        Receiver(header)
+
+
+@pytest.mark.parametrize("planes", [0, 17])
+def test_a_plane_count_outside_the_channels_is_refused_up_front(monkeypatch,
+                                                                planes):
+    # A CRC-valid header: without the check in `open_stream` a session
+    # decoded every slice and failed only in `result`.
+    packet = Packet(header=replace(stream_header(_cfg(l=4), 48, 48),
+                                   planes=planes), payload=Bitstring(b""))
+    header = packet_from_bytes(packet.to_bytes()).header
+
+    def nothing_built(*args):
+        raise AssertionError("a mode or plan was built")
+
+    monkeypatch.setattr(pipeline, "make_mode", nothing_built)
+    monkeypatch.setattr(pipeline, "build_plan", nothing_built)
+    match = f"planes {planes} is outside 1..16"
+    with pytest.raises(ValueError, match=match):
+        open_stream(header)
+    with pytest.raises(ValueError, match=match):
         Receiver(header)
