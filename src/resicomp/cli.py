@@ -17,8 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import pipeline, transport
 from .context_modes import MODE_IDS, MODE_PARAM, make_mode
 from .image_io import read_image, write_ppm
@@ -81,6 +79,7 @@ class SweepSpec:
         for name in self.presets:
             if name not in transport.PRESET_TABLE:
                 raise ConfigError(f"unknown loss preset {name!r}")
+        codec = CodecConfig(channels=self.channels, quality=self.quality)
         for spec in self.modes:
             kind, params = parse_mode_spec(spec)
             if kind == "MDC" and "n_d" not in params:
@@ -90,6 +89,10 @@ class SweepSpec:
             for l in self.l_values:
                 try:
                     make_mode(kind, l, params)
+                    # The header must hold L; any image size will do.
+                    pipeline.stream_header(PipelineConfig(
+                        codec=codec, mode_kind=kind, l=l, mode_params=params,
+                        plan_seed=self.master_seed), 1, 1)
                 except ValueError as exc:
                     raise ConfigError(f"mode {spec} at L={l}: {exc}")
         for pair in self.fec_grid:

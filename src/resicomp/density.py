@@ -17,7 +17,8 @@ channel alone.  The snapping uses only multiplication, rounding, square
 roots and comparisons, so both ends compute the same keys whatever
 their libm.  `key_mixtures` turns a key and the prior into the mixture,
 so a table is a function of its key; `pipeline.TableStore` holds a
-stream's tables by key and builds only the keys it has not seen.
+stream's tables as rows of one array, by key, and builds only the keys
+it has not seen.
 """
 
 from __future__ import annotations
@@ -72,48 +73,30 @@ def _normal_cdf_in_place(x):
     return x
 
 
-def _cumulative(counts):
-    """Validated (N, S+1) cumulative counts of an (N, S) count matrix."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if np.any(counts < 1):
-        raise ValueError("every count must be >= 1")
-    if np.any(counts.sum(axis=1) != FREQ_TOTAL):
-        raise ValueError(f"counts must sum to {FREQ_TOTAL}")
-    # FREQ_TOTAL fits int32, which halves what a table holds.
-    cums = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int32)
-    np.cumsum(counts, axis=1, out=cums[:, 1:])
-    return cums
-
-
 class FreqTable:
-    """Integer frequencies summing to FREQ_TOTAL, each count >= 1, made
-    by `batch`.
+    """The maker of integer frequency tables: counts summing to
+    FREQ_TOTAL, each count >= 1.
 
-    A table holds its cumulative counts alone, about 1 KB at 255
-    symbols: `cum[s]` and `cum[s + 1]` bound symbol s, and `cum[-1]` is
-    FREQ_TOTAL.  `cum` is a memoryview whose items index as Python ints,
-    and the range coder reads it directly, so its per-symbol lookups
-    stay in plain Python arithmetic without converting every table to a
-    list.
+    A table is one row of cumulative counts, about 1 KB at 255 symbols:
+    `cum[s]` and `cum[s + 1]` bound symbol s, and `cum[-1]` is
+    FREQ_TOTAL.  The range coder reads the rows of one array by number.
+    `batch` is the one place tables are made, so a wrapper around it
+    (perfbench's tracer counts the rows) sees every table built.
     """
 
-    __slots__ = ("cum",)
-
-    @classmethod
-    def batch(cls, counts):
-        """One table per row of an (N, S) count matrix, all rows validated
-        and accumulated in single array passes; the tables are views of
-        one shared buffer.
-        """
-        cums = _cumulative(counts)
-        width = cums.shape[1]
-        flat = memoryview(cums.reshape(-1))
-        tables = []
-        for i in range(len(cums)):
-            table = cls.__new__(cls)
-            table.cum = flat[i * width:(i + 1) * width]
-            tables.append(table)
-        return tables
+    @staticmethod
+    def batch(counts):
+        """Validated (N, S+1) int32 cumulative counts of an (N, S) count
+        matrix, one table per row, all rows in single array passes."""
+        counts = np.asarray(counts, dtype=np.int64)
+        if np.any(counts < 1):
+            raise ValueError("every count must be >= 1")
+        if np.any(counts.sum(axis=1) != FREQ_TOTAL):
+            raise ValueError(f"counts must sum to {FREQ_TOTAL}")
+        # FREQ_TOTAL fits int32, which halves what a table holds.
+        cums = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int32)
+        np.cumsum(counts, axis=1, out=cums[:, 1:])
+        return cums
 
 
 def unique_rows(a):

@@ -1,14 +1,18 @@
 """Bit-exact 32-bit range coder driven by integer frequency tables.
 
 Carry-propagating byte renormalization in the classic cache/pending
-style.  `encode` and `decode` each run one loop over a slice's symbols
-and read every table's cumulative counts, `FreqTable.cum`, directly.
+style.  The tables are the rows of one (N, S+1) int32 array of
+cumulative counts, as `FreqTable.batch` makes them, and each symbol
+names its table by row number.  `encode` and `decode` each run one loop
+over a slice's symbols.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .density import FREQ_TOTAL
 
@@ -29,12 +33,15 @@ class Bitstring:
         return 8 * len(self.data)
 
 
-def encode(indices, tables) -> Bitstring:
-    """Encode symbol indices, one FreqTable per symbol."""
-    indices = list(indices)
-    tables = list(tables)
-    if len(indices) != len(tables):
+def encode(indices, rows, cum) -> Bitstring:
+    """Encode symbol indices, symbol i under table `cum[rows[i]]`."""
+    indices = np.asarray(indices, dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
+    if len(indices) != len(rows):
         raise ValueError("one table per symbol required")
+    # Every symbol's span, gathered before the loop.
+    lows = cum[rows, indices]
+    freqs = (cum[rows, indices + 1] - lows).tolist()
     out = bytearray()
 
     def shift(low, cache, pending):
@@ -48,12 +55,10 @@ def encode(indices, tables) -> Bitstring:
 
     # low holds up to 33 bits until the carry is flushed.
     low, rng, cache, pending = 0, _MASK32, 0, 0
-    for index, table in zip(indices, tables):
-        cum = table.cum
+    for low_count, freq in zip(lows.tolist(), freqs):
         r = rng // FREQ_TOTAL
-        low_count = cum[index]
         low += r * low_count
-        rng = r * (cum[index + 1] - low_count)
+        rng = r * freq
         while rng < _TOP:
             low, cache, pending = shift(low, cache, pending)
             rng <<= 8
@@ -64,24 +69,28 @@ def encode(indices, tables) -> Bitstring:
     return Bitstring(bytes(out[1:]))
 
 
-def decode(bits: Bitstring, tables) -> list:
-    """Decode exactly len(tables) symbol indices."""
+def decode(bits: Bitstring, rows, cum) -> list:
+    """Decode exactly len(rows) symbol indices, symbol i under table
+    `cum[rows[i]]`."""
+    width = cum.shape[1]
+    # Items of a memoryview index as Python ints, so the loop's
+    # arithmetic stays in plain Python.
+    flat = memoryview(cum.reshape(-1))
     data = bits.data
     if len(data) < 4:
         raise CorruptStreamError("bitstring exhausted")
     code = int.from_bytes(data[:4], "big")
     pos, rng = 4, _MASK32
     symbols = []
-    for table in tables:
-        cum = table.cum
+    for start in (np.asarray(rows, dtype=np.intp) * width).tolist():
         r = rng // FREQ_TOTAL
         value = code // r
         if value >= FREQ_TOTAL:
             raise CorruptStreamError("decoder state out of range")
-        index = bisect_right(cum, value) - 1
-        low_count = cum[index]
+        index = bisect_right(flat, value, start, start + width) - 1
+        low_count = flat[index]
         code -= r * low_count
-        rng = r * (cum[index + 1] - low_count)
+        rng = r * (flat[index + 1] - low_count)
         while rng < _TOP:
             if pos >= len(data):
                 raise CorruptStreamError("bitstring exhausted")
@@ -90,5 +99,5 @@ def decode(bits: Bitstring, tables) -> list:
             rng <<= 8
         if code >= rng:
             raise CorruptStreamError("decoder state overflow")
-        symbols.append(index)
+        symbols.append(index - start)
     return symbols

@@ -1,4 +1,4 @@
-"""End-to-end sender, receiver, progressive decoding, and objectives.
+"""End-to-end sender, receiver and progressive decoding.
 
 A packet header describes its whole stream: `stream_header` maps a
 config and an image size to it, and `open_stream` maps it back to the
@@ -29,7 +29,7 @@ from .context_modes import (DEFAULT_BETA, MODE_PARAM, context_depths,
                             make_mode, preset_id)
 from .density import (FreqTable, discretize_batch, key_mixtures, mixture_keys,
                       quantize_probs)
-from .image_io import mse, psnr_db
+from .image_io import psnr_db
 from .partition import build_plan
 from .predictor import (PriorModel, SynchronizationError, collect_context,
                         conceal, default_prior, predict)
@@ -61,36 +61,50 @@ class PipelineConfig:
 
 
 class TableStore:
-    """One stream's frequency tables, by key, each built once.
+    """One stream's frequency tables: rows of one int32 array of
+    cumulative counts, and the row of each key, each built once.
 
     A table is a function of its key, the stream's prior and the clamp:
     the store builds a key's table from `key_mixtures(key, prior)` alone,
-    so it may meet the keys in any order.  The build calls
-    `discretize_batch`, `quantize_probs` and `FreqTable.batch` by this
-    module's names, so wrappers around them see every table built.
+    so it may meet the keys in any order.  The array grows by doubling
+    and a row keeps its number.  The build calls `discretize_batch`,
+    `quantize_probs` and `FreqTable.batch` by this module's names, so
+    wrappers around them see every table built.
     """
 
     def __init__(self, prior: PriorModel, clamp: int):
         self.prior = prior
         self.clamp = clamp
-        self._tables = {}
+        self._rows = {}  # key -> row number
+        self._cum = np.empty((0, 2 * clamp + 2), np.int32)
 
     def __len__(self):
-        return len(self._tables)
+        return len(self._rows)
 
     def tables(self, output):
-        """One table per symbol of `output`, in `mixture_keys` order.
+        """(cum, rows): the tables held, and the row of each symbol of
+        `output` in `mixture_keys` order.
 
         The keys not held yet are built in one batch.
         """
-        keys = mixture_keys(output).tolist()
-        held = self._tables
-        new = sorted(set(keys).difference(held))
-        if new:
-            mixtures = key_mixtures(np.array(new, np.int64), self.prior)
-            held.update(zip(new, FreqTable.batch(quantize_probs(
-                discretize_batch(*mixtures, self.clamp)))))
-        return list(map(held.__getitem__, keys))
+        keys, inverse = np.unique(mixture_keys(output), return_inverse=True)
+        held = self._rows
+        rows = np.array([held.get(k, -1) for k in keys.tolist()], np.intp)
+        new = rows < 0
+        if new.any():
+            fresh = keys[new]
+            start, end = len(held), len(held) + len(fresh)
+            if end > len(self._cum):
+                grown = np.empty((max(end, 2 * start), self._cum.shape[1]),
+                                 np.int32)
+                grown[:start] = self._cum[:start]
+                self._cum = grown
+            self._cum[start:end] = FreqTable.batch(quantize_probs(
+                discretize_batch(*key_mixtures(fresh, self.prior),
+                                 self.clamp)))
+            rows[new] = np.arange(start, end)
+            held.update(zip(fresh.tolist(), range(start, end)))
+        return self._cum[:len(held)], rows[inverse]
 
 
 # A CRC-valid header sets what the receiver allocates before reading any
@@ -165,11 +179,11 @@ def send(image: np.ndarray, cfg: PipelineConfig):
     for i in range(1, mode.l + 1):
         ctx = collect_context(i, mode, all_received, plan, grid)
         output = predict(ctx, prior, plan.slice_positions(i))
-        tables = store.tables(output)
+        cum, table_rows = store.tables(output)
         rows, cols = output.positions.T
         symbols = (grid.values[rows, cols].astype(np.int64)
                    + codec.clamp).reshape(-1)
-        payload = entropy_coder.encode(symbols.tolist(), tables)
+        payload = entropy_coder.encode(symbols, table_rows, cum)
         packets.append(Packet(header=replace(header, slice_index=i - 1),
                               payload=payload))
     return packets, grid, plan, mode
@@ -280,9 +294,10 @@ class Receiver:
             except SynchronizationError:
                 continue
             output = predict(ctx, self.prior, self.plan.slice_positions(i))
+            cum, table_rows = self.tables.tables(output)
             try:
                 symbols = entropy_coder.decode(self.packets[i].payload,
-                                               self.tables.tables(output))
+                                               table_rows, cum)
             except entropy_coder.CorruptStreamError:
                 self.corrupt.add(i)
                 continue
@@ -389,65 +404,6 @@ def evaluate(original: np.ndarray, result_image: np.ndarray, outcome: str,
     bits_payload = sum(p.payload.bit_length for p in present)
     bits_total = sum(p.wire_bits for p in present)
     return psnr, bits_payload / n_pixels, bits_total / n_pixels
-
-
-@dataclass
-class ObjectiveReport:
-    rate_bits: float  # cross-entropy bits over masked locations
-    distortion_quantized: float
-    distortion_concealed: float
-    l_e: float
-    l_r: float
-    l_total: float
-
-
-def objective(image: np.ndarray, mask_ratio: float, alpha: float,
-              lam: float, cfg: PipelineConfig, rng_seed: int) -> ObjectiveReport:
-    """Rate/distortion/resilience objective under a random token mask."""
-    if not 0.0 <= mask_ratio <= 1.0:
-        raise ValueError("mask ratio must be in [0, 1]")
-    planes = 1 if image.ndim == 2 else image.shape[2]
-    grid = analyze(image, cfg.codec)
-    n = grid.h * grid.w
-    n_masked = int(np.ceil(n * mask_ratio))
-    rng = np.random.default_rng(rng_seed)
-    order = rng.permutation(n)[:n_masked]
-    known = np.ones(n, dtype=bool)
-    known[order] = False
-    masked = TokenGrid(
-        values=np.where(known.reshape(grid.h, grid.w)[:, :, None],
-                        grid.values, 0).astype(np.int16),
-        known=known.reshape(grid.h, grid.w),
-    )
-    prior = cfg.get_prior()
-    output = predict(masked, prior)
-    rate_bits = 0.0
-    if len(output.positions):
-        # The coder's tables snap the local component; so does the rate.
-        keys, index = np.unique(mixture_keys(output), return_inverse=True)
-        probs = discretize_batch(*key_mixtures(keys, prior), cfg.codec.clamp)
-        rows, cols = output.positions.T
-        symbols = (grid.values[rows, cols].astype(np.int64)
-                   + cfg.codec.clamp).reshape(-1)
-        p = probs[index, symbols]
-        rate_bits = float(-np.log2(np.maximum(p, 1e-300)).sum())
-    concealed = conceal(masked, output)
-    recon_quantized = synthesize(grid, cfg.codec, image.shape[0],
-                                 image.shape[1], planes)
-    recon_concealed = synthesize(concealed, cfg.codec, image.shape[0],
-                                 image.shape[1], planes)
-    d_q = mse(image, recon_quantized)
-    d_c = mse(image, recon_concealed)
-    l_e = rate_bits + lam * d_q
-    l_r = d_c
-    return ObjectiveReport(
-        rate_bits=rate_bits,
-        distortion_quantized=d_q,
-        distortion_concealed=d_c,
-        l_e=l_e,
-        l_r=l_r,
-        l_total=l_e + alpha * l_r,
-    )
 
 
 def progressive_receive(packets, cfg: PipelineConfig, out_height: int,

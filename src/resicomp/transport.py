@@ -102,9 +102,11 @@ def packet_from_bytes(data: bytes) -> Packet:
     if header.slice_index >= header.total_slices:
         raise PacketFormatError("slice index out of range")
     (crc,) = struct.unpack("<I", data[head_len:HEADER_SIZE])
-    payload = data[HEADER_SIZE:HEADER_SIZE + payload_len]
-    if len(payload) != payload_len:
+    payload = data[HEADER_SIZE:]
+    if len(payload) < payload_len:
         raise PacketFormatError("truncated payload")
+    if len(payload) > payload_len:
+        raise PacketFormatError("bytes after the payload")
     if zlib.crc32(data[:head_len] + payload) & 0xFFFFFFFF != crc:
         raise PacketFormatError("CRC mismatch")
     return Packet(header=header, payload=Bitstring(bytes(payload)))

@@ -84,7 +84,7 @@ def test_criterion_02_range_coder_efficiency(capsys):
     for n in lengths:
         n = int(n)
         payload = encode(symbols[pos:pos + n].tolist(),
-                         tables[pos:pos + n])
+                         np.arange(pos, pos + n), tables)
         ideal = float(ideal_bits[pos:pos + n].sum())
         bound = ideal * 1.001 + 64.0
         worst_excess = max(worst_excess, payload.bit_length - bound)

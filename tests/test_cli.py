@@ -423,22 +423,36 @@ def test_sweep_pool_has_no_more_workers_than_episodes(tmp_path, monkeypatch):
         (tmp_path / "1.csv").read_bytes()
 
 
-def test_sweep_checks_every_mode_at_every_l_before_any_episode(
-        tmp_path, capsys, monkeypatch):
+def _refused_before_any_episode(tmp_path, capsys, monkeypatch, text, error):
+    """A sweep config of `text` fails `parse_config` and exits 2 with
+    `error` at --jobs 1 and 2, with no send and no CSV."""
     def no_send(*args):
         raise AssertionError("an episode ran")
 
     monkeypatch.setattr(pipeline, "send", no_send)
-    config = _tiny_sweep(tmp_path, "modes = LC, MDC:20\n")
-    with pytest.raises(ConfigError, match="MDC:20 at L=4"):
+    config = _tiny_sweep(tmp_path, text)
+    with pytest.raises(ConfigError, match=error):
         parse_config(config)
     out_csv = tmp_path / "out.csv"
     for jobs in ("1", "2"):
         assert main(["sweep", "--config", str(config), "--output",
                      str(out_csv), "--jobs", jobs]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == 2 * (
-        "error: mode MDC:20 at L=4: MDC requires 1 <= n_d <= L\n")
+    assert capsys.readouterr().err == 2 * f"error: {error}\n"
     assert not out_csv.exists()
+
+
+def test_sweep_checks_every_mode_at_every_l_before_any_episode(
+        tmp_path, capsys, monkeypatch):
+    _refused_before_any_episode(
+        tmp_path, capsys, monkeypatch, "modes = LC, MDC:20\n",
+        "mode MDC:20 at L=4: MDC requires 1 <= n_d <= L")
+
+
+def test_sweep_checks_that_the_header_holds_every_l_before_any_episode(
+        tmp_path, capsys, monkeypatch):
+    _refused_before_any_episode(
+        tmp_path, capsys, monkeypatch, "modes = LC\nl_values = 4, 300\n",
+        "mode LC at L=300: total_slices 300 does not fit the packet header")
 
 
 def test_simulate_output_is_pinned(capsys):

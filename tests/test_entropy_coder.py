@@ -10,8 +10,9 @@ from resicomp.entropy_coder import (Bitstring, CorruptStreamError, decode,
                                     encode)
 
 # The reference coder: the two stateful classes that `encode` and
-# `decode` replaced, kept verbatim.  They read tables through the
-# `FreqTable` methods of that time, which `_ReferenceTable` provides.
+# `decode` replaced, kept verbatim but for their tables' type.  They
+# read tables through the `FreqTable` methods of that time, which
+# `_ReferenceTable` provides over one row of a table array.
 
 _TOP = 1 << 24
 _MASK32 = (1 << 32) - 1
@@ -20,8 +21,8 @@ _MASK32 = (1 << 32) - 1
 class _ReferenceTable:
     total = FREQ_TOTAL
 
-    def __init__(self, table):
-        self._cum = table.cum
+    def __init__(self, row):
+        self._cum = row.tolist()
 
     def low_high(self, index):
         cum = self._cum
@@ -41,7 +42,7 @@ class RangeEncoder:
         self.started = False
         self.out = bytearray()
 
-    def encode(self, table: FreqTable, index: int):
+    def encode(self, table: _ReferenceTable, index: int):
         low_count, high_count = table.low_high(index)
         r = self.range // table.total
         self.low += r * low_count
@@ -91,7 +92,7 @@ class RangeDecoder:
         self.pos += 1
         return b
 
-    def decode(self, table: FreqTable) -> int:
+    def decode(self, table: _ReferenceTable) -> int:
         r = self.range // table.total
         value = self.code // r
         if value >= table.total:
@@ -109,7 +110,7 @@ class RangeDecoder:
 
 
 def reference_encode(indices, tables) -> Bitstring:
-    """Encode symbol indices, one FreqTable per symbol."""
+    """Encode symbol indices, one _ReferenceTable per symbol."""
     indices = list(indices)
     tables = list(tables)
     if len(indices) != len(tables):
@@ -127,8 +128,29 @@ def reference_decode(bits: Bitstring, tables) -> list:
 
 
 def _table(counts):
-    """The table of one row of counts."""
+    """The cumulative row of one row of counts."""
     return FreqTable.batch(np.asarray(counts)[None])[0]
+
+
+def _under(table, n):
+    """(rows, cum) that put n symbols under one table."""
+    return [0] * n, table[None]
+
+
+# Every table of a stream below is padded to this width (the widest
+# alphabet plus one) with FREQ_TOTAL: symbols of count 0 past the end,
+# which no stream codes and which a bisection for a value below
+# FREQ_TOTAL never reaches.  So tables of any alphabet are rows of one
+# array.
+_WIDTH = 301
+
+
+def _stack(tables):
+    """The cumulative rows `tables` as rows of one (T, _WIDTH) array."""
+    cum = np.full((len(tables), _WIDTH), FREQ_TOTAL, dtype=np.int32)
+    for row, table in zip(cum, tables):
+        row[:len(table)] = table
+    return cum
 
 
 def _uniform_table(size=256):
@@ -143,12 +165,10 @@ def _random_table(rng, size):
 _KINDS = ("dirichlet", "sparse", "skewed")
 
 
-def _stream(specs, n, seed):
-    """(symbols, tables): n symbols under tables given as (alphabet size,
-    kind, seed).  A "sparse" table holds most symbols at the floor count
-    of 1 and a "skewed" one all but size - 1 counts on one symbol.  Half
-    the symbols are uniform over the alphabet, so rare symbols and their
-    long renormalizations are common; half follow the table's law."""
+def _tables(specs):
+    """Cumulative rows of the tables given as (alphabet size, kind,
+    seed).  A "sparse" table holds most symbols at the floor count of 1
+    and a "skewed" one all but size - 1 counts on one symbol."""
     tables = []
     for size, kind, table_seed in specs:
         rng = np.random.default_rng(table_seed)
@@ -162,6 +182,15 @@ def _stream(specs, n, seed):
             probs = np.zeros(size)
             probs[rng.integers(size)] = 1.0
         tables.append(_table(quantize_probs(probs)))
+    return tables
+
+
+def _stream(specs, n, seed):
+    """(symbols, rows, cum): n symbols under the tables `specs` gives,
+    stacked in that order.  Half the symbols are uniform over the
+    alphabet, so rare symbols and their long renormalizations are
+    common; half follow the table's law."""
+    tables = _tables(specs)
     rng = np.random.default_rng(seed)
     which = rng.integers(len(tables), size=n)
     uniform = rng.random(n) < 0.5
@@ -169,61 +198,59 @@ def _stream(specs, n, seed):
     draws = rng.integers(FREQ_TOTAL, size=n)
     symbols = np.empty(n, dtype=np.int64)
     for t, table in enumerate(tables):
-        cum = np.asarray(table.cum)
         mine = which == t
-        by_law = np.searchsorted(cum, draws[mine], side="right") - 1
+        by_law = np.searchsorted(table, draws[mine], side="right") - 1
         symbols[mine] = np.where(uniform[mine],
-                                 (spots[mine] * (len(cum) - 1)).astype(int),
+                                 (spots[mine] * (len(table) - 1)).astype(int),
                                  by_law)
-    return symbols.tolist(), [tables[t] for t in which]
+    return symbols.tolist(), which.tolist(), _stack(tables)
+
+
+_SPECS = st.lists(st.tuples(st.integers(2, 300), st.sampled_from(_KINDS),
+                            st.integers(0, 2**32 - 1)),
+                  min_size=1, max_size=4)
 
 
 @st.composite
 def _streams(draw, max_symbols=2000):
     """Streams of 0..max_symbols symbols under one to four tables over
     2..300 symbols."""
-    specs = draw(st.lists(st.tuples(st.integers(2, 300),
-                                    st.sampled_from(_KINDS),
-                                    st.integers(0, 2**32 - 1)),
-                          min_size=1, max_size=4))
-    return _stream(specs, draw(st.integers(0, max_symbols)),
+    return _stream(draw(_SPECS), draw(st.integers(0, max_symbols)),
                    draw(st.integers(0, 2**32 - 1)))
 
 
-def _reference_tables(tables):
-    return [_ReferenceTable(t) for t in tables]
+def _reference_tables(rows, cum):
+    return [_ReferenceTable(cum[row]) for row in rows]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_streams())
 def test_encode_matches_the_reference(stream):
-    symbols, tables = stream
-    expected = reference_encode(symbols, _reference_tables(tables))
-    assert encode(symbols, tables).data == expected.data
+    symbols, rows, cum = stream
+    expected = reference_encode(symbols, _reference_tables(rows, cum))
+    assert encode(symbols, rows, cum).data == expected.data
 
 
-def _reference_outcome(bits, tables):
+def _reference_outcome(bits, rows, cum):
     try:
-        return reference_decode(bits, _reference_tables(tables))
+        return reference_decode(bits, _reference_tables(rows, cum))
     except CorruptStreamError:
         return CorruptStreamError
 
 
-def _outcome(bits, tables):
+def _outcome(bits, rows, cum):
     try:
-        return decode(bits, tables)
+        return decode(bits, rows, cum)
     except CorruptStreamError:
         return CorruptStreamError
 
 
-@settings(max_examples=300, deadline=None)
-@given(_streams(max_symbols=300), st.data())
-def test_decode_matches_the_reference_on_any_payload(stream, data):
-    symbols, tables = stream
-    payload = bytearray(reference_encode(symbols,
-                                         _reference_tables(tables)).data)
-    damage = data.draw(st.sampled_from(["none", "truncate", "flip", "junk",
-                                        "short"]))
+_DAMAGES = ["none", "truncate", "flip", "junk", "short"]
+
+
+def _damaged(payload, damage, data):
+    """The payload bytes after `damage`, drawing its details from data."""
+    payload = bytearray(payload)
     if damage == "truncate":
         payload = payload[:data.draw(st.integers(0, len(payload)))]
     elif damage == "flip":
@@ -234,12 +261,39 @@ def test_decode_matches_the_reference_on_any_payload(stream, data):
         payload = bytearray(data.draw(st.binary(max_size=64)))
     elif damage == "short":
         payload = bytearray(data.draw(st.binary(max_size=3)))
-        if data.draw(st.booleans()):
-            tables = []
-    bits = Bitstring(bytes(payload))
-    assert _outcome(bits, tables) == _reference_outcome(bits, tables)
+    return Bitstring(bytes(payload))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_streams(max_symbols=300), st.sampled_from(_DAMAGES), st.data())
+def test_decode_matches_the_reference_on_any_payload(stream, damage, data):
+    symbols, rows, cum = stream
+    bits = _damaged(reference_encode(
+        symbols, _reference_tables(rows, cum)).data, damage, data)
+    if damage == "short" and data.draw(st.booleans()):
+        rows = []
+    assert _outcome(bits, rows, cum) == _reference_outcome(bits, rows, cum)
     if damage == "none":
-        assert _outcome(bits, tables) == symbols
+        assert _outcome(bits, rows, cum) == symbols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_streams(max_symbols=300), _SPECS, st.integers(0, 2**32 - 1),
+       st.sampled_from(_DAMAGES), st.data())
+def test_rows_among_other_rows_code_as_the_reference(stream, other_specs,
+                                                     seed, damage, data):
+    # The stream's tables sit at scattered rows of one array, next to
+    # other tables; the coder must read each symbol's row and no other.
+    symbols, rows, cum = stream
+    others = _stack(_tables(other_specs))
+    place = np.random.default_rng(seed).permutation(len(cum) + len(others))
+    mixed = np.empty((len(place), _WIDTH), dtype=np.int32)
+    mixed[place] = np.concatenate([cum, others])
+    moved = place[rows].tolist()
+    bits = reference_encode(symbols, _reference_tables(rows, cum))
+    assert encode(symbols, moved, mixed).data == bits.data
+    bits = _damaged(bits.data, damage, data)
+    assert _outcome(bits, moved, mixed) == _reference_outcome(bits, rows, cum)
 
 
 def test_stream_strategy_reaches_carries_into_pending_bytes():
@@ -260,37 +314,38 @@ def test_stream_strategy_reaches_carries_into_pending_bytes():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         specs = [(int(rng.integers(2, 301)), kind, seed) for kind in _KINDS]
-        symbols, tables = _stream(specs, 2000, seed)
+        symbols, rows, cum = _stream(specs, 2000, seed)
         enc = Observed()
-        for idx, table in zip(symbols, _reference_tables(tables)):
+        for idx, table in zip(symbols, _reference_tables(rows, cum)):
             enc.encode(table, idx)
         enc.finish()
     assert events == {"carry", "pending", "carry into pending"}
 
 
 def test_empty_payload_is_small():
-    bits = encode([], [])
+    rows, cum = _under(_uniform_table(), 0)
+    bits = encode([], rows, cum)
     assert bits.bit_length <= 64
-    assert decode(bits, []) == []
+    assert decode(bits, rows, cum) == []
 
 
 def test_uniform_256_codes_at_eight_bits(rng):
-    table = _uniform_table()
+    rows, cum = _under(_uniform_table(), 1000)
     symbols = rng.integers(0, 256, size=1000).tolist()
-    bits = encode(symbols, [table] * 1000)
+    bits = encode(symbols, rows, cum)
     assert 8000 <= bits.bit_length <= 8000 + 64 + 8
-    assert decode(bits, [table] * 1000) == symbols
+    assert decode(bits, rows, cum) == symbols
 
 
 def test_roundtrip_random_tables(rng):
     for _ in range(50):
         size = int(rng.integers(2, 300))
         n = int(rng.integers(1, 200))
-        tables = [_random_table(rng, size) for _ in range(min(n, 5))]
-        tables = [tables[i % len(tables)] for i in range(n)]
+        cum = np.stack([_random_table(rng, size) for _ in range(min(n, 5))])
+        rows = [i % len(cum) for i in range(n)]
         symbols = [int(rng.integers(0, size)) for _ in range(n)]
-        bits = encode(symbols, tables)
-        assert decode(bits, tables) == symbols
+        bits = encode(symbols, rows, cum)
+        assert decode(bits, rows, cum) == symbols
 
 
 @settings(max_examples=100, deadline=None)
@@ -308,8 +363,9 @@ def test_roundtrip_property(data):
         st.lists(st.integers(min_value=0, max_value=size - 1),
                  min_size=0, max_size=60)
     )
-    bits = encode(symbols, [table] * len(symbols))
-    assert decode(bits, [table] * len(symbols)) == symbols
+    rows, cum = _under(table, len(symbols))
+    bits = encode(symbols, rows, cum)
+    assert decode(bits, rows, cum) == symbols
 
 
 def test_efficiency_bound(rng):
@@ -317,28 +373,28 @@ def test_efficiency_bound(rng):
     for _ in range(20):
         size = int(rng.integers(16, 256))
         table = _random_table(rng, size)
-        p = np.diff(table.cum) / FREQ_TOTAL
+        p = np.diff(table) / FREQ_TOTAL
         symbols = rng.choice(size, size=2000, p=p).tolist()
-        bits = encode(symbols, [table] * len(symbols))
+        bits = encode(symbols, *_under(table, len(symbols)))
         ideal = float(-np.log2(p[symbols]).sum())
         assert bits.bit_length <= ideal + 64 + 0.001 * ideal
 
 
 def test_determinism(rng):
-    table = _uniform_table(64)
+    rows, cum = _under(_uniform_table(64), 500)
     symbols = rng.integers(0, 64, size=500).tolist()
-    a = encode(symbols, [table] * 500)
-    b = encode(symbols, [table] * 500)
+    a = encode(symbols, rows, cum)
+    b = encode(symbols, rows, cum)
     assert a.data == b.data
 
 
 def test_truncated_stream_raises(rng):
-    table = _uniform_table()
+    rows, cum = _under(_uniform_table(), 200)
     symbols = rng.integers(0, 256, size=200).tolist()
-    bits = encode(symbols, [table] * 200)
+    bits = encode(symbols, rows, cum)
     truncated = Bitstring(bits.data[: len(bits.data) // 2])
     with pytest.raises(CorruptStreamError):
-        decode(truncated, [table] * 200)
+        decode(truncated, rows, cum)
 
 
 def test_swapped_table_never_crashes(rng):
@@ -347,9 +403,9 @@ def test_swapped_table_never_crashes(rng):
     ))
     uniform = _uniform_table()
     symbols = rng.integers(1, 256, size=100).tolist()
-    bits = encode(symbols, [uniform] * 100)
+    bits = encode(symbols, *_under(uniform, 100))
     try:
-        wrong = decode(bits, [skewed] * 100)
+        wrong = decode(bits, *_under(skewed, 100))
         assert wrong != symbols
     except CorruptStreamError:
         pass
@@ -357,4 +413,4 @@ def test_swapped_table_never_crashes(rng):
 
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
-        encode([1, 2], [_uniform_table()])
+        encode([1, 2], *_under(_uniform_table(), 1))

@@ -141,7 +141,7 @@ def test_a_table_is_the_same_alone_and_in_any_batch():
         tables = _build_tables(weights[batch], means[batch], sigmas[batch],
                                127)
         for j, table in zip(batch, tables):
-            assert bytes(table.cum) == bytes(alone[j].cum)
+            assert table.tobytes() == alone[j].tobytes()
 
 
 def test_store_tables_are_shared_by_key():
@@ -151,10 +151,29 @@ def test_store_tables_are_shared_by_key():
     store = TableStore(cfg.get_prior(), 127)
     seen = {}
     for output in outputs:
-        tables = store.tables(output)
-        for key, table in zip(mixture_keys(output).tolist(), tables):
-            assert seen.setdefault(key, table) is table
-    assert len(store) == len(seen)
+        _, rows = store.tables(output)
+        for key, row in zip(mixture_keys(output).tolist(), rows.tolist()):
+            assert seen.setdefault(key, row) == row
+    assert len(store) == len(seen) == len(set(seen.values()))
+
+
+def test_a_grown_store_keeps_every_earlier_row():
+    image = synthetic_image(3, height=64, width=64)
+    cfg = _lc()
+    _, _, outputs = _slice_outputs(image, cfg)
+    store = TableStore(cfg.get_prior(), 127)
+    first = {}  # key -> (row, its bytes) when the key was first met
+    arrays = []
+    for output in outputs:
+        cum, rows = store.tables(output)
+        assert len(cum) == len(store)
+        for key, row in zip(mixture_keys(output).tolist(), rows.tolist()):
+            assert first.setdefault(key, (row, cum[row].tobytes()))[0] == row
+        for row, data in first.values():
+            assert cum[row].tobytes() == data
+        arrays.append(cum)
+    grown = sum(not np.shares_memory(a, b) for a, b in zip(arrays, arrays[1:]))
+    assert grown >= 2
 
 
 def test_each_end_builds_each_distinct_key_once(monkeypatch):

@@ -59,9 +59,9 @@ def _receive_from_scratch(packets, flags, cfg, out_height, out_width):
         if mode.contexts_of(i):
             depths_predicted.add(depths[i - 1])
         output = predict(ctx, prior, plan.slice_positions(i))
-        tables = pipeline.TableStore(prior, cfg.codec.clamp).tables(output)
+        cum, rows = pipeline.TableStore(prior, cfg.codec.clamp).tables(output)
         try:
-            symbols = entropy_coder.decode(by_slice[i].payload, tables)
+            symbols = entropy_coder.decode(by_slice[i].payload, rows, cum)
         except entropy_coder.CorruptStreamError:
             status[i - 1] = SliceStatus(SLICE_CORRUPT)
             continue

@@ -1,10 +1,7 @@
 """Smoke tests: each script in scripts/ runs end to end at tiny sizes."""
 
-import csv
 import importlib.util
 from pathlib import Path
-
-from resicomp.cli import CSV_FIELDS, EXIT_OK, main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 TINY = ["--images", "1", "--L", "4", "--channels", "16"]
@@ -44,33 +41,3 @@ def test_progressive_demo(capsys):
     assert [int(r[0]) for r in steps] == [1, 2, 3, 4]
     bpp = [float(r[1]) for r in steps]
     assert bpp == sorted(bpp) and bpp[0] > 0.0
-
-
-def test_resilience_sweep(capsys, tmp_path):
-    # The script is a flag front end to `resicomp sweep`: the same
-    # summary on stdout and the same CSV bytes as the equivalent config.
-    output = tmp_path / "resilience.csv"
-    assert _main("run_resilience_sweep")(
-        TINY + ["--reps", "1", "--output", str(output)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == ("scheme,L,preset,episodes,mean_psnr_db,mean_bpp,"
-                        "failure_ratio")
-    rows = [line.split(",") for line in lines[1:]]
-    assert [tuple(r[:4]) for r in rows] == [
-        (mode, "4", preset, "1") for mode in ("ISC", "LC", "MDC:2", "SLC:1")
-        for preset in ("EP3", "EP5")]
-    for row in rows:
-        assert 0.0 <= float(row[6]) <= 1.0
-    with open(output, newline="") as f:
-        episodes = list(csv.DictReader(f))
-    assert len(episodes) == 8
-    assert list(episodes[0]) == CSV_FIELDS
-
-    config = tmp_path / "sweep.cfg"
-    config.write_text("synthetic_images = 1\nmodes = ISC, LC, MDC:2, SLC:1\n"
-                      "l_values = 4\npresets = EP3, EP5\nchannels = 16\n")
-    cli_output = tmp_path / "cli.csv"
-    assert main(["sweep", "--config", str(config),
-                 "--output", str(cli_output)]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines() == lines
-    assert cli_output.read_bytes() == output.read_bytes()

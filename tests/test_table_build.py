@@ -179,13 +179,13 @@ def test_store_tables_equal_per_row_reference(data, clamp, channels):
     prior = default_prior(channels, clamp)
     output = predict(grid, prior, np.argwhere(np.ones((h, w), bool)))
     store = TableStore(prior, clamp)
-    tables = store.tables(output)
-    assert len(tables) == h * w * channels
-    assert len({id(t) for t in tables}) == len(store)
+    cum, rows = store.tables(output)
+    assert len(rows) == h * w * channels
+    assert len(set(rows.tolist())) == len(store) == len(cum)
     for j in range(h * w):
         for c in range(channels):
             ref = _discretize_row(*_snapped_row(output, prior, j, c), clamp)
-            assert np.diff(tables[j * channels + c].cum).tolist() == \
+            assert np.diff(cum[rows[j * channels + c]]).tolist() == \
                 _quantize_row(ref)
 
 
@@ -203,8 +203,9 @@ def test_unique_rows_compare_exact_bytes(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_freq_table_lookup_matches_searchsorted(data):
-    # The decoder's lookup: bisect_right over `cum`, whose items must be
-    # Python ints so the coder's arithmetic stays in plain Python.
+    # The decoder's lookup: bisect_right over one row of the flat
+    # cumulative array, whose items must be Python ints so the coder's
+    # arithmetic stays in plain Python.
     size = data.draw(st.integers(min_value=1, max_value=300))
     raw = data.draw(st.lists(st.integers(min_value=0, max_value=5000),
                              min_size=size, max_size=size))
@@ -215,12 +216,15 @@ def test_freq_table_lookup_matches_searchsorted(data):
                                             max_value=FREQ_TOTAL - 1),
                                 min_size=1, max_size=50))
     values += [0, FREQ_TOTAL - 1] + cum[1:-1].tolist()[:20]
-    for table in FreqTable.batch(np.stack([counts, counts])):
+    tables = FreqTable.batch(np.stack([counts, counts]))
+    width = tables.shape[1]
+    flat = memoryview(tables.reshape(-1))
+    for start in (0, width):
         for value in values:
             expected = int(np.searchsorted(cum, value, side="right")) - 1
-            found = bisect_right(table.cum, value) - 1
+            found = bisect_right(flat, value, start, start + width) - 1 - start
             assert found == expected
-            low, high = table.cum[found], table.cum[found + 1]
+            low, high = flat[start + found], flat[start + found + 1]
             assert (low, high) == (cum[found], cum[found + 1])
             assert type(low) is int and type(high) is int
             assert low <= value < high

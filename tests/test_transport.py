@@ -177,6 +177,15 @@ def test_corrupted_packet_rejected():
         packet_from_bytes(bad_magic)
 
 
+def test_bytes_after_the_payload_rejected():
+    # The CRC does not cover them, so the packet cannot vouch for them.
+    raw = Packet(header=_header(), payload=Bitstring(b"\xaa" * 8)).to_bytes()
+    assert packet_from_bytes(raw).payload.data == b"\xaa" * 8
+    for junk in (b"\x00", b"junk"):
+        with pytest.raises(PacketFormatError, match="after the payload"):
+            packet_from_bytes(raw + junk)
+
+
 def test_slice_index_bounds_checked():
     raw = Packet(header=_header(slice_index=9, total_slices=5),
                  payload=Bitstring(b"")).to_bytes()
