@@ -244,8 +244,7 @@ def run_episode(image, cfg: PipelineConfig, model, trace_seed: int):
     planes = 1 if image.ndim == 2 else image.shape[2]
     packets, _, plan, _ = pipeline.send(image, cfg)
     trace = sample_trace(model, len(packets), trace_seed)
-    _, flags = transport.apply_loss(packets, trace)
-    result = pipeline.receive(packets, flags, cfg, image.shape[0],
+    result = pipeline.receive(packets, trace.flags, cfg, image.shape[0],
                               image.shape[1], planes)
     mode = cfg.mode_kind + (
         f":{cfg.mode_params.get('n_d') or cfg.mode_params.get('enhancements')}"
@@ -284,11 +283,16 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
     Episodes run in a fixed order (preset, image, repetition, then each
     mode at each L and each FEC pair at the first L) with seeds split
     from the master seed, so `jobs` worker processes give the same bytes
-    as one.  ConfigError if `jobs` is below 1.  The prior is the
-    `RESICOMP_MODEL` file's, if it is set.
+    as one.  ConfigError if `jobs` is below 1, and FileNotFoundError
+    if the output's directory does not exist, both before any episode.
+    The prior is the `RESICOMP_MODEL` file's, if it is set.
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, not {jobs}")
+    out_dir = Path(spec.output).parent
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"no directory {out_dir} for the output "
+                                f"{spec.output}")
     images = _load_images(spec.image_dir, spec.synthetic_images)
     prior = load_env_prior(spec.channels)
     codec = CodecConfig(channels=spec.channels, quality=spec.quality)
@@ -401,7 +405,7 @@ def cmd_decode(args):
                   and flags[p.header.slice_index]))
     result = session.result()
     write_ppm(args.out, result.image)
-    bits = sum(p.payload.bit_length for p in packets)
+    bits = sum(p.payload.bit_length for p in session.packets.values())
     print(f"outcome={result.outcome} decoded={len(result.decoded_slices)}/"
           f"{total} payload_bits={bits}")
     return EXIT_OK

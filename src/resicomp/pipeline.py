@@ -1,21 +1,20 @@
 """End-to-end sender, receiver and progressive decoding.
 
 A packet header describes its whole stream: `stream_header` maps a
-config and an image size to it, and `open_stream` maps it back to the
-mode, slice plan and codec.  `send` opens the header it writes, a
-`Receiver` the header it is given; neither builds a mode elsewhere.
-The sender tokenizes, partitions, and entropy-codes each slice under
-the context mode's dependency matrix, packetizing one slice per packet.
-The receiver is a session (`Receiver`) built from one header: packets
-are added one at a time, in any order, and each slice is entropy-decoded
-once, as soon as its packet and its full context closure are in.  Its
-result conceals all still-masked tokens in a single predictor pass,
-synthesizes the image and says per slice whether it was decoded, lost,
-orphaned by a context slice, corrupt, or rejected as another stream's.
-`receive` runs a session over one set of packets; `progressive_receive`
-keeps one across every prefix.  Both sides run the context model once
-per slice and only at that slice's positions, so its window sums cost
-work in proportion to the slice, not the grid.
+config and an image size to it, and a `Stream` maps it back to the
+mode, slice plan, codec and prior.  `Stream.model` runs the context
+model on one slice.  `send` codes each slice into one packet with the
+`Stream` of the header it writes; a `Receiver` is the `Stream` of the
+header it is given and decodes with the same model.  It is a session:
+packets are added one at a time, in any order, and each slice is
+entropy-decoded once, as soon as its packet and its full context
+closure are in.  Its result conceals all still-masked tokens in a
+single predictor pass, synthesizes the image and says per slice
+whether it was decoded, lost, orphaned by a context slice, corrupt, or
+rejected as another stream's.  `receive` runs a session over one set
+of packets; `progressive_receive` keeps one across every prefix.  The
+context model runs once per slice and only at that slice's positions,
+so its window sums cost work in proportion to the slice, not the grid.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from .density import (FreqTable, discretize_batch, key_mixtures, mixture_keys,
                       quantize_probs)
 from .image_io import psnr_db
 from .partition import build_plan
-from .predictor import (PriorModel, SynchronizationError, collect_context,
-                        conceal, default_prior, predict)
+from .predictor import (PriorModel, collect_context, conceal, default_prior,
+                        predict)
 from .token_codec import BLOCK, CodecConfig, TokenGrid, analyze, synthesize
 from .transport import Packet, PacketHeader
 
@@ -117,7 +116,7 @@ def stream_header(cfg: PipelineConfig, height: int, width: int,
                   planes: int = 1) -> PacketHeader:
     """Slice 0's header of cfg's stream for a height x width image.
 
-    It builds no mode; `open_stream` checks that the header makes one.
+    It builds no mode; `Stream` checks that the header makes one.
     The plan seed is taken modulo 2**64.  ValueError for an unknown mode
     kind or a value that does not fit its field.
     """
@@ -137,30 +136,58 @@ def stream_header(cfg: PipelineConfig, height: int, width: int,
     )
 
 
-def open_stream(header: PacketHeader):
-    """(mode, plan, codec) of the stream that a packet header describes.
+class Stream:
+    """The stream that a packet header describes, and its context model.
 
-    The token grid covers the output size in BLOCK x BLOCK blocks.
+    It builds the mode, the slice plan over the token grid (BLOCK x
+    BLOCK blocks covering the output size) and the codec from the header
+    alone; the prior defaults to the header codec's uninformed one.
     ValueError if the grid has more than MAX_GRID_POSITIONS positions or
-    `planes` is outside 1..channels, before anything is built for it,
-    and if the header's mode is not valid.
+    `planes` is outside 1..channels, before anything is built for it;
+    if the header's mode is not valid; and if the prior's fingerprint
+    is not the header's.  Each distinct table is built once per stream.
     """
-    grid_h, grid_w = -(-header.height // BLOCK), -(-header.width // BLOCK)
-    if grid_h * grid_w > MAX_GRID_POSITIONS:
-        raise ValueError(
-            f"a {header.height}x{header.width} image needs {grid_h * grid_w} "
-            f"token positions, more than the {MAX_GRID_POSITIONS} a stream "
-            "may have")
-    if not 1 <= header.planes <= header.channels:
-        raise ValueError(f"planes {header.planes} is outside "
-                         f"1..{header.channels}: each plane needs a channel")
-    key = MODE_PARAM.get(header.mode_id)
-    mode = make_mode(header.mode_id, header.total_slices,
-                     {key: header.mode_param} if key else {})
-    plan = build_plan(grid_h, grid_w, mode.l, mode, header.plan_seed,
-                      header.beta_milli / 1000)
-    return mode, plan, CodecConfig(header.channels, header.quality,
-                                   header.clamp)
+
+    def __init__(self, header: PacketHeader, prior: PriorModel | None = None):
+        grid_h, grid_w = -(-header.height // BLOCK), -(-header.width // BLOCK)
+        if grid_h * grid_w > MAX_GRID_POSITIONS:
+            raise ValueError(
+                f"a {header.height}x{header.width} image needs "
+                f"{grid_h * grid_w} token positions, more than the "
+                f"{MAX_GRID_POSITIONS} a stream may have")
+        if not 1 <= header.planes <= header.channels:
+            raise ValueError(f"planes {header.planes} is outside "
+                             f"1..{header.channels}: each plane needs a "
+                             "channel")
+        key = MODE_PARAM.get(header.mode_id)
+        self.mode = make_mode(header.mode_id, header.total_slices,
+                              {key: header.mode_param} if key else {})
+        self.plan = build_plan(grid_h, grid_w, self.mode.l, self.mode,
+                               header.plan_seed, header.beta_milli / 1000)
+        self.codec = CodecConfig(header.channels, header.quality,
+                                 header.clamp)
+        if prior is None:
+            prior = default_prior(header.channels, header.clamp)
+        if prior.fingerprint != header.prior_fingerprint:
+            raise ValueError("the model is not the prior the stream was "
+                             "coded with")
+        self.header = header
+        self.prior = prior
+        self.l = header.total_slices
+        self.store = TableStore(prior, header.clamp)
+
+    def model(self, i: int, grid: TokenGrid):
+        """(positions, rows, cum): slice i's positions, and the row of
+        `cum` that holds each of their symbols' table, position-major
+        then channel.
+
+        The context is slice i's context slices of `grid`; the caller
+        makes sure they are known there.
+        """
+        ctx = collect_context(i, self.mode, self.plan, grid)
+        output = predict(ctx, self.prior, self.plan.slice_positions(i))
+        cum, rows = self.store.tables(output)
+        return output.positions, rows, cum
 
 
 def send(image: np.ndarray, cfg: PipelineConfig):
@@ -170,23 +197,17 @@ def send(image: np.ndarray, cfg: PipelineConfig):
     """
     planes = 1 if image.ndim == 2 else image.shape[2]
     header = stream_header(cfg, image.shape[0], image.shape[1], planes)
-    mode, plan, codec = open_stream(header)
-    prior = cfg.get_prior()
-    grid = analyze(image, codec)
-    store = TableStore(prior, codec.clamp)
-    all_received = [1] * mode.l
+    stream = Stream(header, cfg.prior)
+    grid = analyze(image, stream.codec)
     packets = []
-    for i in range(1, mode.l + 1):
-        ctx = collect_context(i, mode, all_received, plan, grid)
-        output = predict(ctx, prior, plan.slice_positions(i))
-        cum, table_rows = store.tables(output)
-        rows, cols = output.positions.T
-        symbols = (grid.values[rows, cols].astype(np.int64)
-                   + codec.clamp).reshape(-1)
-        payload = entropy_coder.encode(symbols, table_rows, cum)
+    for i in range(1, stream.l + 1):
+        positions, rows, cum = stream.model(i, grid)
+        symbols = grid.values[tuple(positions.T)].astype(np.int64)
+        payload = entropy_coder.encode(
+            (symbols + header.clamp).reshape(-1), rows, cum)
         packets.append(Packet(header=replace(header, slice_index=i - 1),
                               payload=payload))
-    return packets, grid, plan, mode
+    return packets, grid, stream.plan, stream.mode
 
 
 SLICE_DECODED = "decoded"
@@ -223,14 +244,12 @@ class ReceiveResult:
     slice_status: list  # one SliceStatus per slice, in slice order
 
 
-class Receiver:
+class Receiver(Stream):
     """Decoding session for the stream one packet header describes.
 
     Slices decode as soon as their packet and all their context slices
     are in; `result` conceals the rest on a copy, so packets may keep
-    arriving.  The prior defaults to the uninformed one of the header's
-    codec; ValueError if its fingerprint is not the header's.  Each
-    distinct table is built once, whichever slice first needs it.
+    arriving.  The header and prior are checked as `Stream` checks them.
 
     Only wire bytes are checked, by `transport.packet_from_bytes`'s CRC.
     The `Packet` objects handed to a session are trusted: a payload moved
@@ -239,26 +258,23 @@ class Receiver:
     """
 
     def __init__(self, header: PacketHeader, prior: PriorModel | None = None):
-        self.header = header
-        self.mode, self.plan, self.codec = open_stream(header)
-        if prior is None:
-            prior = default_prior(self.codec.channels, self.codec.clamp)
-        if prior.fingerprint != header.prior_fingerprint:
-            raise ValueError("the model is not the prior the stream was "
-                             "coded with")
-        self.prior = prior
-        self.l = header.total_slices
+        super().__init__(header, prior)
         self.depths = context_depths(self.mode)
         shape = self.plan.owner.shape
         self.grid = TokenGrid(
             values=np.zeros((*shape, header.channels), np.int16),
             known=np.zeros(shape, bool),
         )
-        self.tables = TableStore(prior, self.codec.clamp)
         self.packets = {}  # 1-based slice index -> the packet it holds
         self.decoded = [False] * self.l
         self.corrupt = set()  # 1-based indices whose payload did not decode
         self.rejected = set()  # 1-based indices of other streams' packets
+
+    def _missing_context(self, i: int) -> int | None:
+        """Slice i's first context slice that is not decoded, if any; a
+        held slice decodes once there is none and is orphaned until then."""
+        return next((j for j in self.mode.contexts_of(i)
+                     if not self.decoded[j - 1]), None)
 
     def add(self, *packets: Packet):
         """Hold packets and decode every slice that became decodable.
@@ -281,30 +297,24 @@ class Receiver:
             new.append(index)
         if not new:
             return
-        clamp = self.codec.clamp
         # Contexts precede their slice, so one ascending sweep from the
         # lowest new slice decodes everything the packets unblock.
         for i in range(min(new), self.l + 1):
             if (i not in self.packets or self.decoded[i - 1]
-                    or i in self.corrupt):
+                    or i in self.corrupt
+                    or self._missing_context(i) is not None):
                 continue
+            positions, rows, cum = self.model(i, self.grid)
             try:
-                ctx = collect_context(i, self.mode, self.decoded, self.plan,
-                                      self.grid)
-            except SynchronizationError:
-                continue
-            output = predict(ctx, self.prior, self.plan.slice_positions(i))
-            cum, table_rows = self.tables.tables(output)
-            try:
-                symbols = entropy_coder.decode(self.packets[i].payload,
-                                               table_rows, cum)
+                symbols = entropy_coder.decode(self.packets[i].payload, rows,
+                                               cum)
             except entropy_coder.CorruptStreamError:
                 self.corrupt.add(i)
                 continue
-            values = np.array(symbols, dtype=np.int64) - clamp
-            rows, cols = output.positions.T
-            self.grid.values[rows, cols] = values.reshape(len(rows), -1)
-            self.grid.known[rows, cols] = True
+            values = np.array(symbols, dtype=np.int64) - self.header.clamp
+            at = tuple(positions.T)
+            self.grid.values[at] = values.reshape(len(positions), -1)
+            self.grid.known[at] = True
             self.decoded[i - 1] = True
 
     def _slice_status(self) -> list:
@@ -315,9 +325,8 @@ class Receiver:
             elif i in self.corrupt:
                 status.append(SliceStatus(SLICE_CORRUPT))
             elif i in self.packets:
-                j = next(j for j in self.mode.contexts_of(i)
-                         if not self.decoded[j - 1])
-                status.append(SliceStatus(SLICE_ORPHANED, j))
+                status.append(SliceStatus(SLICE_ORPHANED,
+                                          self._missing_context(i)))
             elif i in self.rejected:
                 status.append(SliceStatus(SLICE_REJECTED))
             else:

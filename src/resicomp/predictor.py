@@ -34,17 +34,6 @@ DEFAULT_LOGITS = (3.0, 0.0, 0.0)
 MIXTURES = 3
 
 
-class SynchronizationError(Exception):
-    """A required context packet is missing; the slice is undecodable."""
-
-    def __init__(self, slice_index, missing_context):
-        self.slice_index = slice_index
-        self.missing_context = missing_context
-        super().__init__(
-            f"slice {slice_index} needs context slice {missing_context}"
-        )
-
-
 @dataclass(frozen=True)
 class PriorModel:
     """Global per-channel fallback distribution plus fixed predictor knobs."""
@@ -164,21 +153,18 @@ class PredictorOutput:
     has_neighbors: np.ndarray  # (n,) bool, some window neighbor is known
 
 
-def collect_context(index: int, mode: ContextMode, flags, plan: SlicePlan,
+def collect_context(index: int, mode: ContextMode, plan: SlicePlan,
                     grid: TokenGrid) -> TokenGrid:
     """Grid whose known mask is exactly slice `index`'s context slices.
 
-    flags[j-1] truthy means packet j is available.  Raises
-    SynchronizationError when a required context packet is missing.
-    The result shares `grid.values`, so values outside the context are
-    not zeroed; `predict` reads a value only where it is known.
+    It does not check that those slices are known in `grid`: the sender
+    holds every slice, and `pipeline.Receiver` asks for a slice only
+    once its context slices are decoded.  The result shares
+    `grid.values`, so values outside the context are not zeroed;
+    `predict` reads a value only where it is known.
     """
-    contexts = mode.contexts_of(index)
-    for j in contexts:
-        if not flags[j - 1]:
-            raise SynchronizationError(index, j)
     in_context = np.zeros(plan.l + 1, dtype=bool)
-    in_context[list(contexts)] = True
+    in_context[list(mode.contexts_of(index))] = True
     return TokenGrid(values=grid.values, known=in_context[plan.owner])
 
 

@@ -231,15 +231,6 @@ def trace_stats(trace: LossTrace):
     return eps, gamma
 
 
-def apply_loss(packets, trace: LossTrace):
-    """Drop lost packets; returns (surviving packets, flags)."""
-    if len(packets) != len(trace):
-        raise ValueError("trace length must match packet count")
-    flags = trace.flags.copy()
-    received = [p for p, ok in zip(packets, flags) if ok]
-    return received, flags
-
-
 def fec_channel(n_data: int, n_parity: int, trace: LossTrace) -> bool:
     """Ideal erasure code: decodable iff >= n_data of n_data+n_parity arrive."""
     if len(trace) != n_data + n_parity:

@@ -111,6 +111,31 @@ def test_decode_through_trace(tmp_path, image_file, capsys):
     assert "decoded=2/5" in captured
 
 
+def test_decode_counts_the_bits_of_the_packets_it_holds(tmp_path, capsys):
+    path = tmp_path / "input.pgm"
+    write_ppm(path, synthetic_image(1, height=48, width=64))
+    pkt_dir = tmp_path / "pkts"
+    out = str(tmp_path / "out.pgm")
+    assert main(["encode", "--image", str(path), "--out",
+                 str(pkt_dir)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["decode", "--packets", str(pkt_dir), "--out", out]) == EXIT_OK
+    assert "decoded=10/10 payload_bits=1840" in capsys.readouterr().out
+    trace = tmp_path / "trace.txt"
+    trace.write_text("1000000000\n")
+    assert main(["decode", "--packets", str(pkt_dir), "--trace", str(trace),
+                 "--out", out]) == EXIT_OK
+    assert "decoded=1/10 payload_bits=208" in capsys.readouterr().out
+    # The last slice's packet, rewritten as another image's, is rejected.
+    last = pkt_dir / "slice_009.pkt"
+    packet = packet_from_bytes(last.read_bytes())
+    last.write_bytes(Packet(header=replace(packet.header, image_id=5),
+                            payload=packet.payload).to_bytes())
+    assert main(["decode", "--packets", str(pkt_dir), "--out", out]) == EXIT_OK
+    bits = 1840 - packet.payload.bit_length
+    assert f"decoded=9/10 payload_bits={bits}" in capsys.readouterr().out
+
+
 def test_decode_reads_everything_from_the_packet_headers(tmp_path, capsys):
     image = synthetic_image(2, height=40, width=56)
     rgb = np.stack([image, image[::-1], 255 - image], axis=2)
@@ -453,6 +478,27 @@ def test_sweep_checks_that_the_header_holds_every_l_before_any_episode(
     _refused_before_any_episode(
         tmp_path, capsys, monkeypatch, "modes = LC\nl_values = 4, 300\n",
         "mode LC at L=300: total_slices 300 does not fit the packet header")
+
+
+def test_sweep_into_a_missing_directory_fails_before_any_episode(
+        tmp_path, capsys, monkeypatch):
+    sends = []
+    send = pipeline.send
+
+    def counted(*args):
+        sends.append(args)
+        return send(*args)
+
+    monkeypatch.setattr(pipeline, "send", counted)
+    config = _tiny_sweep(tmp_path, "modes = LC, ISC\nsynthetic_images = 2\n"
+                                   "repetitions = 3\n")
+    out_csv = tmp_path / "missing" / "out.csv"
+    assert main(["sweep", "--config", str(config), "--output",
+                 str(out_csv)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sends == []
+    assert not out_csv.parent.exists()
 
 
 def test_simulate_output_is_pinned(capsys):

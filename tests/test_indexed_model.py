@@ -109,7 +109,7 @@ def _slice_outputs(image, cfg):
     prior = cfg.get_prior()
     outputs = []
     for i in range(1, mode.l + 1):
-        ctx = collect_context(i, mode, [1] * mode.l, plan, grid)
+        ctx = collect_context(i, mode, plan, grid)
         outputs.append(predict(ctx, prior, plan.slice_positions(i)))
     return packets, grid, outputs
 

@@ -7,9 +7,9 @@ from resicomp.context_modes import make_mode
 from resicomp.density import SIGMA_FLOOR
 from resicomp.partition import build_plan
 from resicomp.predictor import (DEFAULT_LOGITS, DEFAULT_WINDOW, MODEL_MAGIC,
-                                PriorModel, SynchronizationError,
-                                collect_context, conceal, default_prior,
-                                fit_prior, load_prior, predict, save_prior)
+                                PriorModel, collect_context, conceal,
+                                default_prior, fit_prior, load_prior, predict,
+                                save_prior)
 from resicomp.token_codec import CodecConfig, TokenGrid, analyze
 
 
@@ -25,7 +25,7 @@ def test_collect_context_isc_never_errors():
     mode = make_mode("ISC", 4)
     plan = build_plan(2, 2, 4, mode, seed=0)
     grid = _full_grid(2, 2, 8, fill=5)
-    ctx = collect_context(1, mode, [0, 0, 0, 0], plan, grid)
+    ctx = collect_context(1, mode, plan, grid)
     assert not ctx.known.any()
 
 
@@ -33,29 +33,17 @@ def test_collect_context_lc_fills_earlier_slices():
     mode = make_mode("LC", 4)
     plan = build_plan(2, 2, 4, mode, seed=0)
     grid = _full_grid(2, 2, 8, fill=5)
-    ctx = collect_context(3, mode, [1, 1, 1, 1], plan, grid)
+    ctx = collect_context(3, mode, plan, grid)
     filled = {tuple(p) for p in np.argwhere(ctx.known)}
     expected = set(plan.slice_positions(1)) | set(plan.slice_positions(2))
     assert filled == expected
     assert np.all(ctx.values[ctx.known] == 5)
 
 
-def test_collect_context_missing_slice_raises():
-    mode = make_mode("LC", 4)
-    plan = build_plan(2, 2, 4, mode, seed=0)
-    grid = _full_grid(2, 2, 8)
-    with pytest.raises(SynchronizationError) as exc:
-        collect_context(3, mode, [1, 0, 1, 1], plan, grid)
-    assert exc.value.slice_index == 3
-    assert exc.value.missing_context == 2
-
-
-def _collect_context_by_positions(index, mode, flags, plan, grid):
+def _collect_context_by_positions(index, mode, plan, grid):
     """Copy the context slices one position at a time."""
     ctx = TokenGrid(np.zeros_like(grid.values), np.zeros((grid.h, grid.w), bool))
     for j in mode.contexts_of(index):
-        if not flags[j - 1]:
-            raise SynchronizationError(index, j)
         for r, c in plan.slice_positions(j):
             ctx.values[r, c] = grid.values[r, c]
             ctx.known[r, c] = True
@@ -77,24 +65,16 @@ def _context_cases(draw):
     channels = draw(st.integers(1, 3))
     grid = _grid(rng.integers(-127, 128, size=(h, w, channels)),
                  rng.random((h, w)) < 0.5)
-    flags = draw(st.lists(st.booleans(), min_size=l, max_size=l))
-    return mode, plan, grid, flags
+    return mode, plan, grid
 
 
 @settings(max_examples=150, deadline=None)
 @given(_context_cases())
 def test_collect_context_equals_per_position_copy(case):
-    mode, plan, grid, flags = case
+    mode, plan, grid = case
     for i in range(1, mode.l + 1):
-        try:
-            want = _collect_context_by_positions(i, mode, flags, plan, grid)
-        except SynchronizationError as missing:
-            with pytest.raises(SynchronizationError) as exc:
-                collect_context(i, mode, flags, plan, grid)
-            assert (exc.value.slice_index, exc.value.missing_context) == \
-                (missing.slice_index, missing.missing_context)
-            continue
-        got = collect_context(i, mode, flags, plan, grid)
+        want = _collect_context_by_positions(i, mode, plan, grid)
+        got = collect_context(i, mode, plan, grid)
         # The view shares the grid's values instead of zeroing them
         # outside the context; predict reads values only where known,
         # so its outputs at the slice must stay bytewise equal.

@@ -16,8 +16,7 @@ from resicomp.pipeline import (OUTCOME_CONCEALED, OUTCOME_FAILED,
                                SLICE_LOST, SLICE_ORPHANED, PipelineConfig,
                                Receiver, SliceStatus, progressive_receive,
                                receive, send)
-from resicomp.predictor import (SynchronizationError, collect_context,
-                                conceal, predict)
+from resicomp.predictor import collect_context, conceal, predict
 from resicomp.synthetic import synthetic_image
 from resicomp.token_codec import BLOCK, CodecConfig, TokenGrid, synthesize
 from resicomp.transport import Packet
@@ -51,11 +50,12 @@ def _receive_from_scratch(packets, flags, cfg, out_height, out_width):
     for i in range(1, l + 1):
         if not (flags[i - 1] and i in by_slice):
             continue
-        try:
-            ctx = collect_context(i, mode, decoded, plan, grid)
-        except SynchronizationError as exc:
-            status[i - 1] = SliceStatus(SLICE_ORPHANED, exc.missing_context)
+        missing = next((j for j in mode.contexts_of(i) if not decoded[j - 1]),
+                       None)
+        if missing is not None:
+            status[i - 1] = SliceStatus(SLICE_ORPHANED, missing)
             continue
+        ctx = collect_context(i, mode, plan, grid)
         if mode.contexts_of(i):
             depths_predicted.add(depths[i - 1])
         output = predict(ctx, prior, plan.slice_positions(i))
@@ -152,6 +152,16 @@ def test_lost_first_slice_orphans_the_rest(small_image, light_codec):
         [SliceStatus(SLICE_LOST)]
         + [SliceStatus(SLICE_ORPHANED, 1)] * (cfg.l - 1))
     assert str(result.slice_status[1]) == "orphaned by 1"
+
+
+def test_a_missing_context_slice_orphans_by_the_first_undecoded_one(
+        small_image, light_codec):
+    cfg = _cfg(light_codec, l=4)
+    packets, _, _, _ = send(small_image, cfg)
+    result = receive(packets, [1, 0, 1, 1], cfg, *small_image.shape)
+    assert result.slice_status == [
+        SliceStatus(SLICE_DECODED), SliceStatus(SLICE_LOST),
+        SliceStatus(SLICE_ORPHANED, 2), SliceStatus(SLICE_ORPHANED, 2)]
 
 
 def test_swapped_payloads_report_a_corrupt_slice(small_image, light_codec):

@@ -1,7 +1,7 @@
 """The packet header as the one description of a stream.
 
 Both ends build mode, plan and codec from the header (`stream_header`
-and `open_stream`), so every config `send` accepts must survive the
+and `Stream`), so every config `send` accepts must survive the
 wire, and a receiver must refuse packets of another stream.
 """
 
@@ -17,7 +17,7 @@ from resicomp.entropy_coder import Bitstring
 from resicomp.pipeline import (MAX_GRID_POSITIONS, OUTCOME_CONCEALED,
                                OUTCOME_LOSSLESS, SLICE_DECODED,
                                SLICE_REJECTED, PipelineConfig, Receiver,
-                               SliceStatus, open_stream, receive, send,
+                               SliceStatus, Stream, receive, send,
                                stream_header)
 from resicomp.predictor import PriorModel
 from resicomp.synthetic import synthetic_image
@@ -92,7 +92,7 @@ def test_every_accepted_config_survives_the_wire_or_is_refused(case):
     try:
         header = stream_header(cfg, *image.shape[:2],
                                1 if image.ndim == 2 else 3)
-        open_stream(header)
+        Stream(header, cfg.prior)
     except ValueError as exc:
         # Refused before any coding: send must refuse it the same way.
         event(f"refused: {str(exc).split()[0]}")
@@ -220,7 +220,7 @@ def test_a_grid_over_the_bound_is_refused():
     assert MAX_GRID_POSITIONS == 256 * 256
     height, width = BLOCK * 257, BLOCK * 256
     with pytest.raises(ValueError, match="token positions"):
-        open_stream(stream_header(_cfg(), height, width))
+        Stream(stream_header(_cfg(), height, width))
     with pytest.raises(ValueError, match="token positions"):
         send(np.zeros((height, width), np.uint8), _cfg())
 
@@ -234,7 +234,7 @@ def test_the_largest_header_is_refused_before_any_plan(monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_plan", no_plan)
     with pytest.raises(ValueError, match="token positions"):
-        open_stream(header)
+        Stream(header)
     with pytest.raises(ValueError, match="token positions"):
         Receiver(header)
 
@@ -242,7 +242,7 @@ def test_the_largest_header_is_refused_before_any_plan(monkeypatch):
 @pytest.mark.parametrize("planes", [0, 17])
 def test_a_plane_count_outside_the_channels_is_refused_up_front(monkeypatch,
                                                                 planes):
-    # A CRC-valid header: without the check in `open_stream` a session
+    # A CRC-valid header: without the check in `Stream` a session
     # decoded every slice and failed only in `result`.
     packet = Packet(header=replace(stream_header(_cfg(l=4), 48, 48),
                                    planes=planes), payload=Bitstring(b""))
@@ -255,6 +255,6 @@ def test_a_plane_count_outside_the_channels_is_refused_up_front(monkeypatch,
     monkeypatch.setattr(pipeline, "build_plan", nothing_built)
     match = f"planes {planes} is outside 1..16"
     with pytest.raises(ValueError, match=match):
-        open_stream(header)
+        Stream(header)
     with pytest.raises(ValueError, match=match):
         Receiver(header)

@@ -7,9 +7,9 @@ import pytest
 from resicomp.entropy_coder import Bitstring
 from resicomp.transport import (HEADER_SIZE, PACKET_MAGIC, PRESET_TABLE,
                                 LossModel, LossTrace, Packet,
-                                PacketFormatError, PacketHeader, apply_loss,
-                                fec_channel, packet_from_bytes, preset,
-                                read_traces, sample_trace, stationary,
+                                PacketFormatError, PacketHeader, fec_channel,
+                                packet_from_bytes, preset, read_traces,
+                                sample_trace, stationary,
                                 stationary_distribution, trace_stats,
                                 write_traces)
 
@@ -123,19 +123,6 @@ def test_trace_stats_counts_bursts():
     eps, gamma = trace_stats(trace)
     assert eps == pytest.approx(3 / 7)
     assert gamma == pytest.approx(1.5)  # bursts of 2 and 1
-
-
-def test_apply_loss():
-    packets = ["a", "b", "c"]
-    received, flags = apply_loss(packets, LossTrace(np.array([1, 1, 1],
-                                                             bool)))
-    assert received == packets
-    received, flags = apply_loss(packets, LossTrace(np.array([1, 0, 1],
-                                                             bool)))
-    assert received == ["a", "c"]
-    assert flags.tolist() == [True, False, True]
-    with pytest.raises(ValueError):
-        apply_loss(packets, LossTrace(np.array([1, 0], bool)))
 
 
 def test_packet_wire_roundtrip():
