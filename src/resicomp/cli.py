@@ -33,6 +33,14 @@ EXIT_IO = 3
 
 MODEL_ENV = "RESICOMP_MODEL"
 
+# The episodes of a process share one table store (`_episode_store`),
+# made at the first episode.  One that holds this many bytes of rows is
+# replaced by an empty one, so a long sweep over real images, whose key
+# space is about 10**5 keys per channel, stays bounded.
+STORE_CAP_BYTES = 32 * 2**20
+
+_store = None
+
 CSV_FIELDS = [
     "image_id", "mode", "L", "beta", "loss_preset", "seed", "eps_target",
     "bits_payload", "bits_total", "bpp", "outcome", "psnr_db",
@@ -239,13 +247,34 @@ def _episode_row(image, cfg: PipelineConfig, model, trace_seed: int, mode,
     }
 
 
+def _episode_store(cfg: PipelineConfig) -> pipeline.TableStore:
+    """The table store of the process's episodes, for cfg's prior and
+    clamp.
+
+    A table is a function of its key, the prior and the clamp, so a
+    process builds each table once, not once per stream.  The store is
+    replaced by an empty one for an episode of another prior or clamp,
+    and once it holds STORE_CAP_BYTES of rows.  That happens only here,
+    between episodes, so no stream sees its rows move.  A pool's worker
+    keeps a store of its own; the bytes coded do not depend on it.
+    """
+    global _store
+    prior = cfg.get_prior()
+    if (_store is None or _store.nbytes >= STORE_CAP_BYTES
+            or _store.clamp != cfg.codec.clamp
+            or _store.prior.fingerprint != prior.fingerprint):
+        _store = pipeline.TableStore(prior, cfg.codec.clamp)
+    return _store
+
+
 def run_episode(image, cfg: PipelineConfig, model, trace_seed: int):
     """One send -> lossy channel -> receive episode; returns a CSV row."""
     planes = 1 if image.ndim == 2 else image.shape[2]
-    packets, _, plan, _ = pipeline.send(image, cfg)
+    store = _episode_store(cfg)
+    packets, _, plan, _ = pipeline.send(image, cfg, store=store)
     trace = sample_trace(model, len(packets), trace_seed)
     result = pipeline.receive(packets, trace.flags, cfg, image.shape[0],
-                              image.shape[1], planes)
+                              image.shape[1], planes, store=store)
     mode = cfg.mode_kind + (
         f":{cfg.mode_params.get('n_d') or cfg.mode_params.get('enhancements')}"
         if cfg.mode_params else "")
@@ -262,11 +291,13 @@ def run_fec_episode(image, cfg: PipelineConfig, model, trace_seed: int,
     rate is scaled by the parity bandwidth multiplier.
     """
     planes = 1 if image.ndim == 2 else image.shape[2]
-    packets, _, plan, _ = pipeline.send(image, cfg)
+    store = _episode_store(cfg)
+    packets, _, plan, _ = pipeline.send(image, cfg, store=store)
     trace = sample_trace(model, n_data + n_parity, trace_seed)
     if transport.fec_channel(n_data, n_parity, trace):
         result = pipeline.receive(packets, [True] * len(packets), cfg,
-                                  image.shape[0], image.shape[1], planes)
+                                  image.shape[0], image.shape[1], planes,
+                                  store=store)
         out_image, outcome = result.image, result.outcome
         slices_decoded = len(result.decoded_slices)
     else:
@@ -283,16 +314,19 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
     Episodes run in a fixed order (preset, image, repetition, then each
     mode at each L and each FEC pair at the first L) with seeds split
     from the master seed, so `jobs` worker processes give the same bytes
-    as one.  ConfigError if `jobs` is below 1, and FileNotFoundError
-    if the output's directory does not exist, both before any episode.
-    The prior is the `RESICOMP_MODEL` file's, if it is set.
+    as one.  ConfigError if `jobs` is below 1, FileNotFoundError if the
+    output's directory does not exist, and IsADirectoryError if the
+    output is a directory, all before the images are loaded.  The prior
+    is the `RESICOMP_MODEL` file's, if it is set.
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, not {jobs}")
-    out_dir = Path(spec.output).parent
-    if not out_dir.is_dir():
-        raise FileNotFoundError(f"no directory {out_dir} for the output "
-                                f"{spec.output}")
+    output = Path(spec.output)
+    if not output.parent.is_dir():
+        raise FileNotFoundError(f"no directory {output.parent} for the "
+                                f"output {spec.output}")
+    if output.is_dir():
+        raise IsADirectoryError(f"the output {spec.output} is a directory")
     images = _load_images(spec.image_dir, spec.synthetic_images)
     prior = load_env_prior(spec.channels)
     codec = CodecConfig(channels=spec.channels, quality=spec.quality)

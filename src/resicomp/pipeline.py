@@ -15,6 +15,9 @@ rejected as another stream's.  `receive` runs a session over one set
 of packets; `progressive_receive` keeps one across every prefix.  The
 context model runs once per slice and only at that slice's positions,
 so its window sums cost work in proportion to the slice, not the grid.
+
+Streams of one prior and clamp may share a `TableStore` that the caller
+passes in; otherwise each makes its own, and this module keeps none.
 """
 
 from __future__ import annotations
@@ -60,15 +63,16 @@ class PipelineConfig:
 
 
 class TableStore:
-    """One stream's frequency tables: rows of one int32 array of
-    cumulative counts, and the row of each key, each built once.
+    """The frequency tables of one prior and clamp: rows of one int32
+    array of cumulative counts, and the row of each key, each built once.
 
-    A table is a function of its key, the stream's prior and the clamp:
-    the store builds a key's table from `key_mixtures(key, prior)` alone,
-    so it may meet the keys in any order.  The array grows by doubling
-    and a row keeps its number.  The build calls `discretize_batch`,
-    `quantize_probs` and `FreqTable.batch` by this module's names, so
-    wrappers around them see every table built.
+    A table is a function of its key, the prior and the clamp: the store
+    builds a key's table from `key_mixtures(key, prior)` alone, so it may
+    meet the keys in any order, and any streams of that prior and clamp
+    may share it.  The array grows by doubling and a row keeps its
+    number.  The build calls `discretize_batch`, `quantize_probs` and
+    `FreqTable.batch` by this module's names, so wrappers around them
+    see every table built.
     """
 
     def __init__(self, prior: PriorModel, clamp: int):
@@ -79,6 +83,11 @@ class TableStore:
 
     def __len__(self):
         return len(self._rows)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the rows held."""
+        return len(self._rows) * self._cum.shape[1] * self._cum.itemsize
 
     def tables(self, output):
         """(cum, rows): the tables held, and the row of each symbol of
@@ -142,13 +151,17 @@ class Stream:
     It builds the mode, the slice plan over the token grid (BLOCK x
     BLOCK blocks covering the output size) and the codec from the header
     alone; the prior defaults to the header codec's uninformed one.
-    ValueError if the grid has more than MAX_GRID_POSITIONS positions or
-    `planes` is outside 1..channels, before anything is built for it;
-    if the header's mode is not valid; and if the prior's fingerprint
-    is not the header's.  Each distinct table is built once per stream.
+    Its tables come from `store`, which other streams of the same prior
+    and clamp may share, or else from a fresh store of its own.
+    ValueError if the grid has more than MAX_GRID_POSITIONS
+    positions, `planes` is outside 1..channels, or `store` holds another
+    prior's or clamp's tables, before anything is built for it; if the
+    header's mode is not valid; and if the prior's fingerprint is not
+    the header's.
     """
 
-    def __init__(self, header: PacketHeader, prior: PriorModel | None = None):
+    def __init__(self, header: PacketHeader, prior: PriorModel | None = None,
+                 store: TableStore | None = None):
         grid_h, grid_w = -(-header.height // BLOCK), -(-header.width // BLOCK)
         if grid_h * grid_w > MAX_GRID_POSITIONS:
             raise ValueError(
@@ -159,6 +172,11 @@ class Stream:
             raise ValueError(f"planes {header.planes} is outside "
                              f"1..{header.channels}: each plane needs a "
                              "channel")
+        if store is not None and (
+                store.prior.fingerprint != header.prior_fingerprint
+                or store.clamp != header.clamp):
+            raise ValueError("the table store holds another prior's or "
+                             "clamp's tables than the stream's")
         key = MODE_PARAM.get(header.mode_id)
         self.mode = make_mode(header.mode_id, header.total_slices,
                               {key: header.mode_param} if key else {})
@@ -174,7 +192,9 @@ class Stream:
         self.header = header
         self.prior = prior
         self.l = header.total_slices
-        self.store = TableStore(prior, header.clamp)
+        if store is None:
+            store = TableStore(prior, header.clamp)
+        self.store = store
 
     def model(self, i: int, grid: TokenGrid):
         """(positions, rows, cum): slice i's positions, and the row of
@@ -190,14 +210,16 @@ class Stream:
         return output.positions, rows, cum
 
 
-def send(image: np.ndarray, cfg: PipelineConfig):
-    """Encode an image into one packet per slice.
+def send(image: np.ndarray, cfg: PipelineConfig,
+         store: TableStore | None = None):
+    """Encode an image into one packet per slice, with the tables of
+    `store` if one is given (see `Stream`).
 
     Returns (packets, grid, plan, mode).
     """
     planes = 1 if image.ndim == 2 else image.shape[2]
     header = stream_header(cfg, image.shape[0], image.shape[1], planes)
-    stream = Stream(header, cfg.prior)
+    stream = Stream(header, cfg.prior, store)
     grid = analyze(image, stream.codec)
     packets = []
     for i in range(1, stream.l + 1):
@@ -249,7 +271,8 @@ class Receiver(Stream):
 
     Slices decode as soon as their packet and all their context slices
     are in; `result` conceals the rest on a copy, so packets may keep
-    arriving.  The header and prior are checked as `Stream` checks them.
+    arriving.  The header, prior and store are checked as `Stream`
+    checks them.
 
     Only wire bytes are checked, by `transport.packet_from_bytes`'s CRC.
     The `Packet` objects handed to a session are trusted: a payload moved
@@ -257,8 +280,9 @@ class Receiver(Stream):
     tokens.
     """
 
-    def __init__(self, header: PacketHeader, prior: PriorModel | None = None):
-        super().__init__(header, prior)
+    def __init__(self, header: PacketHeader, prior: PriorModel | None = None,
+                 store: TableStore | None = None):
+        super().__init__(header, prior, store)
         self.depths = context_depths(self.mode)
         shape = self.plan.owner.shape
         self.grid = TokenGrid(
@@ -365,7 +389,8 @@ class Receiver(Stream):
 
 def receive(packets, flags, cfg: PipelineConfig, out_height: int,
             out_width: int, planes: int = 1,
-            receiver: Receiver | None = None) -> ReceiveResult:
+            receiver: Receiver | None = None,
+            store: TableStore | None = None) -> ReceiveResult:
     """Decode received packets; conceal what cannot be entropy-decoded.
 
     flags[i] says whether slice i + 1's packet counts as received;
@@ -374,14 +399,15 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
     `stream_header` gives for cfg and the output size are rejected;
     ValueError if no packet matches.  With a `receiver` session for that
     stream, only the packets it does not hold yet are added; flags that
-    drop one it holds raise ValueError.  Only wire bytes are checked, by
-    `packet_from_bytes`'s CRC; the `Packet` objects given here are
-    trusted, so a payload moved into another slice's packet can decode as
-    `lossless` with wrong tokens.
+    drop one it holds raise ValueError.  Without one, the session takes
+    its tables from `store` if one is given.  Only wire bytes are
+    checked, by `packet_from_bytes`'s CRC; the `Packet` objects given
+    here are trusted, so a payload moved into another slice's packet can
+    decode as `lossless` with wrong tokens.
     """
     if receiver is None:
         receiver = Receiver(stream_header(cfg, out_height, out_width, planes),
-                            cfg.prior)
+                            cfg.prior, store)
     by_slice = {p.header.slice_index + 1: p for p in packets if p is not None}
     if not any(p.header == receiver.header for p in by_slice.values()):
         raise ValueError("no packet matches the config and output size")

@@ -480,25 +480,43 @@ def test_sweep_checks_that_the_header_holds_every_l_before_any_episode(
         "mode LC at L=300: total_slices 300 does not fit the packet header")
 
 
-def test_sweep_into_a_missing_directory_fails_before_any_episode(
-        tmp_path, capsys, monkeypatch):
+def _output_refused_before_any_episode(tmp_path, capsys, monkeypatch,
+                                      output):
+    """A sweep into `output` exits 3 with one error line and no send."""
     sends = []
     send = pipeline.send
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         sends.append(args)
-        return send(*args)
+        return send(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "send", counted)
     config = _tiny_sweep(tmp_path, "modes = LC, ISC\nsynthetic_images = 2\n"
                                    "repetitions = 3\n")
-    out_csv = tmp_path / "missing" / "out.csv"
     assert main(["sweep", "--config", str(config), "--output",
-                 str(out_csv)]) == EXIT_IO
+                 str(output)]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sends == []
+    return err
+
+
+def test_sweep_into_a_missing_directory_fails_before_any_episode(
+        tmp_path, capsys, monkeypatch):
+    out_csv = tmp_path / "missing" / "out.csv"
+    _output_refused_before_any_episode(tmp_path, capsys, monkeypatch,
+                                       out_csv)
     assert not out_csv.parent.exists()
+
+
+def test_sweep_into_a_directory_fails_before_any_episode(
+        tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    err = _output_refused_before_any_episode(tmp_path, capsys, monkeypatch,
+                                             out_dir)
+    assert err == f"error: the output {out_dir} is a directory\n"
+    assert list(out_dir.iterdir()) == []
 
 
 def test_simulate_output_is_pinned(capsys):

@@ -19,7 +19,7 @@ from resicomp.pipeline import (OUTCOME_CONCEALED, OUTCOME_FAILED,
 from resicomp.predictor import collect_context, conceal, predict
 from resicomp.synthetic import synthetic_image
 from resicomp.token_codec import BLOCK, CodecConfig, TokenGrid, synthesize
-from resicomp.transport import Packet
+from resicomp.transport import Packet, PacketFormatError, packet_from_bytes
 
 
 def _cfg(codec, kind="LC", l=6, params=None):
@@ -242,3 +242,51 @@ def test_progressive_builds_no_more_tables_than_one_receive(monkeypatch,
     steps = progressive_receive(packets, cfg, *image.shape)
     assert steps[-1].outcome == OUTCOME_LOSSLESS
     assert 0 < sum(rows) <= once
+
+
+_FAULT_CFG = _cfg(CodecConfig(channels=16), "MDC", 6, {"n_d": 2})
+_FAULT_PACKETS, _FAULT_GRID, _, _ = send(_IMAGE, _FAULT_CFG)
+
+
+@st.composite
+def _channel_faults(draw):
+    """The stream's wire bytes after bit flips, truncation, duplication,
+    reordering and drops."""
+    wire = [bytearray(p.to_bytes()) for p in _FAULT_PACKETS]
+    for _ in range(draw(st.integers(0, 6))):
+        if not wire:
+            break
+        fault = draw(st.sampled_from(["flip", "truncate", "duplicate",
+                                      "reorder", "drop"]))
+        k = draw(st.integers(0, len(wire) - 1))
+        if fault == "flip" and wire[k]:
+            bit = draw(st.integers(0, 8 * len(wire[k]) - 1))
+            wire[k][bit // 8] ^= 1 << (bit % 8)
+        elif fault == "truncate":
+            del wire[k][draw(st.integers(0, len(wire[k]))):]
+        elif fault == "duplicate":
+            wire.insert(draw(st.integers(0, len(wire))), bytearray(wire[k]))
+        elif fault == "reorder":
+            wire = draw(st.permutations(wire))
+        elif fault == "drop":
+            del wire[k]
+    return [bytes(b) for b in wire]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_channel_faults())
+def test_no_channel_fault_crashes_the_decoder(wire):
+    # Only parsing may refuse bytes; whatever it lets through, the
+    # session decodes and conceals without raising, and a lossless
+    # outcome is the sender's grid.
+    session = Receiver(_FAULT_PACKETS[0].header)
+    for data in wire:
+        try:
+            packet = packet_from_bytes(data)
+        except PacketFormatError:
+            continue
+        session.add(packet)
+        result = session.result()
+        if result.outcome == OUTCOME_LOSSLESS:
+            assert np.array_equal(result.grid.values, _FAULT_GRID.values)
+    session.result()

@@ -6,23 +6,30 @@ give, for every symbol, exactly the counts that integrating and
 quantizing that symbol's (snapped) row alone gives.  The reference below is
 the direct evaluation: every component of every row integrated over
 all bins with the pinned CDF written as one expression, then
-largest-remainder quantization by a full sort.
+largest-remainder quantization by a full sort.  Streams and sweep
+episodes that share one store code exactly as with stores of their own.
 """
 
 import math
 from bisect import bisect_right
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resicomp import density
+from resicomp import cli, density, pipeline
 from resicomp.density import (FREQ_TOTAL, SIGMA_FLOOR, SIGMA_LEVELS,
                               FreqTable, _normal_cdf_in_place,
                               discretize_batch, quantize_probs, unique_rows)
-from resicomp.pipeline import TableStore
+from resicomp.pipeline import (PipelineConfig, Receiver, Stream, TableStore,
+                               receive, send, stream_header)
 from resicomp.predictor import default_prior, predict
-from resicomp.token_codec import TokenGrid
+from resicomp.synthetic import synthetic_image
+from resicomp.token_codec import CodecConfig, TokenGrid
+from resicomp.transport import preset
 
 
 def _normal_cdf(x):
@@ -228,3 +235,113 @@ def test_freq_table_lookup_matches_searchsorted(data):
             assert (low, high) == (cum[found], cum[found + 1])
             assert type(low) is int and type(high) is int
             assert low <= value < high
+
+
+_CODEC = CodecConfig(channels=16)
+_IMAGES = [synthetic_image(seed, height=48, width=64) for seed in (3, 5)]
+_MODES = [("ISC", {}), ("LC", {}), ("MDC", {"n_d": 2}),
+          ("SLC", {"enhancements": 1})]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(range(len(_IMAGES))),
+                          st.sampled_from(_MODES), st.integers(2, 8),
+                          st.lists(st.booleans(), min_size=8, max_size=8)),
+                min_size=2, max_size=4))
+def test_streams_sharing_a_store_code_as_with_their_own(streams):
+    # The shared store meets each stream's keys after other streams'
+    # keys and in another order than a fresh store does.
+    store = TableStore(default_prior(_CODEC.channels, _CODEC.clamp),
+                       _CODEC.clamp)
+    for image_index, (kind, params), l, arrived in streams:
+        image = _IMAGES[image_index]
+        cfg = PipelineConfig(codec=_CODEC, mode_kind=kind, l=l,
+                             mode_params=params)
+        own, _, _, _ = send(image, cfg)
+        shared, _, _, _ = send(image, cfg, store=store)
+        assert [p.to_bytes() for p in shared] == [p.to_bytes() for p in own]
+        flags = arrived[:l]
+        want = receive(own, flags, cfg, *image.shape)
+        got = receive(shared, flags, cfg, *image.shape, store=store)
+        assert got.grid.values.tobytes() == want.grid.values.tobytes()
+        assert got.image.tobytes() == want.image.tobytes()
+        assert (got.outcome, got.slice_status) == (want.outcome,
+                                                    want.slice_status)
+
+
+def test_a_stream_refuses_a_store_of_another_prior_or_clamp(monkeypatch):
+    cfg = PipelineConfig(codec=_CODEC, l=4)
+    header = stream_header(cfg, 48, 64)
+
+    def nothing_built(*args):
+        raise AssertionError("a mode or plan was built")
+
+    monkeypatch.setattr(pipeline, "make_mode", nothing_built)
+    monkeypatch.setattr(pipeline, "build_plan", nothing_built)
+    other_prior = TableStore(default_prior(_CODEC.channels, 63), _CODEC.clamp)
+    other_clamp = TableStore(default_prior(_CODEC.channels, _CODEC.clamp), 63)
+    for store in (other_prior, other_clamp):
+        for open_stream in (Stream, Receiver):
+            with pytest.raises(ValueError, match="table store"):
+                open_stream(header, store=store)
+        with pytest.raises(ValueError, match="table store"):
+            send(_IMAGES[0], cfg, store=store)
+        assert len(store) == 0
+
+
+def _rows(store):
+    return store._rows, store._cum[:len(store)].tobytes()
+
+
+def test_cli_replaces_its_store_at_the_cap_and_for_another_prior(monkeypatch):
+    monkeypatch.setattr(cli, "_store", None)
+    model = preset("EP6")
+    first = PipelineConfig(codec=_CODEC, mode_kind="LC", l=4)
+    second = PipelineConfig(codec=_CODEC, mode_kind="MDC", l=6,
+                            mode_params={"n_d": 2})
+    cli.run_episode(_IMAGES[0], first, model, 1)
+    store = cli._store
+    cli.run_episode(_IMAGES[1], first, model, 2)
+    assert cli._store is store  # under the cap
+    monkeypatch.setattr(cli, "STORE_CAP_BYTES", store.nbytes)
+    row = cli.run_episode(_IMAGES[1], second, model, 3)
+    replaced = cli._store
+    assert replaced is not store and 0 < len(replaced) < len(store)
+    monkeypatch.setattr(cli, "_store", None)
+    assert cli.run_episode(_IMAGES[1], second, model, 3) == row
+    assert _rows(replaced) == _rows(cli._store)
+    monkeypatch.setattr(cli, "STORE_CAP_BYTES", 2**40)
+    # Another prior, then the same prior at another clamp.
+    prior = default_prior(8)
+    for codec in (CodecConfig(channels=8), CodecConfig(channels=8, clamp=63)):
+        held = cli._store
+        cli.run_episode(_IMAGES[0], replace(first, codec=codec, prior=prior),
+                        model, 4)
+        assert cli._store is not held
+        assert (cli._store.prior, cli._store.clamp) == (prior, codec.clamp)
+
+
+def test_a_sweep_builds_each_key_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_store", None)
+    built, keys = [], set()
+    batch, mixture_keys = FreqTable.batch, pipeline.mixture_keys
+
+    def counted(counts):
+        built.append(len(counts))
+        return batch(counts)
+
+    def seen(output):
+        found = mixture_keys(output)
+        keys.update(found.tolist())
+        return found
+
+    monkeypatch.setattr(FreqTable, "batch", staticmethod(counted))
+    monkeypatch.setattr(pipeline, "mixture_keys", seen)
+    spec = cli.SweepSpec(synthetic_images=2, modes=["LC", "MDC:2", "SLC:1"],
+                         l_values=[4], presets=["EP3", "EP6"],
+                         fec_grid=[(4, 2)], channels=16,
+                         output=str(tmp_path / "out.csv"))
+    spec.validate()
+    cli.run_sweep(spec, jobs=1)
+    assert len(keys) > 0
+    assert sum(built) == len(keys) == len(cli._store)
