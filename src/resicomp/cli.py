@@ -275,9 +275,9 @@ def run_episode(image, cfg: PipelineConfig, model, trace_seed: int):
     trace = sample_trace(model, len(packets), trace_seed)
     result = pipeline.receive(packets, trace.flags, cfg, image.shape[0],
                               image.shape[1], planes, store=store)
-    mode = cfg.mode_kind + (
-        f":{cfg.mode_params.get('n_d') or cfg.mode_params.get('enhancements')}"
-        if cfg.mode_params else "")
+    header = packets[0].header  # the mode's own parameter, as coded
+    mode = cfg.mode_kind + (f":{header.mode_param}"
+                            if header.mode_id in MODE_PARAM else "")
     return _episode_row(image, cfg, model, trace_seed, mode, packets, plan,
                         result.image, result.outcome,
                         len(result.decoded_slices))

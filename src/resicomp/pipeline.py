@@ -8,13 +8,17 @@ model on one slice.  `send` codes each slice into one packet with the
 header it is given and decodes with the same model.  It is a session:
 packets are added one at a time, in any order, and each slice is
 entropy-decoded once, as soon as its packet and its full context
-closure are in.  Its result conceals all still-masked tokens in a
-single predictor pass, synthesizes the image and says per slice
-whether it was decoded, lost, orphaned by a context slice, corrupt, or
-rejected as another stream's.  `receive` runs a session over one set
-of packets; `progressive_receive` keeps one across every prefix.  The
-context model runs once per slice and only at that slice's positions,
-so its window sums cost work in proportion to the slice, not the grid.
+closure are in.  `Receiver.add` is the one rule for which packet a
+slice holds: the first of the session's own stream; later copies are
+ignored, and a slice that only other streams' packets reached is
+rejected.  A session keeps one state per slice, and its result
+conceals all still-masked tokens in a single predictor pass,
+synthesizes the image and says per slice whether it was decoded, lost,
+orphaned by a context slice, corrupt, or rejected.  `receive` hands a
+session every packet its flags keep; `progressive_receive` keeps one
+session across every prefix.  The context model runs once per slice
+and only at that slice's positions, so its window sums cost work in
+proportion to the slice, not the grid.
 
 Streams of one prior and clamp may share a `TableStore` that the caller
 passes in; otherwise each makes its own, and this module keeps none.
@@ -272,7 +276,10 @@ class Receiver(Stream):
     Slices decode as soon as their packet and all their context slices
     are in; `result` conceals the rest on a copy, so packets may keep
     arriving.  The header, prior and store are checked as `Stream`
-    checks them.
+    checks them.  Each slice has one state, a SLICE_* value: lost or
+    rejected until a packet of the stream reaches it, orphaned while
+    that packet is held and a context slice is not decoded, then
+    decoded or corrupt.
 
     Only wire bytes are checked, by `transport.packet_from_bytes`'s CRC.
     The `Packet` objects handed to a session are trusted: a payload moved
@@ -290,22 +297,22 @@ class Receiver(Stream):
             known=np.zeros(shape, bool),
         )
         self.packets = {}  # 1-based slice index -> the packet it holds
-        self.decoded = [False] * self.l
-        self.corrupt = set()  # 1-based indices whose payload did not decode
-        self.rejected = set()  # 1-based indices of other streams' packets
+        self.state = [SLICE_LOST] * self.l  # slice i's is state[i - 1]
 
     def _missing_context(self, i: int) -> int | None:
         """Slice i's first context slice that is not decoded, if any; a
         held slice decodes once there is none and is orphaned until then."""
         return next((j for j in self.mode.contexts_of(i)
-                     if not self.decoded[j - 1]), None)
+                     if self.state[j - 1] != SLICE_DECODED), None)
 
     def add(self, *packets: Packet):
         """Hold packets and decode every slice that became decodable.
 
-        A packet for a slice the session already holds is ignored, and
-        so is one of another stream, whose slice is marked rejected.
-        Packets are trusted as given (only wire bytes are checked, by
+        This is the one rule for which packet a slice holds: the first
+        packet of the session's stream.  A later packet for a held slice
+        is ignored.  A packet of another stream is never held; its slice
+        is rejected until one of the session's own arrives.  Packets are
+        trusted as given (only wire bytes are checked, by
         `packet_from_bytes`'s CRC): a payload moved into another slice's
         packet can decode as `lossless` with wrong tokens.
         """
@@ -315,17 +322,17 @@ class Receiver(Stream):
             if index > self.l or index in self.packets:
                 continue
             if packet.header != self.header:
-                self.rejected.add(index)
+                self.state[index - 1] = SLICE_REJECTED
                 continue
             self.packets[index] = packet
+            self.state[index - 1] = SLICE_ORPHANED
             new.append(index)
         if not new:
             return
         # Contexts precede their slice, so one ascending sweep from the
         # lowest new slice decodes everything the packets unblock.
         for i in range(min(new), self.l + 1):
-            if (i not in self.packets or self.decoded[i - 1]
-                    or i in self.corrupt
+            if (self.state[i - 1] != SLICE_ORPHANED
                     or self._missing_context(i) is not None):
                 continue
             positions, rows, cum = self.model(i, self.grid)
@@ -333,29 +340,13 @@ class Receiver(Stream):
                 symbols = entropy_coder.decode(self.packets[i].payload, rows,
                                                cum)
             except entropy_coder.CorruptStreamError:
-                self.corrupt.add(i)
+                self.state[i - 1] = SLICE_CORRUPT
                 continue
             values = np.array(symbols, dtype=np.int64) - self.header.clamp
             at = tuple(positions.T)
             self.grid.values[at] = values.reshape(len(positions), -1)
             self.grid.known[at] = True
-            self.decoded[i - 1] = True
-
-    def _slice_status(self) -> list:
-        status = []
-        for i in range(1, self.l + 1):
-            if self.decoded[i - 1]:
-                status.append(SliceStatus(SLICE_DECODED))
-            elif i in self.corrupt:
-                status.append(SliceStatus(SLICE_CORRUPT))
-            elif i in self.packets:
-                status.append(SliceStatus(SLICE_ORPHANED,
-                                          self._missing_context(i)))
-            elif i in self.rejected:
-                status.append(SliceStatus(SLICE_REJECTED))
-            else:
-                status.append(SliceStatus(SLICE_LOST))
-        return status
+            self.state[i - 1] = SLICE_DECODED
 
     def result(self) -> ReceiveResult:
         """Conceal what is still masked and synthesize the image."""
@@ -363,14 +354,15 @@ class Receiver(Stream):
         # iterative schedule; slices predicted from no context at all
         # (depth 0) count for none.  Decoded and corrupt slices were
         # predicted.
-        passes = len({self.depths[i - 1] for i in range(1, self.l + 1)
-                      if self.decoded[i - 1] or i in self.corrupt} - {0})
-        n_decoded = sum(self.decoded)
-        if n_decoded == self.l:
+        passes = len({d for d, state in zip(self.depths, self.state)
+                      if state in (SLICE_DECODED, SLICE_CORRUPT)} - {0})
+        decoded = [i for i, state in enumerate(self.state, start=1)
+                   if state == SLICE_DECODED]
+        if len(decoded) == self.l:
             outcome = OUTCOME_LOSSLESS
             full = self.grid.copy()
         else:
-            outcome = OUTCOME_FAILED if n_decoded == 0 else OUTCOME_CONCEALED
+            outcome = OUTCOME_CONCEALED if decoded else OUTCOME_FAILED
             output = predict(self.grid, self.prior)
             if self.grid.known.any():
                 passes += 1
@@ -381,9 +373,12 @@ class Receiver(Stream):
             image=image,
             outcome=outcome,
             grid=full,
-            decoded_slices=[i + 1 for i, d in enumerate(self.decoded) if d],
+            decoded_slices=decoded,
             predictor_passes=passes,
-            slice_status=self._slice_status(),
+            slice_status=[
+                SliceStatus(state, self._missing_context(i)
+                            if state == SLICE_ORPHANED else None)
+                for i, state in enumerate(self.state, start=1)],
         )
 
 
@@ -393,34 +388,36 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
             store: TableStore | None = None) -> ReceiveResult:
     """Decode received packets; conceal what cannot be entropy-decoded.
 
-    flags[i] says whether slice i + 1's packet counts as received;
-    ValueError unless there is one flag per slice.  Of several packets
-    for one slice the last one counts.  Packets of another stream than
-    `stream_header` gives for cfg and the output size are rejected;
-    ValueError if no packet matches.  With a `receiver` session for that
-    stream, only the packets it does not hold yet are added; flags that
-    drop one it holds raise ValueError.  Without one, the session takes
-    its tables from `store` if one is given.  Only wire bytes are
-    checked, by `packet_from_bytes`'s CRC; the `Packet` objects given
-    here are trusted, so a payload moved into another slice's packet can
-    decode as `lossless` with wrong tokens.
+    flags[i] says whether slice i + 1's packets count as received;
+    ValueError unless there is one flag per slice.  Packets may be None
+    (lost).  Every packet whose slice's flag is set goes to the session
+    in list order, and `Receiver.add` decides which one a slice holds:
+    the first of the stream that `stream_header` gives for cfg and the
+    output size.  ValueError if no packet of that stream is given.
+    With a `receiver` session for that stream, flags that drop a slice
+    it holds raise ValueError; without one, the session takes its
+    tables from `store` if one is given.  Only wire bytes are checked,
+    by `packet_from_bytes`'s CRC; the `Packet` objects given here are
+    trusted, so a payload moved into another slice's packet can decode
+    as `lossless` with wrong tokens.
     """
     if receiver is None:
         receiver = Receiver(stream_header(cfg, out_height, out_width, planes),
                             cfg.prior, store)
-    by_slice = {p.header.slice_index + 1: p for p in packets if p is not None}
-    if not any(p.header == receiver.header for p in by_slice.values()):
+    given = [p for p in packets if p is not None]
+    if not any(p.header == receiver.header for p in given):
         raise ValueError("no packet matches the config and output size")
     if len(flags) != receiver.l:
         raise ValueError(f"{len(flags)} flags for a stream of {receiver.l} "
                          "slices")
-    arrived = [i for i in range(1, receiver.l + 1)
-               if flags[i - 1] and i in by_slice]
-    dropped = receiver.packets.keys() - set(arrived)
+    kept = [p for p in given if p.header.slice_index < receiver.l
+            and flags[p.header.slice_index]]
+    dropped = receiver.packets.keys() - {p.header.slice_index + 1
+                                         for p in kept}
     if dropped:
         raise ValueError(f"flags drop slices {sorted(dropped)} that the "
                          "receiver already holds")
-    receiver.add(*(by_slice[i] for i in arrived))
+    receiver.add(*kept)
     return receiver.result()
 
 

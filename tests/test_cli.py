@@ -2,12 +2,17 @@ import csv
 import hashlib
 import io
 import re
+import tempfile
 from concurrent.futures import Future
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resicomp import cli, pipeline
 from resicomp.cli import (CSV_FIELDS, EXIT_IO, EXIT_OK, EXIT_USAGE,
@@ -222,6 +227,75 @@ def test_decode_with_no_readable_packet_is_a_validation_error(
     err = capsys.readouterr().err
     assert err == f"error: no readable packet in {pkt_dir}\n"
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fault_streams(tmp_path_factory):
+    """The wire bytes of an MDC:2 L=6 C=16 stream, and of another stream."""
+    tmp = tmp_path_factory.mktemp("fault_streams")
+    streams = []
+    for seed, args in ((1, ["--mode", "MDC:2", "--L", "6"]),
+                       (2, ["--L", "4"])):
+        image = tmp / f"{seed}.pgm"
+        write_ppm(image, synthetic_image(seed, height=48, width=64))
+        pkt_dir = tmp / f"pkts{seed}"
+        assert main(["encode", "--image", str(image), "--out", str(pkt_dir),
+                     "--channels", "16"] + args) == EXIT_OK
+        streams.append([p.read_bytes()
+                        for p in sorted(pkt_dir.glob("slice_*.pkt"))])
+    return streams
+
+
+_FILE_FAULTS = ["flip", "truncate", "drop", "duplicate", "trailing",
+                "foreign"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decode_survives_channel_faults(fault_streams, data):
+    # Whatever files a channel leaves, decode conceals and exits 0, or
+    # refuses them with exactly one error line; it never raises.
+    own, other = fault_streams
+    files = list(own)
+    for _ in range(data.draw(st.integers(1, 6))):
+        fault = data.draw(st.sampled_from(_FILE_FAULTS))
+        if fault == "foreign":
+            files.insert(data.draw(st.integers(0, len(files))),
+                         data.draw(st.sampled_from(other)))
+            continue
+        if not files:
+            continue
+        k = data.draw(st.integers(0, len(files) - 1))
+        wire = bytearray(files[k])
+        if fault == "flip" and wire:
+            bit = data.draw(st.integers(0, 8 * len(wire) - 1))
+            wire[bit // 8] ^= 1 << (bit % 8)
+        elif fault == "truncate":
+            del wire[data.draw(st.integers(0, len(wire))):]
+        elif fault == "trailing":
+            wire += data.draw(st.binary(min_size=1, max_size=8))
+        elif fault == "drop":
+            del files[k]
+            continue
+        elif fault == "duplicate":
+            files.insert(data.draw(st.integers(0, len(files))), files[k])
+            continue
+        files[k] = bytes(wire)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        pkt_dir = Path(tmp) / "pkts"
+        pkt_dir.mkdir()
+        for n, wire in enumerate(files):
+            (pkt_dir / f"slice_{n:03d}.pkt").write_bytes(wire)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["decode", "--packets", str(pkt_dir),
+                         "--out", str(Path(tmp) / "out.pgm")])
+    errors = [line for line in err.getvalue().splitlines()
+              if line.startswith("error:")]
+    if code == EXIT_OK:
+        assert "outcome=" in out.getvalue() and not errors
+    else:
+        assert code in (EXIT_VALIDATION, EXIT_IO) and len(errors) == 1
 
 
 def test_packets_of_an_image_over_the_size_bound_are_refused(
@@ -525,6 +599,18 @@ def test_simulate_output_is_pinned(capsys):
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
         "5d9fd43e7ec1c3bc4a3b5ce59467c8cab72307d1c23e40cbab35831e9dd5b4e4")
+
+
+def test_the_csv_names_a_mode_by_its_own_parameter():
+    # Only MDC and SLC take a parameter; an LC config's stray n_d is not
+    # coded in its header, so it is not in its label either.
+    image = synthetic_image(1, height=48, width=64)
+    for kind, params, label in (("LC", {"n_d": 2}, "LC"),
+                                ("MDC", {"n_d": 2}, "MDC:2"),
+                                ("SLC", {"enhancements": 1}, "SLC:1")):
+        cfg = PipelineConfig(codec=CodecConfig(channels=16), mode_kind=kind,
+                             l=4, mode_params=params)
+        assert cli.run_episode(image, cfg, preset("EP3"), 1)["mode"] == label
 
 
 def test_parse_config_defaults(tmp_path):

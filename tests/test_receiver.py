@@ -1,6 +1,7 @@
 """The receiver session against per-prefix decoding from scratch."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,3 +291,54 @@ def test_no_channel_fault_crashes_the_decoder(wire):
         if result.outcome == OUTCOME_LOSSLESS:
             assert np.array_equal(result.grid.values, _FAULT_GRID.values)
     session.result()
+
+
+_RULE_CFG = _cfg(CodecConfig(channels=16), "LC", 4)
+_RULE_PACKETS, _RULE_GRID, _, _ = send(synthetic_image(1, height=48, width=64),
+                                       _RULE_CFG)
+# Another image's stream with the same slices, and one with more slices.
+_OTHER_PACKETS = send(synthetic_image(2, height=48, width=64),
+                      replace(_RULE_CFG, image_id=9))[0]
+_LONGER_PACKETS = send(_IMAGE, _cfg(CodecConfig(channels=16), "LC", 6))[0]
+_RULE_POOL = (_RULE_PACKETS + _OTHER_PACKETS + _LONGER_PACKETS
+              + [Packet(header=p.header, payload=_GARBAGE)
+                 for p in _RULE_PACKETS])
+
+
+def _fed_in_order(packets, flags):
+    """A fresh session fed the flagged packets in list order."""
+    session = Receiver(_RULE_PACKETS[0].header)
+    session.add(*(p for p in packets if p is not None
+                  and p.header.slice_index < len(flags)
+                  and flags[p.header.slice_index]))
+    return session.result()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.none() | st.sampled_from(_RULE_POOL), max_size=12),
+       st.lists(st.booleans(), min_size=4, max_size=4))
+def test_receive_holds_what_the_session_holds(packets, flags):
+    # Own and other streams' packets, copies with good or garbage
+    # payloads and holes, in any order: the session's rule alone says
+    # which packet each slice holds.
+    if not any(p is not None and p.header == _RULE_PACKETS[0].header
+               for p in packets):
+        with pytest.raises(ValueError):
+            receive(packets, flags, _RULE_CFG, 48, 64)
+        return
+    result = receive(packets, flags, _RULE_CFG, 48, 64)
+    _assert_same(_as_tuple(result), _as_tuple(_fed_in_order(packets, flags)))
+    if result.outcome == OUTCOME_LOSSLESS:
+        assert np.array_equal(result.grid.values, _RULE_GRID.values)
+
+
+def test_another_streams_packet_after_a_good_one_is_not_held():
+    packets = _RULE_PACKETS + [_OTHER_PACKETS[1]]
+    result = receive(packets, [1] * 4, _RULE_CFG, 48, 64)
+    assert result.outcome == OUTCOME_LOSSLESS
+    assert np.array_equal(result.grid.values, _RULE_GRID.values)
+    # Where only the other stream's packet arrives, its slice is rejected.
+    packets = [_RULE_PACKETS[0], _OTHER_PACKETS[1]] + _RULE_PACKETS[2:]
+    result = receive(packets, [1] * 4, _RULE_CFG, 48, 64)
+    assert [str(s) for s in result.slice_status] == [
+        "decoded", "rejected", "orphaned by 2", "orphaned by 2"]
