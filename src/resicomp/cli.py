@@ -13,6 +13,7 @@ import hashlib
 import os
 import struct
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -408,7 +409,8 @@ def cmd_encode(args):
 
 
 def cmd_decode(args):
-    """Decode the stream of the first readable packet; its header says all."""
+    """Decode the stream whose header most readable packets share (on a
+    tie, the first in file-name order); that header says all."""
     pkt_dir = Path(args.packets)
     paths = sorted(pkt_dir.glob("slice_*.pkt"))
     if not paths:
@@ -424,8 +426,10 @@ def cmd_decode(args):
         raise transport.PacketFormatError(f"no readable packet in {pkt_dir}")
     for line in damaged:
         print(line, file=sys.stderr)
-    first = packets[0].header
-    session = pipeline.Receiver(first, load_env_prior(first.channels))
+    # Equal headers are one stream; most_common keeps first-seen order
+    # among equal counts.
+    header = Counter(p.header for p in packets).most_common(1)[0][0]
+    session = pipeline.Receiver(header, load_env_prior(header.channels))
     total = session.l
     flags = [True] * total
     if args.trace:

@@ -131,19 +131,24 @@ def discretize_batch(weights, means, sigmas, v):
     inverse = inverse.reshape(-1, k)
     weights = weights.reshape(-1, k)
     probs = np.empty((len(weights), n_symbols))
-    rows = min(len(probs), _BLOCK_ROWS)
-    gathered = np.empty((rows, k, n_symbols))
-    per_comp = np.empty((rows, n_symbols, k))
+    gathered = np.empty((min(len(probs), _BLOCK_ROWS), k, n_symbols))
     for start in range(0, len(probs), _BLOCK_ROWS):
         block = probs[start:start + _BLOCK_ROWS]
         b = len(block)
-        np.take(masses, inverse[start:start + b], axis=0, out=gathered[:b],
+        terms = gathered[:b]
+        np.take(masses, inverse[start:start + b], axis=0, out=terms,
                 mode="clip")
-        # (rows, S, K), the layout of a direct evaluation, so the mixing
-        # sums every bin in the same order.
-        np.copyto(per_comp[:b], gathered[:b].transpose(0, 2, 1))
-        np.einsum("rk,rsk->rs", weights[start:start + b], per_comp[:b],
-                  out=block)
+        terms *= weights[start:start + b, :, None]
+        # The weighted components are summed as numpy's einsum sums a
+        # K-term product over its last axis, so every bin equals the
+        # direct evaluation's: the even-numbered terms in order, the
+        # odd-numbered ones in order, then the two sums.
+        for j in range(2, k):
+            terms[:, j % 2] += terms[:, j]
+        if k > 1:
+            np.add(terms[:, 0], terms[:, 1], out=block)
+        else:
+            np.copyto(block, terms[:, 0])
         np.clip(block, 0.0, None, out=block)
         block /= block.sum(axis=1, keepdims=True)
     return probs.reshape(*lead, n_symbols)
@@ -282,8 +287,11 @@ def mixture_keys(output):
 
     `output` has (n, C) local means and sigmas and (n,) bool
     `has_neighbors`; rows without a neighbour get their channel's prior
-    key.
+    key.  ValueError for an output without sigmas (the value head only).
     """
+    if output.sigmas is None:
+        raise ValueError("the predictor output has no sigmas: predict "
+                         "with sigmas=True to key its tables")
     channels = output.means.shape[1]
     mu, sigma = snap(output.means, output.sigmas)
     local = (mu + _MU_MAX) * len(SIGMA_LEVELS) + sigma + 1

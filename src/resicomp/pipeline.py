@@ -16,9 +16,9 @@ conceals all still-masked tokens in a single predictor pass,
 synthesizes the image and says per slice whether it was decoded, lost,
 orphaned by a context slice, corrupt, or rejected.  `receive` hands a
 session every packet its flags keep; `progressive_receive` keeps one
-session across every prefix.  The context model runs once per slice
-and only at that slice's positions, so its window sums cost work in
-proportion to the slice, not the grid.
+session across every prefix of a packet list, in list order.  The
+context model runs once per slice and only at that slice's positions,
+so its window sums cost work in proportion to the slice, not the grid.
 
 Streams of one prior and clamp may share a `TableStore` that the caller
 passes in; otherwise each makes its own, and this module keeps none.
@@ -363,7 +363,7 @@ class Receiver(Stream):
             full = self.grid.copy()
         else:
             outcome = OUTCOME_CONCEALED if decoded else OUTCOME_FAILED
-            output = predict(self.grid, self.prior)
+            output = predict(self.grid, self.prior, sigmas=False)
             if self.grid.known.any():
                 passes += 1
             full = conceal(self.grid, output)
@@ -393,20 +393,20 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
     (lost).  Every packet whose slice's flag is set goes to the session
     in list order, and `Receiver.add` decides which one a slice holds:
     the first of the stream that `stream_header` gives for cfg and the
-    output size.  ValueError if no packet of that stream is given.
-    With a `receiver` session for that stream, flags that drop a slice
-    it holds raise ValueError; without one, the session takes its
-    tables from `store` if one is given.  Only wire bytes are checked,
-    by `packet_from_bytes`'s CRC; the `Packet` objects given here are
-    trusted, so a payload moved into another slice's packet can decode
-    as `lossless` with wrong tokens.
+    output size.  Without a `receiver` session, ValueError if no packet
+    of that stream is given, and the session it opens takes its tables
+    from `store` if one is given.  With a `receiver` session for that
+    stream, flags that drop a slice it holds raise ValueError.  Only
+    wire bytes are checked, by `packet_from_bytes`'s CRC; the `Packet`
+    objects given here are trusted, so a payload moved into another
+    slice's packet can decode as `lossless` with wrong tokens.
     """
+    given = [p for p in packets if p is not None]
     if receiver is None:
         receiver = Receiver(stream_header(cfg, out_height, out_width, planes),
                             cfg.prior, store)
-    given = [p for p in packets if p is not None]
-    if not any(p.header == receiver.header for p in given):
-        raise ValueError("no packet matches the config and output size")
+        if not any(p.header == receiver.header for p in given):
+            raise ValueError("no packet matches the config and output size")
     if len(flags) != receiver.l:
         raise ValueError(f"{len(flags)} flags for a stream of {receiver.l} "
                          "slices")
@@ -440,16 +440,21 @@ def evaluate(original: np.ndarray, result_image: np.ndarray, outcome: str,
 
 def progressive_receive(packets, cfg: PipelineConfig, out_height: int,
                         out_width: int, planes: int = 1):
-    """Decode every prefix of the packet sequence; one result per step.
+    """Decode every prefix of the packet list, in list order; one result
+    per prefix.
 
+    The list may hold the slices in any order, lost packets as None,
+    copies (a slice keeps the first it gets) and any number of packets.
     One receiver session runs across the prefixes, so each slice is
-    entropy-decoded once.
+    entropy-decoded once.  ValueError if no packet of cfg's stream is
+    given.
     """
     session = Receiver(stream_header(cfg, out_height, out_width, planes),
                        cfg.prior)
-    results = []
-    for k in range(1, len(packets) + 1):
-        flags = [i < k for i in range(len(packets))]
-        results.append(receive(packets, flags, cfg, out_height, out_width,
-                               planes, receiver=session))
-    return results
+    if not any(p is not None and p.header == session.header
+               for p in packets):
+        raise ValueError("no packet matches the config and output size")
+    every = [True] * session.l
+    return [receive(packets[:k], every, cfg, out_height, out_width, planes,
+                    receiver=session)
+            for k in range(1, len(packets) + 1)]

@@ -9,6 +9,13 @@ neighbor is known it is the global per-channel prior shipped in the
 model file.  `density` mixes it with that prior under the prior's
 pooled weights, so encoder and decoder reproduce identical
 distributions with zero side information.
+
+Each caller computes only the head it reads.  `pipeline.Stream.model`
+codes a slice from the density head (means, sigmas and whether a
+neighbor is known) at the slice's positions; the receiver's
+concealment reads only the value head, so it calls `predict` with
+`sigmas=False`, which sums the window over known and value alone and
+skips the value^2 sums and the spread.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -148,7 +155,7 @@ class PredictorOutput:
 
     positions: np.ndarray  # (n, 2) intp, (row, col) of each prediction
     means: np.ndarray  # (n, C) local means
-    sigmas: np.ndarray  # (n, C) local sigmas
+    sigmas: np.ndarray | None  # (n, C) local sigmas; None: value head only
     values: np.ndarray  # (n, C) int16
     has_neighbors: np.ndarray  # (n,) bool, some window neighbor is known
 
@@ -178,6 +185,19 @@ def _window_kernel(window: int) -> np.ndarray:
     return kernel
 
 
+@lru_cache(maxsize=None)
+def _window_taps(window: int):
+    """(dy, dx, weight) of the nonzero kernel taps, in the kernel's C
+    order, each offset relative to the window's centre.  Built once per
+    window size; the arrays are read-only."""
+    kernel = _window_kernel(window)
+    tap_y, tap_x = np.nonzero(kernel)
+    taps = (tap_y - window // 2, tap_x - window // 2, kernel[tap_y, tap_x])
+    for a in taps:
+        a.flags.writeable = False
+    return taps
+
+
 def _softmax(logits):
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max()
@@ -185,43 +205,54 @@ def _softmax(logits):
     return e / e.sum()
 
 
-# Positions per gather block are capped so one (block, 2C+1) float64
+# Positions per gather block are capped so one (block, columns) float64
 # temporary, or the block's (block, taps) index array, stays near 1 MB.
 _BLOCK_ELEMENTS = 1 << 17
 
 
-def _window_sums(grid: TokenGrid, rows, cols, window: int):
-    """Inverse-distance window sums of known, value and value^2 at points.
-
-    Each sum starts at 0.0 and adds `neighbor * weight` over the nonzero
-    kernel taps in the kernel's C order, exactly the arithmetic of a
-    zero-padded full-grid convolution, so the results are bit-identical
-    to `scipy.ndimage.convolve(..., mode="constant", cval=0.0)` there.
-    A tap whose neighbor is unknown or off the grid adds +0.0, which
-    leaves a sum that started at +0.0 unchanged, so such taps are skipped.
-    """
+def _known_columns(grid: TokenGrid, squares: bool, radius: int) -> np.ndarray:
+    """Float64 columns [known, values] per grid position, plus values^2
+    if `squares`, with values zeroed where unknown, and `radius` rows and
+    columns of zeros on every side: (h + 2 radius, w + 2 radius, m)."""
     h, w, channels = grid.values.shape
-    kernel = _window_kernel(window)
-    radius = window // 2
-    tap_y, tap_x = np.nonzero(kernel)
-    tap_w = kernel[tap_y, tap_x]
-    width = w + 2 * radius
-    # One zero-padded row per grid point: [known, values, values^2], with
-    # values zeroed where unknown, so one gather serves all three sums.
-    padded = np.zeros((h + 2 * radius, width, 1 + 2 * channels))
+    m = 1 + (2 if squares else 1) * channels
+    padded = np.zeros((h + 2 * radius, w + 2 * radius, m))
     inner = padded[radius:radius + h, radius:radius + w]
     inner[:, :, 0] = grid.known
-    inner[:, :, 1:channels + 1] = grid.values * grid.known[:, :, None]
-    np.multiply(inner[:, :, 1:channels + 1], inner[:, :, 1:channels + 1],
-                out=inner[:, :, channels + 1:])
-    padded = padded.reshape(-1, 1 + 2 * channels)
+    values = inner[:, :, 1:channels + 1]
+    values[...] = grid.values * grid.known[:, :, None]
+    if squares:
+        np.multiply(values, values, out=inner[:, :, channels + 1:])
+    return padded
+
+
+def _window_sums(padded: np.ndarray, rows, cols, window: int) -> np.ndarray:
+    """Inverse-distance window sums of per-position columns at points.
+
+    `padded` holds m columns per grid position, zero-padded by
+    `window // 2` on every side, as `_known_columns` stacks them: column
+    0 is the known mask and every column is 0.0 where that mask is.
+    The result is (len(rows), m).  Each sum starts at 0.0 and adds
+    `neighbor * weight` over the nonzero kernel taps in the kernel's C
+    order, exactly the arithmetic of a zero-padded full-grid
+    convolution, so the results are bit-identical to
+    `scipy.ndimage.convolve(..., mode="constant", cval=0.0)` there.  A
+    tap whose neighbor is unknown or off the grid adds +0.0, which
+    leaves a sum that started at +0.0 unchanged, so such taps are
+    skipped.
+    """
+    _, width, m = padded.shape
+    dy, dx, tap_w = _window_taps(window)
+    radius = window // 2
+    padded = padded.reshape(-1, m)
     known = padded[:, 0] > 0.0
-    # Flat offsets of the taps relative to a point's padded index.
-    offsets = (tap_y - radius) * width + (tap_x - radius)
+    # Flat offsets of the taps relative to a point's padded index; one
+    # gather of a padded row serves every column.
+    offsets = dy * width + dx
     base = (rows + radius) * width + cols + radius
     n = len(base)
-    sums = np.zeros((n, 1 + 2 * channels))
-    block = max(1, _BLOCK_ELEMENTS // max(padded.shape[1], len(offsets)))
+    sums = np.zeros((n, m))
+    block = max(1, _BLOCK_ELEMENTS // max(m, len(offsets)))
     for lo in range(0, n, block):
         idx = base[lo:lo + block, None] + offsets
         out = sums[lo:lo + block]
@@ -232,11 +263,11 @@ def _window_sums(grid: TokenGrid, rows, cols, window: int):
             padded.take(idx[:, t], axis=0, out=term, mode="clip")
             term *= tap_w[t]
             out += term
-    return sums[:, 0], sums[:, 1:channels + 1], sums[:, channels + 1:]
+    return sums
 
 
-def predict(grid: TokenGrid, prior: PriorModel,
-            positions=None) -> PredictorOutput:
+def predict(grid: TokenGrid, prior: PriorModel, positions=None,
+            sigmas: bool = True) -> PredictorOutput:
     """Density head and concealment head at `positions` only.
 
     `positions` is a sequence of (row, col) pairs; it defaults to the
@@ -244,7 +275,9 @@ def predict(grid: TokenGrid, prior: PriorModel,
     fills.  The local estimate is the inverse-distance-weighted window
     estimate where any window neighbor is known and the prior
     elsewhere.  The value head is its rounded mean, so both heads agree
-    by construction.
+    by construction.  With `sigmas=False` the local spread is not
+    computed and the output's `sigmas` is None: enough for `conceal`,
+    not for `density.mixture_keys`.
     """
     if prior.channels != grid.channels:
         raise ValueError("prior channel count does not match grid")
@@ -254,18 +287,26 @@ def predict(grid: TokenGrid, prior: PriorModel,
     rows, cols = positions[:, 0], positions[:, 1]
     if np.any((rows < 0) | (rows >= grid.h) | (cols < 0) | (cols >= grid.w)):
         raise ValueError("positions must lie on the grid")
-    sum_w, sv, sv2 = _window_sums(grid, rows, cols, prior.window)
+    channels = grid.channels
+    window = prior.window
+    sums = _window_sums(_known_columns(grid, sigmas, window // 2), rows,
+                        cols, window)
+    sum_w = sums[:, 0]
     has_neighbors = sum_w > 0.0
     safe_w = np.where(has_neighbors, sum_w, 1.0)[:, None]
-    local_mean = sv / safe_w
-    local_var = np.maximum(sv2 / safe_w - local_mean * local_mean, 0.0)
-    local_sigma = np.maximum(SIGMA_FLOOR, np.sqrt(local_var))
+    local_mean = sums[:, 1:channels + 1] / safe_w
     neighbor_sel = has_neighbors[:, None]
     means = np.where(neighbor_sel, local_mean, prior.means)
+    spread = None
+    if sigmas:
+        local_var = np.maximum(
+            sums[:, channels + 1:] / safe_w - local_mean * local_mean, 0.0)
+        local_sigma = np.maximum(SIGMA_FLOOR, np.sqrt(local_var))
+        spread = np.where(neighbor_sel, local_sigma, prior.stds)
     return PredictorOutput(
         positions=positions,
         means=means,
-        sigmas=np.where(neighbor_sel, local_sigma, prior.stds),
+        sigmas=spread,
         values=np.rint(means).astype(np.int16),
         has_neighbors=has_neighbors,
     )

@@ -137,8 +137,7 @@ def _block_coefficients(pixels: np.ndarray) -> np.ndarray:
     hgt, wid = pixels.shape
     blocks = pixels.reshape(hgt // BLOCK, BLOCK, wid // BLOCK, BLOCK)
     blocks = blocks.transpose(0, 2, 1, 3).astype(np.float64)
-    coeffs = np.einsum("ij,hwjk,lk->hwil", _DCT, blocks, _DCT,
-                       optimize=True)
+    coeffs = _DCT @ blocks @ _DCT.T
     return coeffs.reshape(coeffs.shape[0], coeffs.shape[1], BLOCK * BLOCK)
 
 
@@ -146,8 +145,7 @@ def _blocks_from_coefficients(coeffs: np.ndarray) -> np.ndarray:
     """Inverse transform: (h, w, 256) -> (h*16, w*16) plane."""
     h, w = coeffs.shape[:2]
     blocks = coeffs.reshape(h, w, BLOCK, BLOCK)
-    pixels = np.einsum("ji,hwjk,kl->hwil", _DCT, blocks, _DCT,
-                       optimize=True)
+    pixels = _DCT.T @ blocks @ _DCT
     return pixels.transpose(0, 2, 1, 3).reshape(h * BLOCK, w * BLOCK)
 
 

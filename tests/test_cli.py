@@ -159,6 +159,28 @@ def test_decode_reads_everything_from_the_packet_headers(tmp_path, capsys):
     assert read_ppm(out).shape == rgb.shape
 
 
+def test_decode_opens_the_stream_most_packets_share(tmp_path, image_file,
+                                                   capsys):
+    own, other = tmp_path / "own", tmp_path / "other"
+    out = str(tmp_path / "out.pgm")
+    assert main(["encode", "--image", str(image_file), "--out", str(own),
+                 "--channels", "16", "--L", "4"]) == EXIT_OK
+    assert main(["encode", "--image", str(image_file), "--out", str(other),
+                 "--channels", "8", "--L", "6"]) == EXIT_OK
+    # A packet of another stream that sorts before all of the stream's own.
+    (own / "slice_0.pkt").write_bytes((other / "slice_001.pkt").read_bytes())
+    capsys.readouterr()
+    assert main(["decode", "--packets", str(own), "--out", out]) == EXIT_OK
+    assert "outcome=lossless decoded=4/4" in capsys.readouterr().out
+    # On a tie the first stream in file-name order is decoded.
+    for name in ("slice_0.pkt", "slice_002.pkt", "slice_003.pkt"):
+        (own / name).unlink()
+    (own / "slice_001.pkt").write_bytes(
+        (other / "slice_001.pkt").read_bytes())
+    assert main(["decode", "--packets", str(own), "--out", out]) == EXIT_OK
+    assert "decoded=1/4" in capsys.readouterr().out
+
+
 def test_decode_takes_three_options(capsys):
     assert main(["decode", "--help"]) == EXIT_OK
     usage = capsys.readouterr().out.split("\n\n")[0]

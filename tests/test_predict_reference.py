@@ -19,8 +19,9 @@ from scipy.ndimage import convolve
 
 from resicomp import predictor
 from resicomp.density import SIGMA_FLOOR
-from resicomp.predictor import (MIXTURES, PriorModel, _softmax,
-                                _window_kernel, _window_sums, predict)
+from resicomp.predictor import (MIXTURES, PriorModel, _known_columns,
+                                _softmax, _window_kernel, _window_sums,
+                                predict)
 from resicomp.token_codec import TokenGrid
 
 
@@ -70,8 +71,14 @@ def _assert_matches(grid, prior, positions):
     positions = np.asarray(positions, dtype=np.intp).reshape(-1, 2)
     rows, cols = positions[:, 0], positions[:, 1]
     assert np.array_equal(out.positions, positions)
-    sums = _window_sums(grid, rows, cols, prior.window)
-    for name, got in zip(("sum_w", "sv", "sv2"), sums):
+    window = prior.window
+    sums = _window_sums(_known_columns(grid, True, window // 2), rows, cols,
+                        window)
+    channels = grid.channels
+    for name, got in zip(("sum_w", "sv", "sv2"),
+                         (sums[:, 0], sums[:, 1:channels + 1],
+                          sums[:, channels + 1:])):
+        got = np.ascontiguousarray(got)
         want = np.ascontiguousarray(ref[name][rows, cols])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name

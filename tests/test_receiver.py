@@ -136,6 +136,60 @@ def test_progressive_equals_per_prefix_decoding(stream):
             packets, flags, cfg, *_IMAGE.shape))
 
 
+def _session_steps(packets):
+    """One fresh session per prefix of the list, fed the prefix in order."""
+    steps = []
+    for k in range(1, len(packets) + 1):
+        session = Receiver(packets[0].header)
+        session.add(*(p for p in packets[:k] if p is not None))
+        steps.append(_as_tuple(session.result()))
+    return steps
+
+
+def test_progressive_prefixes_follow_the_list_order(small_image,
+                                                    light_codec):
+    cfg = _cfg(light_codec, "ISC", 4)
+    packets, grid, _, _ = send(small_image, cfg)
+    steps = progressive_receive(packets[::-1], cfg, *small_image.shape)
+    assert [s.decoded_slices for s in steps] == [
+        [4], [3, 4], [2, 3, 4], [1, 2, 3, 4]]
+    for got, want in zip(steps, _session_steps(packets[::-1])):
+        _assert_same(_as_tuple(got), want)
+    assert np.array_equal(steps[-1].grid.values, grid.values)
+
+
+def test_progressive_ignores_an_appended_copy(small_image, light_codec):
+    cfg = _cfg(light_codec, l=4)
+    packets, grid, _, _ = send(small_image, cfg)
+    steps = progressive_receive(packets + [packets[1]], cfg,
+                                *small_image.shape)
+    assert len(steps) == 5
+    assert steps[-1].outcome == OUTCOME_LOSSLESS
+    _assert_same(_as_tuple(steps[-1]), _as_tuple(steps[-2]))
+    assert np.array_equal(steps[-1].grid.values, grid.values)
+
+
+def test_progressive_decodes_a_list_with_packets_missing(small_image,
+                                                         light_codec):
+    cfg = _cfg(light_codec, l=4)
+    packets, _, _, _ = send(small_image, cfg)
+    kept = [packets[0], packets[2]]
+    steps = progressive_receive(kept, cfg, *small_image.shape)
+    assert [s.decoded_slices for s in steps] == [[1], [1]]
+    assert [str(s) for s in steps[-1].slice_status] == [
+        "decoded", "lost", "orphaned by 2", "lost"]
+    for got, want in zip(steps, _session_steps(kept)):
+        _assert_same(_as_tuple(got), want)
+
+
+def test_progressive_refuses_a_list_of_another_stream(small_image,
+                                                      light_codec):
+    packets, _, _, _ = send(small_image, _cfg(light_codec, l=4))
+    with pytest.raises(ValueError, match="no packet matches"):
+        progressive_receive(packets, _cfg(light_codec, l=5),
+                            *small_image.shape)
+
+
 def test_lossless_receive_reports_every_slice_decoded(small_image,
                                                       light_codec):
     cfg = _cfg(light_codec)

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resicomp.image_io import psnr_db
-from resicomp.token_codec import (BLOCK, CodecConfig, MaskedGridError,
-                                  TokenGrid, analyze, channel_steps,
-                                  dequantize, pad_image,
+from resicomp.token_codec import (_DCT, BLOCK, CodecConfig, MaskedGridError,
+                                  TokenGrid, _block_coefficients,
+                                  _blocks_from_coefficients, analyze,
+                                  channel_steps, dequantize, pad_image,
                                   plane_channel_counts, synthesize)
 
 
@@ -147,3 +148,34 @@ def test_analyze_total_on_arbitrary_sizes(h, w, fill):
     assert grid.h == -(-h // BLOCK)
     assert grid.w == -(-w // BLOCK)
     assert grid.known.all()
+
+
+def _einsum_coefficients(pixels):
+    """Forward transform as one einsum over all blocks."""
+    hgt, wid = pixels.shape
+    blocks = pixels.reshape(hgt // BLOCK, BLOCK, wid // BLOCK, BLOCK)
+    blocks = blocks.transpose(0, 2, 1, 3).astype(np.float64)
+    coeffs = np.einsum("ij,hwjk,lk->hwil", _DCT, blocks, _DCT, optimize=True)
+    return coeffs.reshape(coeffs.shape[0], coeffs.shape[1], BLOCK * BLOCK)
+
+
+def _einsum_pixels(coeffs):
+    """Inverse transform as one einsum over all blocks."""
+    h, w = coeffs.shape[:2]
+    blocks = coeffs.reshape(h, w, BLOCK, BLOCK)
+    pixels = np.einsum("ji,hwjk,kl->hwil", _DCT, blocks, _DCT, optimize=True)
+    return pixels.transpose(0, 2, 1, 3).reshape(h * BLOCK, w * BLOCK)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 24), w=st.integers(1, 24),
+       kept=st.integers(1, BLOCK * BLOCK), seed=st.integers(0, 2**32 - 1))
+def test_transforms_equal_the_einsum_reference(h, w, kept, seed):
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(h * BLOCK, w * BLOCK), dtype=np.uint8)
+    assert (_block_coefficients(pixels).tobytes()
+            == _einsum_coefficients(pixels).tobytes())
+    coeffs = rng.normal(0.0, 60.0, size=(h, w, BLOCK * BLOCK))
+    coeffs[:, :, kept:] = 0.0  # synthesis zero-fills the dropped channels
+    assert (_blocks_from_coefficients(coeffs).tobytes()
+            == _einsum_pixels(coeffs).tobytes())
