@@ -3,8 +3,13 @@
 Probability models are evaluated by integrating each mixture component
 over unit-width bins centered on the integer symbols, with out-of-range
 tail mass folded into the boundary symbols.  The normal CDF uses a
-pinned rational approximation so encoder and decoder build identical
-integer frequency tables regardless of libm.
+pinned rational approximation of erf, so the tables do not depend on
+libm's erf.  They do depend on `np.exp`, which the approximation calls:
+numpy picks its float64 `exp` loop by CPU, and its AVX-512 loop rounds
+some arguments differently from its other loops.  So the encoder and
+decoder build identical integer frequency tables only when both run the
+same `exp` loop; a stream coded on one and decoded on the other can
+decode wrong or be found corrupt.
 
 The entropy model is indexed.  A symbol's mixture has two components,
 the predictor's local estimate and the per-channel prior; the local one

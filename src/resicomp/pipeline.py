@@ -3,9 +3,13 @@
 A packet header describes its whole stream: `stream_header` maps a
 config and an image size to it, and a `Stream` maps it back to the
 mode, slice plan, codec and prior.  `Stream.model` runs the context
-model on one slice.  `send` codes each slice into one packet with the
-`Stream` of the header it writes; a `Receiver` is the `Stream` of the
-header it is given and decodes with the same model.  It is a session:
+model on a set of slices in one pass, each position reading only its
+own slice's context slices, so a slice's tables are the same whichever
+slices share the pass.  `send` holds every slice, so it models them all
+in one pass with the `Stream` of the header it writes and codes each
+slice's symbols into one packet; a `Receiver` is the `Stream` of the
+header it is given and models one slice at a time, on its grid as it
+stands, with the same `model`.  It is a session:
 packets are added one at a time, in any order, and each slice is
 entropy-decoded once, as soon as its packet and its full context
 closure are in.  `Receiver.add` is the one rule for which packet a
@@ -14,11 +18,13 @@ ignored, and a slice that only other streams' packets reached is
 rejected.  A session keeps one state per slice, and its result
 conceals all still-masked tokens in a single predictor pass,
 synthesizes the image and says per slice whether it was decoded, lost,
-orphaned by a context slice, corrupt, or rejected.  `receive` hands a
-session every packet its flags keep; `progressive_receive` keeps one
-session across every prefix of a packet list, in list order.  The
-context model runs once per slice and only at that slice's positions,
-so its window sums cost work in proportion to the slice, not the grid.
+orphaned by a context slice, corrupt, or rejected; the concealed grid
+and the image are made again only once another slice has decoded.
+`receive` hands a session every packet its flags keep;
+`progressive_receive` keeps one session across every prefix of a
+packet list, in list order.  The context model runs only at the
+positions of the slices it is given, so its window sums cost work in
+proportion to those slices, not the grid.
 
 Streams of one prior and clamp may share a `TableStore` that the caller
 passes in; otherwise each makes its own, and this module keeps none.
@@ -66,6 +72,12 @@ class PipelineConfig:
         return default_prior(self.codec.channels, self.codec.clamp)
 
 
+# Keys per table build.  A chunk's float64 temporaries are a few
+# hundred KB at 255 symbols; one batch for a whole 512x512 stream's
+# thousands of keys would raise the peak memory by megabytes.
+TABLE_CHUNK = 256
+
+
 class TableStore:
     """The frequency tables of one prior and clamp: rows of one int32
     array of cumulative counts, and the row of each key, each built once.
@@ -97,7 +109,8 @@ class TableStore:
         """(cum, rows): the tables held, and the row of each symbol of
         `output` in `mixture_keys` order.
 
-        The keys not held yet are built in one batch.
+        The keys not held yet are built in chunks of TABLE_CHUNK, so the
+        build's temporaries stay small however many keys a call meets.
         """
         keys, inverse = np.unique(mixture_keys(output), return_inverse=True)
         held = self._rows
@@ -111,9 +124,11 @@ class TableStore:
                                  np.int32)
                 grown[:start] = self._cum[:start]
                 self._cum = grown
-            self._cum[start:end] = FreqTable.batch(quantize_probs(
-                discretize_batch(*key_mixtures(fresh, self.prior),
-                                 self.clamp)))
+            for lo in range(0, len(fresh), TABLE_CHUNK):
+                chunk = fresh[lo:lo + TABLE_CHUNK]
+                self._cum[start + lo:start + lo + len(chunk)] = (
+                    FreqTable.batch(quantize_probs(discretize_batch(
+                        *key_mixtures(chunk, self.prior), self.clamp))))
             rows[new] = np.arange(start, end)
             held.update(zip(fresh.tolist(), range(start, end)))
         return self._cum[:len(held)], rows[inverse]
@@ -200,16 +215,18 @@ class Stream:
             store = TableStore(prior, header.clamp)
         self.store = store
 
-    def model(self, i: int, grid: TokenGrid):
-        """(positions, rows, cum): slice i's positions, and the row of
-        `cum` that holds each of their symbols' table, position-major
-        then channel.
+    def model(self, slices, grid: TokenGrid):
+        """(positions, rows, cum): the positions of `slices`, slice by
+        slice, and the row of `cum` that holds each of their symbols'
+        table, position-major then channel.
 
-        The context is slice i's context slices of `grid`; the caller
-        makes sure they are known there.
+        One predictor pass and one table lookup serve every slice given.
+        Each position reads only its own slice's context slices of
+        `grid`, so its table is the one that slice alone would get; the
+        caller makes sure those context slices are known there.
         """
-        ctx = collect_context(i, self.mode, self.plan, grid)
-        output = predict(ctx, self.prior, self.plan.slice_positions(i))
+        ctx = collect_context(slices, self.mode, self.plan, grid)
+        output = predict(ctx, self.prior)
         cum, rows = self.store.tables(output)
         return output.positions, rows, cum
 
@@ -225,12 +242,16 @@ def send(image: np.ndarray, cfg: PipelineConfig,
     header = stream_header(cfg, image.shape[0], image.shape[1], planes)
     stream = Stream(header, cfg.prior, store)
     grid = analyze(image, stream.codec)
+    # The sender holds every slice, so one pass models them all.
+    slices = range(1, stream.l + 1)
+    positions, rows, cum = stream.model(slices, grid)
+    symbols = (grid.values[tuple(positions.T)].astype(np.int64)
+               + header.clamp).reshape(-1)
+    # Slice i's symbols are those between its plan boundaries.
+    bounds = [b * grid.channels for b in stream.plan.boundaries]
     packets = []
-    for i in range(1, stream.l + 1):
-        positions, rows, cum = stream.model(i, grid)
-        symbols = grid.values[tuple(positions.T)].astype(np.int64)
-        payload = entropy_coder.encode(
-            (symbols + header.clamp).reshape(-1), rows, cum)
+    for i, lo, hi in zip(slices, bounds, bounds[1:]):
+        payload = entropy_coder.encode(symbols[lo:hi], rows[lo:hi], cum)
         packets.append(Packet(header=replace(header, slice_index=i - 1),
                               payload=payload))
     return packets, grid, stream.plan, stream.mode
@@ -298,6 +319,8 @@ class Receiver(Stream):
         )
         self.packets = {}  # 1-based slice index -> the packet it holds
         self.state = [SLICE_LOST] * self.l  # slice i's is state[i - 1]
+        # (decoded slices, concealed grid, image) of the last result.
+        self._last = None
 
     def _missing_context(self, i: int) -> int | None:
         """Slice i's first context slice that is not decoded, if any; a
@@ -335,7 +358,7 @@ class Receiver(Stream):
             if (self.state[i - 1] != SLICE_ORPHANED
                     or self._missing_context(i) is not None):
                 continue
-            positions, rows, cum = self.model(i, self.grid)
+            positions, rows, cum = self.model([i], self.grid)
             try:
                 symbols = entropy_coder.decode(self.packets[i].payload, rows,
                                                cum)
@@ -349,7 +372,12 @@ class Receiver(Stream):
             self.state[i - 1] = SLICE_DECODED
 
     def result(self) -> ReceiveResult:
-        """Conceal what is still masked and synthesize the image."""
+        """Conceal what is still masked and synthesize the image.
+
+        The concealed grid and the image depend on the decoded slices
+        alone, so they are computed again only once another slice has
+        decoded; until then each result shares the last one's arrays.
+        """
         # Predictions at one context depth count as one pass of the
         # iterative schedule; slices predicted from no context at all
         # (depth 0) count for none.  Decoded and corrupt slices were
@@ -360,15 +388,20 @@ class Receiver(Stream):
                    if state == SLICE_DECODED]
         if len(decoded) == self.l:
             outcome = OUTCOME_LOSSLESS
-            full = self.grid.copy()
         else:
             outcome = OUTCOME_CONCEALED if decoded else OUTCOME_FAILED
-            output = predict(self.grid, self.prior, sigmas=False)
             if self.grid.known.any():
                 passes += 1
-            full = conceal(self.grid, output)
-        h = self.header
-        image = synthesize(full, self.codec, h.height, h.width, h.planes)
+        if self._last is None or self._last[0] != decoded:
+            if outcome == OUTCOME_LOSSLESS:
+                full = self.grid.copy()
+            else:
+                full = conceal(self.grid, predict(self.grid, self.prior,
+                                                  sigmas=False))
+            h = self.header
+            self._last = (decoded, full, synthesize(
+                full, self.codec, h.height, h.width, h.planes))
+        _, full, image = self._last
         return ReceiveResult(
             image=image,
             outcome=outcome,

@@ -11,8 +11,12 @@ pooled weights, so encoder and decoder reproduce identical
 distributions with zero side information.
 
 Each caller computes only the head it reads.  `pipeline.Stream.model`
-codes a slice from the density head (means, sigmas and whether a
-neighbor is known) at the slice's positions; the receiver's
+codes slices from the density head (means, sigmas and whether a
+neighbor is known) at their positions.  It predicts any set of slices
+in one pass: `collect_context` gives each point its slice and the
+mode's context relation, and the window sums count a neighbor only if
+its slice is in the point's context, so each point's estimate is the
+one a grid masked to its own slice's context gives.  The receiver's
 concealment reads only the value head, so it calls `predict` with
 `sigmas=False`, which sums the window over known and value alone and
 skips the value^2 sums and the spread.
@@ -160,19 +164,40 @@ class PredictorOutput:
     has_neighbors: np.ndarray  # (n,) bool, some window neighbor is known
 
 
-def collect_context(index: int, mode: ContextMode, plan: SlicePlan,
-                    grid: TokenGrid) -> TokenGrid:
-    """Grid whose known mask is exactly slice `index`'s context slices.
+@dataclass(frozen=True)
+class Context:
+    """The points of some slices on a grid, and what each may read.
 
-    It does not check that those slices are known in `grid`: the sender
-    holds every slice, and `pipeline.Receiver` asks for a slice only
-    once its context slices are decoded.  The result shares
-    `grid.values`, so values outside the context are not zeroed;
-    `predict` reads a value only where it is known.
+    A point reads a known token of `grid` only if that token's slice is
+    in the point's own slice's context: slice a's point reads slice b's
+    tokens where `sees[a, b]`.  `owner` gives each grid position's
+    slice, so it names both the point's and the neighbor's.
     """
-    in_context = np.zeros(plan.l + 1, dtype=bool)
-    in_context[list(mode.contexts_of(index))] = True
-    return TokenGrid(values=grid.values, known=in_context[plan.owner])
+
+    grid: TokenGrid
+    positions: np.ndarray  # (n, 2) intp, the points, slice by slice
+    owner: np.ndarray  # (h, w) intp, 1-based slice of each position
+    sees: np.ndarray  # (L + 1, L + 1) bool; row and column 0 are False
+
+
+def collect_context(slices, mode: ContextMode, plan: SlicePlan,
+                    grid: TokenGrid) -> Context:
+    """The points of `slices`, slice by slice and each slice's in plan
+    order, each reading only its own slice's context slices of `grid`.
+
+    It builds no copy of the grid: the mode's matrix becomes `sees`, and
+    `predict` applies it per window neighbor.  It does not check that
+    the context slices are known in `grid`: the sender holds every
+    slice, and `pipeline.Receiver` asks for a slice only once its
+    context slices are decoded.
+    """
+    sees = np.zeros((plan.l + 1, plan.l + 1), dtype=bool)
+    sees[1:, 1:] = mode.g
+    positions = np.concatenate(
+        [np.asarray(plan.slice_positions(i), dtype=np.intp).reshape(-1, 2)
+         for i in slices])
+    return Context(grid=grid, positions=positions, owner=plan.owner,
+                   sees=sees)
 
 
 def _window_kernel(window: int) -> np.ndarray:
@@ -226,7 +251,8 @@ def _known_columns(grid: TokenGrid, squares: bool, radius: int) -> np.ndarray:
     return padded
 
 
-def _window_sums(padded: np.ndarray, rows, cols, window: int) -> np.ndarray:
+def _window_sums(padded: np.ndarray, rows, cols, window: int,
+                 context=None) -> np.ndarray:
     """Inverse-distance window sums of per-position columns at points.
 
     `padded` holds m columns per grid position, zero-padded by
@@ -240,24 +266,49 @@ def _window_sums(padded: np.ndarray, rows, cols, window: int) -> np.ndarray:
     tap whose neighbor is unknown or off the grid adds +0.0, which
     leaves a sum that started at +0.0 unchanged, so such taps are
     skipped.
+
+    With a `context`, the (owner, sees) pair of a `Context`, a point
+    reads a known neighbor only if `sees[owner[point], owner[neighbor]]`.
+    Any other tap's index is pointed at padded row 0, which is padding
+    and so 0.0 in every column: the tap counts as an unknown neighbor,
+    and every sum is the one a grid masked to the point's context gives.
     """
-    _, width, m = padded.shape
+    height, width, m = padded.shape
     dy, dx, tap_w = _window_taps(window)
     radius = window // 2
     padded = padded.reshape(-1, m)
-    known = padded[:, 0] > 0.0
     # Flat offsets of the taps relative to a point's padded index; one
     # gather of a padded row serves every column.
     offsets = dy * width + dx
     base = (rows + radius) * width + cols + radius
+    if context is None:
+        known = padded[:, 0] > 0.0
+    else:
+        owner, sees = context
+        # Flat index into `sees` of each point's row, and the slice of
+        # each padded position (0, seen by no slice, on the padding).
+        seen_from = owner[rows, cols] * sees.shape[1]
+        slice_of = np.zeros((height, width), np.intp)
+        slice_of[radius:height - radius, radius:width - radius] = owner
+        slice_of = slice_of.reshape(-1)
+        sees = sees.reshape(-1)
     n = len(base)
     sums = np.zeros((n, m))
     block = max(1, _BLOCK_ELEMENTS // max(m, len(offsets)))
     for lo in range(0, n, block):
         idx = base[lo:lo + block, None] + offsets
+        if context is None:
+            read = known[idx]
+        else:
+            # In the point's context; an unknown neighbor there adds
+            # +0.0 all the same.
+            at = slice_of[idx]
+            at += seen_from[lo:lo + block, None]
+            read = sees[at]
+            idx *= read
         out = sums[lo:lo + block]
         term = np.empty_like(out)
-        for t in np.flatnonzero(known[idx].any(axis=0)).tolist():
+        for t in np.flatnonzero(read.any(axis=0)).tolist():
             # Every index is inside `padded`; "clip" only lets `take`
             # write into `term` without an intermediate buffer.
             padded.take(idx[:, t], axis=0, out=term, mode="clip")
@@ -266,19 +317,28 @@ def _window_sums(padded: np.ndarray, rows, cols, window: int) -> np.ndarray:
     return sums
 
 
-def predict(grid: TokenGrid, prior: PriorModel, positions=None,
+def predict(grid, prior: PriorModel, positions=None,
             sigmas: bool = True) -> PredictorOutput:
     """Density head and concealment head at `positions` only.
 
-    `positions` is a sequence of (row, col) pairs; it defaults to the
-    grid's masked positions in row-major order, the ones concealment
-    fills.  The local estimate is the inverse-distance-weighted window
-    estimate where any window neighbor is known and the prior
-    elsewhere.  The value head is its rounded mean, so both heads agree
-    by construction.  With `sigmas=False` the local spread is not
-    computed and the output's `sigmas` is None: enough for `conceal`,
-    not for `density.mixture_keys`.
+    `grid` is a `TokenGrid`, whose known tokens every point reads, or a
+    `Context`, whose points read only their own slices' context slices
+    of its grid.  `positions` is a sequence of (row, col) pairs; it
+    defaults to a context's points, or to a grid's masked positions in
+    row-major order, the ones concealment fills.  The local estimate is
+    the inverse-distance-weighted window estimate where any window
+    neighbor is read and the prior elsewhere.  The value head is its
+    rounded mean, so both heads agree by construction.  With
+    `sigmas=False` the local spread is not computed and the output's
+    `sigmas` is None: enough for `conceal`, not for
+    `density.mixture_keys`.
     """
+    context = None
+    if isinstance(grid, Context):
+        context = (grid.owner, grid.sees)
+        if positions is None:
+            positions = grid.positions
+        grid = grid.grid
     if prior.channels != grid.channels:
         raise ValueError("prior channel count does not match grid")
     if positions is None:
@@ -290,18 +350,23 @@ def predict(grid: TokenGrid, prior: PriorModel, positions=None,
     channels = grid.channels
     window = prior.window
     sums = _window_sums(_known_columns(grid, sigmas, window // 2), rows,
-                        cols, window)
+                        cols, window, context)
     sum_w = sums[:, 0]
     has_neighbors = sum_w > 0.0
     safe_w = np.where(has_neighbors, sum_w, 1.0)[:, None]
-    local_mean = sums[:, 1:channels + 1] / safe_w
+    # The window means of the values, then of their squares, in place.
+    sums[:, 1:] /= safe_w
+    local_mean = sums[:, 1:channels + 1]
     neighbor_sel = has_neighbors[:, None]
     means = np.where(neighbor_sel, local_mean, prior.means)
     spread = None
     if sigmas:
-        local_var = np.maximum(
-            sums[:, channels + 1:] / safe_w - local_mean * local_mean, 0.0)
-        local_sigma = np.maximum(SIGMA_FLOOR, np.sqrt(local_var))
+        # The variance, clipped at 0, then its floored root, in place.
+        local_sigma = sums[:, channels + 1:]
+        local_sigma -= local_mean * local_mean
+        np.maximum(local_sigma, 0.0, out=local_sigma)
+        np.sqrt(local_sigma, out=local_sigma)
+        np.maximum(SIGMA_FLOOR, local_sigma, out=local_sigma)
         spread = np.where(neighbor_sel, local_sigma, prior.stds)
     return PredictorOutput(
         positions=positions,

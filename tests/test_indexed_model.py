@@ -17,9 +17,11 @@ from resicomp.density import (CLAMP_MAX, MU_STEPS, SIGMA_FLOOR, SIGMA_LEVELS,
                               mixture_keys, snap)
 from resicomp.pipeline import (OUTCOME_LOSSLESS, PipelineConfig, TableStore,
                                receive, send)
-from resicomp.predictor import PredictorOutput, collect_context, predict
+from resicomp.predictor import PredictorOutput, predict
 from resicomp.synthetic import synthetic_image
 from resicomp.token_codec import CodecConfig
+
+from test_predictor import _collect_context_by_positions
 
 # SHA-256 of SIGMA_LEVELS as little-endian float64: the levels are part
 # of the format, and any change to how they are built shows here.
@@ -109,7 +111,7 @@ def _slice_outputs(image, cfg):
     prior = cfg.get_prior()
     outputs = []
     for i in range(1, mode.l + 1):
-        ctx = collect_context(i, mode, plan, grid)
+        ctx = _collect_context_by_positions(i, mode, plan, grid)
         outputs.append(predict(ctx, prior, plan.slice_positions(i)))
     return packets, grid, outputs
 
@@ -198,3 +200,28 @@ def test_each_end_builds_each_distinct_key_once(monkeypatch):
     assert result.outcome == OUTCOME_LOSSLESS
     assert sum(rows) == len(distinct)
 
+
+def test_a_store_builds_new_keys_in_bounded_chunks(monkeypatch):
+    image = synthetic_image(5, height=64, width=64)
+    cfg = _lc(channels=64)
+    _, grid, plan, mode = send(image, cfg)
+    prior = cfg.get_prior()
+    output = predict(pipeline.collect_context(range(1, cfg.l + 1), mode, plan,
+                                              grid), prior)
+    batches = []
+    discretize = pipeline.discretize_batch
+
+    def counted(weights, *args):
+        batches.append(len(weights))
+        return discretize(weights, *args)
+
+    monkeypatch.setattr(pipeline, "discretize_batch", counted)
+    cum, rows = TableStore(prior, 127).tables(output)
+    assert len(cum) == len(np.unique(mixture_keys(output))) == sum(batches)
+    assert len(batches) > 1 and max(batches) <= pipeline.TABLE_CHUNK
+    batches.clear()
+    monkeypatch.setattr(pipeline, "TABLE_CHUNK", len(cum))
+    one_cum, one_rows = TableStore(prior, 127).tables(output)
+    assert batches == [len(cum)]
+    assert cum.tobytes() == one_cum.tobytes()
+    assert rows.tobytes() == one_rows.tobytes()

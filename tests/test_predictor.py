@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from resicomp.context_modes import make_mode
+from resicomp.context_modes import (MODE_CUSTOM, ContextMode, make_mode,
+                                    validate)
 from resicomp.density import SIGMA_FLOOR, mixture_keys
 from resicomp.partition import build_plan
+from resicomp.pipeline import TableStore
 from resicomp.predictor import (DEFAULT_LOGITS, DEFAULT_WINDOW, MODEL_MAGIC,
                                 PriorModel, collect_context, conceal,
                                 default_prior, fit_prior, load_prior, predict,
@@ -25,23 +27,27 @@ def test_collect_context_isc_never_errors():
     mode = make_mode("ISC", 4)
     plan = build_plan(2, 2, 4, mode, seed=0)
     grid = _full_grid(2, 2, 8, fill=5)
-    ctx = collect_context(1, mode, plan, grid)
-    assert not ctx.known.any()
+    ctx = collect_context([1], mode, plan, grid)
+    assert ctx.positions.tolist() == [list(p) for p in plan.slice_positions(1)]
+    assert not ctx.sees.any()
+    assert not predict(ctx, default_prior(8)).has_neighbors.any()
 
 
 def test_collect_context_lc_fills_earlier_slices():
     mode = make_mode("LC", 4)
     plan = build_plan(2, 2, 4, mode, seed=0)
     grid = _full_grid(2, 2, 8, fill=5)
-    ctx = collect_context(3, mode, plan, grid)
-    filled = {tuple(p) for p in np.argwhere(ctx.known)}
+    ctx = collect_context([3], mode, plan, grid)
+    filled = {tuple(p) for p in np.argwhere(ctx.sees[3][ctx.owner])}
     expected = set(plan.slice_positions(1)) | set(plan.slice_positions(2))
     assert filled == expected
-    assert np.all(ctx.values[ctx.known] == 5)
+    out = predict(ctx, default_prior(8))
+    assert out.has_neighbors.all() and np.all(out.values == 5)
 
 
 def _collect_context_by_positions(index, mode, plan, grid):
-    """Copy the context slices one position at a time."""
+    """Copy the context slices one position at a time: the grid masked to
+    slice `index`'s context, the per-slice oracle of `collect_context`."""
     ctx = TokenGrid(np.zeros_like(grid.values), np.zeros((grid.h, grid.w), bool))
     for j in mode.contexts_of(index):
         for r, c in plan.slice_positions(j):
@@ -69,25 +75,89 @@ def _context_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_context_cases())
-def test_collect_context_equals_per_position_copy(case):
+@given(_context_cases(), st.data())
+def test_collect_context_equals_per_position_copy(case, data):
     mode, plan, grid = case
-    for i in range(1, mode.l + 1):
+    slices = data.draw(st.permutations(range(1, mode.l + 1)))
+    ctx = collect_context(slices, mode, plan, grid)
+    # No copy: the context reads the grid itself, and each point's slice
+    # sees exactly the positions the per-position copy marks known.
+    assert ctx.grid is grid
+    assert ctx.positions.dtype == np.intp
+    assert ctx.positions.tolist() == [
+        list(p) for i in slices for p in plan.slice_positions(i)]
+    assert not ctx.sees[0].any() and not ctx.sees[:, 0].any()
+    for i in slices:
         want = _collect_context_by_positions(i, mode, plan, grid)
-        got = collect_context(i, mode, plan, grid)
-        # The view shares the grid's values instead of zeroing them
-        # outside the context; predict reads values only where known,
-        # so its outputs at the slice must stay bytewise equal.
-        assert got.values.dtype == want.values.dtype
-        assert got.known.tobytes() == want.known.tobytes()
-        assert np.array_equal(got.values[got.known], want.values[want.known])
-        assert got.clamp_count == want.clamp_count
-        prior = default_prior(grid.channels)
-        a = predict(got, prior, plan.slice_positions(i))
-        b = predict(want, prior, plan.slice_positions(i))
-        for name in ("positions", "means", "sigmas", "values",
-                     "has_neighbors"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert ctx.sees[i][ctx.owner].tobytes() == want.known.tobytes()
+
+
+def _closed_mode(l, rng):
+    """A valid custom mode: a random strictly lower triangular matrix,
+    transitively closed."""
+    g = np.tril(rng.random((l, l)) < 0.4, k=-1)
+    for _ in range(l):
+        g = g | (g.astype(np.intp) @ g.astype(np.intp) > 0)
+    mode = ContextMode(l=l, g=g, mode_id=MODE_CUSTOM)
+    assert validate(mode) is None
+    return mode
+
+
+_ONE_PASS_MODES = [("ISC", {}), ("LC", {}), ("MDC", {"n_d": 2}),
+                   ("SLC", {"enhancements": 1}), ("custom", {})]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(_ONE_PASS_MODES), l=st.integers(2, 9),
+       h=st.integers(1, 14), w=st.integers(1, 14),
+       window=st.sampled_from([1, 3, 11]), channels=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1),
+       arrived=st.none() | st.lists(st.booleans(), min_size=9, max_size=9))
+# A receiver grid of MDC:2 where slices 1 and 2 are decoded: slice 3's
+# context is slice 1 alone, so slice 2's known tokens in its window
+# must not count.
+@example(kind=("MDC", {"n_d": 2}), l=6, h=4, w=4, window=11, channels=2,
+         seed=0, arrived=[True, True] + [False] * 7)
+def test_one_pass_model_equals_a_masked_copy_per_slice(
+        kind, l, h, w, window, channels, seed, arrived):
+    assume(l <= h * w)
+    rng = np.random.default_rng(seed)
+    name, params = kind
+    mode = (_closed_mode(l, rng) if name == "custom"
+            else make_mode(name, l, params))
+    plan = build_plan(h, w, l, mode, seed=seed % 997)
+    # The sender holds every slice (`arrived` None); a receiver holds the
+    # slices decoded from the arrived ones, in ascending order.
+    decoded = set()
+    for i in range(1, l + 1):
+        if (arrived is None or arrived[i - 1]) and decoded.issuperset(
+                mode.contexts_of(i)):
+            decoded.add(i)
+    grid = _grid(rng.integers(-40, 41, size=(h, w, channels)),
+                 np.isin(plan.owner, list(decoded)))
+    prior = PriorModel(means=rng.normal(0.0, 10.0, channels),
+                       stds=rng.uniform(SIGMA_FLOOR, 30.0, channels),
+                       window=window)
+    # Every slice whose context is held, in a random order.
+    slices = [int(i) for i in rng.permutation(np.arange(1, l + 1))
+              if decoded.issuperset(mode.contexts_of(int(i)))]
+    out = predict(collect_context(slices, mode, plan, grid), prior)
+    cum, rows = TableStore(prior, 127).tables(out)
+    lo = 0
+    for i in slices:
+        positions = plan.slice_positions(i)
+        hi = lo + len(positions)
+        want = predict(_collect_context_by_positions(i, mode, plan, grid),
+                       prior, positions)
+        for field in ("positions", "means", "sigmas", "values",
+                      "has_neighbors"):
+            got, ref = getattr(out, field)[lo:hi], getattr(want, field)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        want_cum, want_rows = TableStore(prior, 127).tables(want)
+        assert (cum[rows[lo * channels:hi * channels]].tobytes()
+                == want_cum[want_rows].tobytes())
+        lo = hi
+    assert lo == len(out.positions)
 
 
 def test_constant_neighborhood_predicts_constant():

@@ -17,10 +17,12 @@ from resicomp.pipeline import (OUTCOME_CONCEALED, OUTCOME_FAILED,
                                SLICE_LOST, SLICE_ORPHANED, PipelineConfig,
                                Receiver, SliceStatus, progressive_receive,
                                receive, send)
-from resicomp.predictor import collect_context, conceal, predict
+from resicomp.predictor import conceal, predict
 from resicomp.synthetic import synthetic_image
 from resicomp.token_codec import BLOCK, CodecConfig, TokenGrid, synthesize
 from resicomp.transport import Packet, PacketFormatError, packet_from_bytes
+
+from test_predictor import _collect_context_by_positions
 
 
 def _cfg(codec, kind="LC", l=6, params=None):
@@ -56,7 +58,7 @@ def _receive_from_scratch(packets, flags, cfg, out_height, out_width):
         if missing is not None:
             status[i - 1] = SliceStatus(SLICE_ORPHANED, missing)
             continue
-        ctx = collect_context(i, mode, plan, grid)
+        ctx = _collect_context_by_positions(i, mode, plan, grid)
         if mode.contexts_of(i):
             depths_predicted.add(depths[i - 1])
         output = predict(ctx, prior, plan.slice_positions(i))
@@ -167,6 +169,30 @@ def test_progressive_ignores_an_appended_copy(small_image, light_codec):
     assert steps[-1].outcome == OUTCOME_LOSSLESS
     _assert_same(_as_tuple(steps[-1]), _as_tuple(steps[-2]))
     assert np.array_equal(steps[-1].grid.values, grid.values)
+
+
+def test_a_copy_costs_no_prediction_and_no_synthesis(monkeypatch,
+                                                      small_image,
+                                                      light_codec):
+    cfg = _cfg(light_codec, l=4)
+    packets, _, _, _ = send(small_image, cfg)
+    calls = []
+    for name in ("predict", "synthesize"):
+        def counted(*args, _fn=getattr(pipeline, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+    progressive_receive(packets, cfg, *small_image.shape)
+    plain = sorted(calls)
+    calls.clear()
+    # A copy after a concealed prefix and one after the lossless end.
+    copies = packets[:2] + [packets[1]] + packets[2:] + [packets[1]]
+    steps = progressive_receive(copies, cfg, *small_image.shape)
+    assert [s.decoded_slices for s in steps] == [
+        [1], [1, 2], [1, 2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4]]
+    assert sorted(calls) == plain
+    assert plain.count("synthesize") == 4
 
 
 def test_progressive_decodes_a_list_with_packets_missing(small_image,
