@@ -156,7 +156,9 @@ def iteration_schedule(mode: ContextMode):
     Returns (groups, k_t): groups[d] lists the 1-based slices whose
     context sets are fully available after pass d; slices at equal depth
     share a pass even across independent chains.  k_t counts the passes
-    beyond the cacheable all-mask pass (group 0).
+    beyond the cacheable all-mask pass (group 0).  `pipeline.Receiver`
+    walks these groups in order and models each group's ready slices in
+    one pass.
     """
     depths = context_depths(mode)
     k_t = max(depths) if depths else 0

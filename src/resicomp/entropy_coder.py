@@ -4,7 +4,8 @@ Carry-propagating byte renormalization in the classic cache/pending
 style.  The tables are the rows of one (N, S+1) int32 array of
 cumulative counts, as `FreqTable.batch` makes them, and each symbol
 names its table by row number.  `encode` and `decode` each run one loop
-over a slice's symbols.
+over a slice's symbols; `decode` tries each symbol's guessed span, its
+table's likeliest symbol by default, before it searches the table.
 """
 
 from __future__ import annotations
@@ -69,10 +70,31 @@ def encode(indices, rows, cum) -> Bitstring:
     return Bitstring(bytes(out[1:]))
 
 
-def decode(bits: Bitstring, rows, cum) -> list:
+def likeliest(cum) -> np.ndarray:
+    """Each row's likeliest symbol: the first of its largest counts."""
+    return np.argmax(np.diff(cum, axis=1), axis=1)
+
+
+def decode(bits: Bitstring, rows, cum, guess=None) -> list:
     """Decode exactly len(rows) symbol indices, symbol i under table
-    `cum[rows[i]]`."""
+    `cum[rows[i]]`.
+
+    Symbol i first tries `guess[rows[i]]`, by default its row's
+    `likeliest` symbol, and bisects its row only when the value lies
+    outside that symbol's span.  A span that holds the value is the one
+    the bisection finds, so any guesses give the same symbols, and raise
+    where the bisection alone raises.
+    """
     width = cum.shape[1]
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    if guess is None:
+        used, rows_of = np.unique(rows, return_inverse=True)
+        guesses = likeliest(cum[used])[rows_of]
+    else:
+        guesses = np.asarray(guess, dtype=np.intp)[rows]
+    # Every guess's span, gathered before the loop.
+    lows = cum[rows, guesses]
+    highs = cum[rows, guesses + 1]
     # Items of a memoryview index as Python ints, so the loop's
     # arithmetic stays in plain Python.
     flat = memoryview(cum.reshape(-1))
@@ -82,15 +104,19 @@ def decode(bits: Bitstring, rows, cum) -> list:
     code = int.from_bytes(data[:4], "big")
     pos, rng = 4, _MASK32
     symbols = []
-    for start in (np.asarray(rows, dtype=np.intp) * width).tolist():
+    for start, symbol, low, high in zip((rows * width).tolist(),
+                                        guesses.tolist(), lows.tolist(),
+                                        highs.tolist()):
         r = rng // FREQ_TOTAL
         value = code // r
         if value >= FREQ_TOTAL:
             raise CorruptStreamError("decoder state out of range")
-        index = bisect_right(flat, value, start, start + width) - 1
-        low_count = flat[index]
-        code -= r * low_count
-        rng = r * (flat[index + 1] - low_count)
+        if not low <= value < high:
+            index = bisect_right(flat, value, start, start + width) - 1
+            symbol = index - start
+            low, high = flat[index], flat[index + 1]
+        code -= r * low
+        rng = r * (high - low)
         while rng < _TOP:
             if pos >= len(data):
                 raise CorruptStreamError("bitstring exhausted")
@@ -99,5 +125,5 @@ def decode(bits: Bitstring, rows, cum) -> list:
             rng <<= 8
         if code >= rng:
             raise CorruptStreamError("decoder state overflow")
-        symbols.append(index - start)
+        symbols.append(symbol)
     return symbols

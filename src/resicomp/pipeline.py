@@ -8,8 +8,9 @@ own slice's context slices, so a slice's tables are the same whichever
 slices share the pass.  `send` holds every slice, so it models them all
 in one pass with the `Stream` of the header it writes and codes each
 slice's symbols into one packet; a `Receiver` is the `Stream` of the
-header it is given and models one slice at a time, on its grid as it
-stands, with the same `model`.  It is a session:
+header it is given and decodes in the iterations of
+`iteration_schedule`: one pass of the same `model`, on its grid as it
+stands, for every ready slice of a context depth.  It is a session:
 packets are added one at a time, in any order, and each slice is
 entropy-decoded once, as soon as its packet and its full context
 closure are in.  `Receiver.add` is the one rule for which packet a
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import entropy_coder
 from .context_modes import (DEFAULT_BETA, MODE_PARAM, context_depths,
-                            make_mode, preset_id)
+                            iteration_schedule, make_mode, preset_id)
 from .density import (FreqTable, discretize_batch, key_mixtures, mixture_keys,
                       quantize_probs)
 from .image_io import psnr_db
@@ -86,9 +87,10 @@ class TableStore:
     builds a key's table from `key_mixtures(key, prior)` alone, so it may
     meet the keys in any order, and any streams of that prior and clamp
     may share it.  The array grows by doubling and a row keeps its
-    number.  The build calls `discretize_batch`, `quantize_probs` and
-    `FreqTable.batch` by this module's names, so wrappers around them
-    see every table built.
+    number.  Each row's likeliest symbol is kept beside it, for the
+    decoder to try first.  The build calls `discretize_batch`,
+    `quantize_probs` and `FreqTable.batch` by this module's names, so
+    wrappers around them see every table built.
     """
 
     def __init__(self, prior: PriorModel, clamp: int):
@@ -96,6 +98,12 @@ class TableStore:
         self.clamp = clamp
         self._rows = {}  # key -> row number
         self._cum = np.empty((0, 2 * clamp + 2), np.int32)
+        self._likeliest = np.empty(0, np.intp)  # one symbol per row
+
+    @property
+    def likeliest(self) -> np.ndarray:
+        """The `entropy_coder.likeliest` symbol of each row held."""
+        return self._likeliest[:len(self._rows)]
 
     def __len__(self):
         return len(self._rows)
@@ -124,11 +132,16 @@ class TableStore:
                                  np.int32)
                 grown[:start] = self._cum[:start]
                 self._cum = grown
+                likeliest = np.empty(len(grown), np.intp)
+                likeliest[:start] = self._likeliest[:start]
+                self._likeliest = likeliest
             for lo in range(0, len(fresh), TABLE_CHUNK):
                 chunk = fresh[lo:lo + TABLE_CHUNK]
-                self._cum[start + lo:start + lo + len(chunk)] = (
-                    FreqTable.batch(quantize_probs(discretize_batch(
-                        *key_mixtures(chunk, self.prior), self.clamp))))
+                at = slice(start + lo, start + lo + len(chunk))
+                self._cum[at] = FreqTable.batch(quantize_probs(
+                    discretize_batch(*key_mixtures(chunk, self.prior),
+                                     self.clamp)))
+                self._likeliest[at] = entropy_coder.likeliest(self._cum[at])
             rows[new] = np.arange(start, end)
             held.update(zip(fresh.tolist(), range(start, end)))
         return self._cum[:len(held)], rows[inverse]
@@ -295,12 +308,12 @@ class Receiver(Stream):
     """Decoding session for the stream one packet header describes.
 
     Slices decode as soon as their packet and all their context slices
-    are in; `result` conceals the rest on a copy, so packets may keep
-    arriving.  The header, prior and store are checked as `Stream`
-    checks them.  Each slice has one state, a SLICE_* value: lost or
-    rejected until a packet of the stream reaches it, orphaned while
-    that packet is held and a context slice is not decoded, then
-    decoded or corrupt.
+    are in, every ready slice of a context depth in one model pass;
+    `result` conceals the rest on a copy, so packets may keep arriving.
+    The header, prior and store are checked as `Stream` checks them.
+    Each slice has one state, a SLICE_* value: lost or rejected until a
+    packet of the stream reaches it, orphaned while that packet is held
+    and a context slice is not decoded, then decoded or corrupt.
 
     Only wire bytes are checked, by `transport.packet_from_bytes`'s CRC.
     The `Packet` objects handed to a session are trusted: a payload moved
@@ -312,6 +325,9 @@ class Receiver(Stream):
                  store: TableStore | None = None):
         super().__init__(header, prior, store)
         self.depths = context_depths(self.mode)
+        # The slices of each context depth; `add` models the ready ones
+        # of a depth in one pass.
+        self.groups, _ = iteration_schedule(self.mode)
         shape = self.plan.owner.shape
         self.grid = TokenGrid(
             values=np.zeros((*shape, header.channels), np.int16),
@@ -352,24 +368,41 @@ class Receiver(Stream):
             new.append(index)
         if not new:
             return
-        # Contexts precede their slice, so one ascending sweep from the
-        # lowest new slice decodes everything the packets unblock.
-        for i in range(min(new), self.l + 1):
-            if (self.state[i - 1] != SLICE_ORPHANED
-                    or self._missing_context(i) is not None):
-                continue
-            positions, rows, cum = self.model([i], self.grid)
+        # A slice's contexts lie at lower depths, so one walk up the
+        # depths, from the lowest depth of a new slice, decodes all that
+        # the packets unblock, each depth's ready slices in one pass.
+        for group in self.groups[min(self.depths[i - 1] for i in new):]:
+            ready = [i for i in group if self.state[i - 1] == SLICE_ORPHANED
+                     and self._missing_context(i) is None]
+            if ready:
+                self._decode(ready)
+
+    def _decode(self, slices):
+        """Model `slices` in one pass and decode each from its packet.
+
+        The slices share a context depth, so none reads another: each
+        gets the tables it would get alone, and a corrupt one costs the
+        others nothing.
+        """
+        positions, rows, cum = self.model(slices, self.grid)
+        channels = self.header.channels
+        bounds = self.plan.boundaries
+        lo = 0
+        for i in slices:
+            hi = lo + bounds[i] - bounds[i - 1]
             try:
-                symbols = entropy_coder.decode(self.packets[i].payload, rows,
-                                               cum)
+                symbols = entropy_coder.decode(
+                    self.packets[i].payload, rows[lo * channels:hi * channels],
+                    cum, self.store.likeliest)
             except entropy_coder.CorruptStreamError:
                 self.state[i - 1] = SLICE_CORRUPT
-                continue
-            values = np.array(symbols, dtype=np.int64) - self.header.clamp
-            at = tuple(positions.T)
-            self.grid.values[at] = values.reshape(len(positions), -1)
-            self.grid.known[at] = True
-            self.state[i - 1] = SLICE_DECODED
+            else:
+                values = np.array(symbols, dtype=np.int64) - self.header.clamp
+                at = tuple(positions[lo:hi].T)
+                self.grid.values[at] = values.reshape(hi - lo, channels)
+                self.grid.known[at] = True
+                self.state[i - 1] = SLICE_DECODED
+            lo = hi
 
     def result(self) -> ReceiveResult:
         """Conceal what is still masked and synthesize the image.

@@ -233,6 +233,10 @@ def _softmax(logits):
 # Positions per gather block are capped so one (block, columns) float64
 # temporary, or the block's (block, taps) index array, stays near 1 MB.
 _BLOCK_ELEMENTS = 1 << 17
+# A block whose (taps read, points, columns) gather fits 512 KB of
+# float64 is gathered at once and summed over the taps; a larger one
+# loops over its taps.
+_GATHER_ELEMENTS = 1 << 16
 
 
 def _known_columns(grid: TokenGrid, squares: bool, radius: int) -> np.ndarray:
@@ -272,6 +276,12 @@ def _window_sums(padded: np.ndarray, rows, cols, window: int,
     Any other tap's index is pointed at padded row 0, which is padding
     and so 0.0 in every column: the tap counts as an unknown neighbor,
     and every sum is the one a grid masked to the point's context gives.
+    A point whose slice sees no slice reads nothing and is skipped.
+
+    A block of points whose gather of every tap read fits
+    `_GATHER_ELEMENTS` is gathered as one (taps, points, m) array and
+    reduced over its first axis from 0.0: the same additions in the same
+    tap order as the per-tap loop of larger blocks.
     """
     height, width, m = padded.shape
     dy, dx, tap_w = _window_taps(window)
@@ -285,9 +295,12 @@ def _window_sums(padded: np.ndarray, rows, cols, window: int,
         known = padded[:, 0] > 0.0
     else:
         owner, sees = context
+        point_slice = owner[rows, cols]
+        live = np.flatnonzero(sees.any(axis=1)[point_slice])
+        base = base[live]
         # Flat index into `sees` of each point's row, and the slice of
         # each padded position (0, seen by no slice, on the padding).
-        seen_from = owner[rows, cols] * sees.shape[1]
+        seen_from = point_slice[live] * sees.shape[1]
         slice_of = np.zeros((height, width), np.intp)
         slice_of[radius:height - radius, radius:width - radius] = owner
         slice_of = slice_of.reshape(-1)
@@ -307,14 +320,24 @@ def _window_sums(padded: np.ndarray, rows, cols, window: int,
             read = sees[at]
             idx *= read
         out = sums[lo:lo + block]
+        used = np.flatnonzero(read.any(axis=0))
+        if len(used) * out.size <= _GATHER_ELEMENTS:
+            terms = padded.take(idx[:, used].T, axis=0)
+            terms *= tap_w[used, None, None]
+            np.add.reduce(terms, axis=0, out=out, initial=0.0)
+            continue
         term = np.empty_like(out)
-        for t in np.flatnonzero(read.any(axis=0)).tolist():
+        for t in used.tolist():
             # Every index is inside `padded`; "clip" only lets `take`
             # write into `term` without an intermediate buffer.
             padded.take(idx[:, t], axis=0, out=term, mode="clip")
             term *= tap_w[t]
             out += term
-    return sums
+    if context is None:
+        return sums
+    every = np.zeros((len(rows), m))
+    every[live] = sums
+    return every
 
 
 def predict(grid, prior: PriorModel, positions=None,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from resicomp.density import FREQ_TOTAL, FreqTable, quantize_probs
 from resicomp.entropy_coder import (Bitstring, CorruptStreamError, decode,
-                                    encode)
+                                    encode, likeliest)
 
 # The reference coder: the two stateful classes that `encode` and
 # `decode` replaced, kept verbatim but for their tables' type.  They
@@ -294,6 +294,34 @@ def test_rows_among_other_rows_code_as_the_reference(stream, other_specs,
     assert encode(symbols, moved, mixed).data == bits.data
     bits = _damaged(bits.data, damage, data)
     assert _outcome(bits, moved, mixed) == _reference_outcome(bits, rows, cum)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_streams(max_symbols=300), st.sampled_from(_DAMAGES),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.data())
+def test_any_guess_decodes_as_the_reference(stream, damage, share, seed,
+                                            data):
+    # Each row guesses its likeliest symbol, or with probability `share`
+    # any symbol of the width, often one of count 0 past the alphabet;
+    # only the work on a miss may differ.
+    symbols, rows, cum = stream
+    bits = _damaged(reference_encode(
+        symbols, _reference_tables(rows, cum)).data, damage, data)
+    rng = np.random.default_rng(seed)
+    guess = np.where(rng.random(len(cum)) < share,
+                     rng.integers(_WIDTH - 1, size=len(cum)), likeliest(cum))
+    try:
+        got = decode(bits, rows, cum, guess)
+    except CorruptStreamError:
+        got = CorruptStreamError
+    assert got == _reference_outcome(bits, rows, cum)
+    assert got == _outcome(bits, rows, cum)
+
+
+def test_likeliest_is_the_first_largest_count():
+    cum = _stack([_table([1, 30000, 30000, 5535]),
+                  _table([FREQ_TOTAL - 1, 1]), _table([1, 1, FREQ_TOTAL - 2])])
+    assert likeliest(cum).tolist() == [1, 0, 2]
 
 
 def test_stream_strategy_reaches_carries_into_pending_bytes():

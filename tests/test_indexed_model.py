@@ -15,6 +15,7 @@ from resicomp import pipeline
 from resicomp.density import (CLAMP_MAX, MU_STEPS, SIGMA_FLOOR, SIGMA_LEVELS,
                               SIGMA_RATIO, FreqTable, key_mixtures,
                               mixture_keys, snap)
+from resicomp.entropy_coder import likeliest
 from resicomp.pipeline import (OUTCOME_LOSSLESS, PipelineConfig, TableStore,
                                receive, send)
 from resicomp.predictor import PredictorOutput, predict
@@ -225,3 +226,14 @@ def test_a_store_builds_new_keys_in_bounded_chunks(monkeypatch):
     assert batches == [len(cum)]
     assert cum.tobytes() == one_cum.tobytes()
     assert rows.tobytes() == one_rows.tobytes()
+
+
+def test_a_store_keeps_each_rows_likeliest_symbol(monkeypatch):
+    image = synthetic_image(3, height=64, width=64)
+    cfg = _lc()
+    _, _, outputs = _slice_outputs(image, cfg)
+    monkeypatch.setattr(pipeline, "TABLE_CHUNK", 7)
+    store = TableStore(cfg.get_prior(), 127)
+    for output in outputs:
+        cum, _ = store.tables(output)
+        assert store.likeliest.tobytes() == likeliest(cum).tobytes()

@@ -121,17 +121,20 @@ def _cases(draw):
         st.just([(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]),
     ))
     block = draw(st.sampled_from([1, 7, predictor._BLOCK_ELEMENTS]))
+    # Every block loops over its taps, or every block is gathered at once.
+    gather = draw(st.sampled_from([0, 1 << 40]))
     grid = TokenGrid(values, known)
-    return grid, _prior(channels, window, rng), positions, block
+    return grid, _prior(channels, window, rng), positions, block, gather
 
 
 @settings(max_examples=150, deadline=None)
 @given(_cases())
 def test_predict_equals_full_grid_reference(case):
-    grid, prior, positions, block = case
+    grid, prior, positions, block, gather = case
     if positions is None:
         positions = np.argwhere(~grid.known)
-    with mock.patch.object(predictor, "_BLOCK_ELEMENTS", block):
+    with mock.patch.object(predictor, "_BLOCK_ELEMENTS", block), \
+            mock.patch.object(predictor, "_GATHER_ELEMENTS", gather):
         _assert_matches(grid, prior, positions)
 
 

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from resicomp import predictor
 from resicomp.context_modes import (MODE_CUSTOM, ContextMode, make_mode,
                                     validate)
 from resicomp.density import SIGMA_FLOOR, mixture_keys
@@ -112,15 +115,23 @@ _ONE_PASS_MODES = [("ISC", {}), ("LC", {}), ("MDC", {"n_d": 2}),
        h=st.integers(1, 14), w=st.integers(1, 14),
        window=st.sampled_from([1, 3, 11]), channels=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1),
-       arrived=st.none() | st.lists(st.booleans(), min_size=9, max_size=9))
+       arrived=st.none() | st.lists(st.booleans(), min_size=9, max_size=9),
+       gather=st.sampled_from([0, 1 << 40]))
 # A receiver grid of MDC:2 where slices 1 and 2 are decoded: slice 3's
 # context is slice 1 alone, so slice 2's known tokens in its window
-# must not count.
+# must not count.  The window sums loop over the taps, or gather them.
 @example(kind=("MDC", {"n_d": 2}), l=6, h=4, w=4, window=11, channels=2,
-         seed=0, arrived=[True, True] + [False] * 7)
+         seed=0, arrived=[True, True] + [False] * 7, gather=0)
+@example(kind=("MDC", {"n_d": 2}), l=6, h=4, w=4, window=11, channels=2,
+         seed=0, arrived=[True, True] + [False] * 7, gather=1 << 40)
 def test_one_pass_model_equals_a_masked_copy_per_slice(
-        kind, l, h, w, window, channels, seed, arrived):
+        kind, l, h, w, window, channels, seed, arrived, gather):
     assume(l <= h * w)
+    with mock.patch.object(predictor, "_GATHER_ELEMENTS", gather):
+        _check_one_pass_model(kind, l, h, w, window, channels, seed, arrived)
+
+
+def _check_one_pass_model(kind, l, h, w, window, channels, seed, arrived):
     rng = np.random.default_rng(seed)
     name, params = kind
     mode = (_closed_mode(l, rng) if name == "custom"

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from resicomp.synthetic import synthetic_image
 from resicomp.token_codec import BLOCK, CodecConfig, TokenGrid, synthesize
 from resicomp.transport import Packet, PacketFormatError, packet_from_bytes
 
-from test_predictor import _collect_context_by_positions
+from test_predictor import _closed_mode, _collect_context_by_positions
 
 
 def _cfg(codec, kind="LC", l=6, params=None):
@@ -136,6 +137,72 @@ def test_progressive_equals_per_prefix_decoding(stream):
         flags = [i < k for i in range(cfg.l)]
         _assert_same(_as_tuple(step), _receive_from_scratch(
             packets, flags, cfg, *_IMAGE.shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_streams(), st.integers(0, 2**32 - 1), st.booleans())
+def test_receive_decodes_by_depth_as_slice_by_slice(stream, seed, custom):
+    # One `receive` of the whole flagged list walks the context depths,
+    # a pass per depth; decoding alone, slice after slice, must give the
+    # same bytes, also where a damaged slice shares its depth.
+    cfg, flags, damaged = stream
+    mode = make_mode(cfg.mode_kind, cfg.l, cfg.mode_params)
+    if custom:
+        mode = _closed_mode(cfg.l, np.random.default_rng(seed))
+    rng = random.Random(seed)
+    with mock.patch.object(pipeline, "make_mode", lambda *_: mode), \
+            mock.patch(f"{__name__}.make_mode", lambda *_: mode):
+        packets, _, _, _ = send(_IMAGE, cfg)
+        packets = [_damage(p, rng) if d else p
+                   for p, d in zip(packets, damaged)]
+        _assert_same(_as_tuple(receive(packets, flags, cfg, *_IMAGE.shape)),
+                     _receive_from_scratch(packets, flags, cfg,
+                                           *_IMAGE.shape))
+
+
+def _damage(packet, rng):
+    """The packet with garbage, a cut or a flipped bit for its payload."""
+    data = bytearray(packet.payload.data)
+    fault = rng.choice(["garbage", "cut", "flip"])
+    if fault == "garbage" or not data:
+        data = bytearray(_GARBAGE.data)
+    elif fault == "cut":
+        del data[rng.randrange(len(data)):]
+    else:
+        bit = rng.randrange(8 * len(data))
+        data[bit // 8] ^= 1 << (bit % 8)
+    return Packet(header=packet.header, payload=Bitstring(bytes(data)))
+
+
+def test_a_corrupt_slice_spares_its_depth_and_orphans_its_dependants(
+        light_codec):
+    # MDC:2 at L=6: slices 3 and 4 share depth 1, and slice 5 reads 3.
+    cfg = _cfg(light_codec, "MDC", 6, {"n_d": 2})
+    packets, _, _, _ = send(_IMAGE, cfg)
+    packets[2] = Packet(header=packets[2].header, payload=_GARBAGE)
+    result = receive(packets, [1] * 6, cfg, *_IMAGE.shape)
+    assert [str(s) for s in result.slice_status] == [
+        "decoded", "decoded", "corrupt", "decoded", "orphaned by 3",
+        "decoded"]
+
+
+@pytest.mark.parametrize("kind,l,params,passes", [
+    ("ISC", 10, {}, 1), ("MDC", 10, {"n_d": 2}, 5),
+    ("SLC", 9, {"enhancements": 2}, 5), ("LC", 6, {}, 6)])
+def test_a_lossless_receive_predicts_once_per_depth(monkeypatch, light_codec,
+                                                    kind, l, params, passes):
+    cfg = _cfg(light_codec, kind, l, params)
+    packets, _, _, _ = send(_IMAGE, cfg)
+    calls = []
+
+    def counted(*args, _fn=pipeline.predict, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "predict", counted)
+    result = receive(packets, [1] * l, cfg, *_IMAGE.shape)
+    assert result.outcome == OUTCOME_LOSSLESS
+    assert len(calls) == passes
 
 
 def _session_steps(packets):
