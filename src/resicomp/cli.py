@@ -97,11 +97,12 @@ class SweepSpec:
                 raise ConfigError("mode SLC needs E, e.g. SLC:1")
             for l in self.l_values:
                 try:
-                    make_mode(kind, l, params)
-                    # The header must hold L; any image size will do.
+                    # The header must hold L (any image size will do)
+                    # before an L x L mode matrix is built.
                     pipeline.stream_header(PipelineConfig(
                         codec=codec, mode_kind=kind, l=l, mode_params=params,
                         plan_seed=self.master_seed), 1, 1)
+                    make_mode(kind, l, params)
                 except ValueError as exc:
                     raise ConfigError(f"mode {spec} at L={l}: {exc}")
         for pair in self.fec_grid:
@@ -224,30 +225,6 @@ def _load_images(image_dir, synthetic):
     return synthetic_corpus(synthetic)
 
 
-def _episode_row(image, cfg: PipelineConfig, model, trace_seed: int, mode,
-                 packets, plan, out_image, outcome, slices_decoded,
-                 rate=1.0):
-    """The CSV row of one episode; `rate` scales its bits (FEC parity)."""
-    psnr, bpp, _ = pipeline.evaluate(image, out_image, outcome, packets)
-    bits_payload = sum(p.payload.bit_length for p in packets)
-    bits_total = sum(p.wire_bits for p in packets)
-    return {
-        "image_id": cfg.image_id,
-        "mode": mode,
-        "L": cfg.l,
-        "beta": plan.beta,
-        "loss_preset": model.meta["preset"],
-        "seed": trace_seed,
-        "eps_target": model.meta["eps"],
-        "bits_payload": int(bits_payload * rate),
-        "bits_total": int(bits_total * rate),
-        "bpp": round(bpp * rate, 6),
-        "outcome": outcome,
-        "psnr_db": round(psnr, 4),
-        "slices_decoded": slices_decoded,
-    }
-
-
 def _episode_store(cfg: PipelineConfig) -> pipeline.TableStore:
     """The table store of the process's episodes, for cfg's prior and
     clamp.
@@ -268,45 +245,51 @@ def _episode_store(cfg: PipelineConfig) -> pipeline.TableStore:
     return _store
 
 
-def run_episode(image, cfg: PipelineConfig, model, trace_seed: int):
-    """One send -> lossy channel -> receive episode; returns a CSV row."""
-    planes = 1 if image.ndim == 2 else image.shape[2]
-    store = _episode_store(cfg)
-    packets, _, plan, _ = pipeline.send(image, cfg, store=store)
-    trace = sample_trace(model, len(packets), trace_seed)
-    result = pipeline.receive(packets, trace.flags, cfg, image.shape[0],
-                              image.shape[1], planes, store=store)
-    header = packets[0].header  # the mode's own parameter, as coded
-    mode = cfg.mode_kind + (f":{header.mode_param}"
-                            if header.mode_id in MODE_PARAM else "")
-    return _episode_row(image, cfg, model, trace_seed, mode, packets, plan,
-                        result.image, result.outcome,
-                        len(result.decoded_slices))
+def run_episode(image, cfg: PipelineConfig, model, trace_seed: int,
+                fec=None):
+    """One send -> lossy channel -> receive episode; returns a CSV row.
 
-
-def run_fec_episode(image, cfg: PipelineConfig, model, trace_seed: int,
-                    n_data: int, n_parity: int):
-    """Ideal-FEC baseline: whole bitstream as n_data packets + parity.
-
-    Decodes losslessly iff any n_data of n_data+n_parity packets arrive;
-    rate is scaled by the parity bandwidth multiplier.
+    Each slice's flag is its packet's own in a trace of one packet per
+    slice.  With `fec` = (n_data, n_parity) the episode is the ideal-FEC
+    baseline: the stream goes out as n_data packets plus n_parity parity
+    packets, so the trace has n_data + n_parity packets and every slice
+    arrives iff any n_data of them do (`transport.fec_channel`).  The
+    row is labelled `FEC:n_data/n_parity` and its bits are scaled by the
+    parity's bandwidth, (n_data + n_parity) / n_data.
     """
     planes = 1 if image.ndim == 2 else image.shape[2]
     store = _episode_store(cfg)
     packets, _, plan, _ = pipeline.send(image, cfg, store=store)
+    n_data, n_parity = fec or (len(packets), 0)
     trace = sample_trace(model, n_data + n_parity, trace_seed)
-    if transport.fec_channel(n_data, n_parity, trace):
-        result = pipeline.receive(packets, [True] * len(packets), cfg,
-                                  image.shape[0], image.shape[1], planes,
-                                  store=store)
-        out_image, outcome = result.image, result.outcome
-        slices_decoded = len(result.decoded_slices)
+    if fec is None:
+        flags = trace.flags
+        header = packets[0].header  # the mode's own parameter, as coded
+        mode = cfg.mode_kind + (f":{header.mode_param}"
+                                if header.mode_id in MODE_PARAM else "")
     else:
-        out_image, outcome, slices_decoded = image, pipeline.OUTCOME_FAILED, 0
-    return _episode_row(image, cfg, model, trace_seed,
-                        f"FEC:{n_data}/{n_parity}", packets, plan, out_image,
-                        outcome, slices_decoded,
-                        rate=(n_data + n_parity) / n_data)
+        flags = [transport.fec_channel(n_data, n_parity, trace)] * len(packets)
+        mode = f"FEC:{n_data}/{n_parity}"
+    result = pipeline.receive(packets, flags, cfg, image.shape[0],
+                              image.shape[1], planes, store=store)
+    psnr, bpp, _ = pipeline.evaluate(image, result.image, result.outcome,
+                                     packets)
+    rate = (n_data + n_parity) / n_data  # 1.0 without parity
+    return {
+        "image_id": cfg.image_id,
+        "mode": mode,
+        "L": cfg.l,
+        "beta": plan.beta,
+        "loss_preset": model.meta["preset"],
+        "seed": trace_seed,
+        "eps_target": model.meta["eps"],
+        "bits_payload": int(sum(p.payload.bit_length for p in packets) * rate),
+        "bits_total": int(sum(p.wire_bits for p in packets) * rate),
+        "bpp": round(bpp * rate, 6),
+        "outcome": result.outcome,
+        "psnr_db": round(psnr, 4),
+        "slices_decoded": len(result.decoded_slices),
+    }
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1):
@@ -331,7 +314,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
     images = _load_images(spec.image_dir, spec.synthetic_images)
     prior = load_env_prior(spec.channels)
     codec = CodecConfig(channels=spec.channels, quality=spec.quality)
-    tasks = []  # (function, *args): each episode is the call it makes
+    tasks = []  # the arguments of each episode's run_episode call
     for preset_idx, preset_name in enumerate(spec.presets):
         model = preset(preset_name)
         for image_idx, image in enumerate(images):
@@ -345,7 +328,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
                             mode_params=params, plan_seed=spec.master_seed,
                             image_id=image_idx, prior=prior,
                         )
-                        tasks.append((run_episode, image, cfg, model,
+                        tasks.append((image, cfg, model,
                                       derive_seed(seed, mode_idx, l)))
                 for fec_idx, (n_data, n_parity) in enumerate(spec.fec_grid):
                     cfg = PipelineConfig(
@@ -353,17 +336,17 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
                         plan_seed=spec.master_seed, image_id=image_idx,
                         prior=prior,
                     )
-                    tasks.append((run_fec_episode, image, cfg, model,
+                    tasks.append((image, cfg, model,
                                   derive_seed(seed, 1000 + fec_idx),
-                                  n_data, n_parity))
+                                  (n_data, n_parity)))
     # A fork pool starts all its workers at the first submit.
     jobs = min(jobs, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(*task) for task in tasks]
+            futures = [pool.submit(run_episode, *task) for task in tasks]
             rows = [future.result() for future in futures]
     else:
-        rows = [fn(*args) for fn, *args in tasks]
+        rows = [run_episode(*task) for task in tasks]
     with open(spec.output, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_FIELDS)
         writer.writeheader()
@@ -578,7 +561,7 @@ def main(argv=None):
     except (ConfigError, ValueError, transport.PacketFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

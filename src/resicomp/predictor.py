@@ -232,11 +232,10 @@ def _softmax(logits):
 
 # Positions per gather block are capped so one (block, columns) float64
 # temporary, or the block's (block, taps) index array, stays near 1 MB.
+# A block whose (taps read, points, columns) gather fits the same 1 MB
+# is gathered at once and summed over the taps; a larger one loops over
+# its taps.
 _BLOCK_ELEMENTS = 1 << 17
-# A block whose (taps read, points, columns) gather fits 512 KB of
-# float64 is gathered at once and summed over the taps; a larger one
-# loops over its taps.
-_GATHER_ELEMENTS = 1 << 16
 
 
 def _known_columns(grid: TokenGrid, squares: bool, radius: int) -> np.ndarray:
@@ -279,7 +278,7 @@ def _window_sums(padded: np.ndarray, rows, cols, window: int,
     A point whose slice sees no slice reads nothing and is skipped.
 
     A block of points whose gather of every tap read fits
-    `_GATHER_ELEMENTS` is gathered as one (taps, points, m) array and
+    `_BLOCK_ELEMENTS` is gathered as one (taps, points, m) array and
     reduced over its first axis from 0.0: the same additions in the same
     tap order as the per-tap loop of larger blocks.
     """
@@ -321,7 +320,7 @@ def _window_sums(padded: np.ndarray, rows, cols, window: int,
             idx *= read
         out = sums[lo:lo + block]
         used = np.flatnonzero(read.any(axis=0))
-        if len(used) * out.size <= _GATHER_ELEMENTS:
+        if len(used) * out.size <= _BLOCK_ELEMENTS:
             terms = padded.take(idx[:, used].T, axis=0)
             terms *= tap_w[used, None, None]
             np.add.reduce(terms, axis=0, out=out, initial=0.0)

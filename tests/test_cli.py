@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import os
 import re
 import tempfile
 from concurrent.futures import Future
@@ -8,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +25,9 @@ from resicomp.image_io import psnr_db, read_ppm, write_ppm
 from resicomp.pipeline import PipelineConfig, stream_header
 from resicomp.synthetic import synthetic_image
 from resicomp.token_codec import CodecConfig
-from resicomp.transport import (HEADER_SIZE, Packet, packet_from_bytes,
-                                preset, read_traces)
+from resicomp.transport import (HEADER_SIZE, Packet, PacketFormatError,
+                                fec_channel, packet_from_bytes, preset,
+                                read_traces)
 
 
 @pytest.fixture()
@@ -320,6 +323,104 @@ def test_decode_survives_channel_faults(fault_streams, data):
         assert code in (EXIT_VALIDATION, EXIT_IO) and len(errors) == 1
 
 
+def _mutate(data, blob):
+    """`blob` after one to three bit flips, truncations or appended
+    bytes, as hypothesis draws them."""
+    blob = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 3))):
+        fault = data.draw(st.sampled_from(["flip", "truncate", "trailing"]))
+        if fault == "flip" and blob:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+            blob[bit // 8] ^= 1 << (bit % 8)
+        elif fault == "truncate":
+            del blob[data.draw(st.integers(0, len(blob))):]
+        elif fault == "trailing":
+            blob += data.draw(st.binary(min_size=1, max_size=4))
+    return bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """A valid input of each file that the CLI reads besides packets: an
+    image for `encode`, a model file and the L=4 stream coded under it
+    for `decode` through RESICOMP_MODEL, a trace and an L=4 stream for
+    `decode --trace`, and a sweep config."""
+    tmp = tmp_path_factory.mktemp("input_files")
+    image = tmp / "image.pgm"
+    write_ppm(image, synthetic_image(3, height=24, width=32))
+    model = tmp / "model.rcpm"
+    assert main(["fit-model", "--synthetic", "1", "--channels", "16",
+                 "--out", str(model)]) == EXIT_OK
+    coded = ["encode", "--image", str(image), "--channels", "16", "--L", "4"]
+    assert main(coded + ["--out", str(tmp / "pkts")]) == EXIT_OK
+    with mock.patch.dict(os.environ, {MODEL_ENV: str(model)}):
+        assert main(coded + ["--out", str(tmp / "model_pkts")]) == EXIT_OK
+    return {
+        "image": image.read_bytes(),
+        "model": model.read_bytes(),
+        "trace": b"1101\n",
+        "config": b"synthetic_images = 1\nmodes = LC\nl_values = 2\n"
+                  b"presets = EP3\nfec = 2/1\nchannels = 16\n# end",
+        "pkts": tmp / "pkts",
+        "model_pkts": tmp / "model_pkts",
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_no_input_file_crashes_the_cli(input_files, data):
+    # Whatever an image, model file, trace or sweep config holds, the
+    # command runs and exits 0, or refuses it with exactly one error
+    # line and exit 2 or 3; it never raises.
+    kind = data.draw(st.sampled_from(["image", "model", "trace", "config"]))
+    blob = _mutate(data, input_files[kind])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ):
+        os.environ.pop(MODEL_ENV, None)
+        path = Path(tmp) / {"image": "in.pgm", "model": "model.rcpm",
+                            "trace": "trace.txt", "config": "sweep.cfg"}[kind]
+        path.write_bytes(blob)
+        result = str(Path(tmp) / "result")
+        argv = {
+            "image": ["encode", "--image", str(path), "--out", result,
+                      "--channels", "16", "--L", "4"],
+            "model": ["decode", "--packets", str(input_files["model_pkts"]),
+                      "--out", result],
+            "trace": ["decode", "--packets", str(input_files["pkts"]),
+                      "--trace", str(path), "--out", result],
+            "config": ["sweep", "--config", str(path), "--output", result],
+        }[kind]
+        if kind == "model":
+            os.environ[MODEL_ENV] = str(path)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    errors = [line for line in err.getvalue().splitlines()
+              if line.startswith("error:")]
+    if code == EXIT_OK:
+        assert not errors
+    else:
+        assert code in (EXIT_VALIDATION, EXIT_IO) and len(errors) == 1
+
+
+@pytest.mark.parametrize("exc,code", [
+    (ConfigError("boom"), EXIT_VALIDATION),
+    (ValueError("boom"), EXIT_VALIDATION),
+    (PacketFormatError("boom"), EXIT_VALIDATION),
+    (OSError("boom"), EXIT_IO),
+    (FileNotFoundError("boom"), EXIT_IO),
+    (PermissionError("boom"), EXIT_IO),
+])
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, exc,
+                                               code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_modes", fail)
+    assert main(["modes", "LC"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
 def test_packets_of_an_image_over_the_size_bound_are_refused(
         tmp_path, image_file, capsys):
     # 257x256 token positions, one row of blocks over 4096x4096.
@@ -483,18 +584,62 @@ def test_sweep_output_is_pinned(tmp_path, capsys, jobs):
         "8c4cabee37f26e0262383e7413f2929463ecf5ca5811a67868c26a12c27493f9")
 
 
-def test_sweep_bits_are_the_packets_own():
+def test_sweep_bits_are_the_packets_own(monkeypatch):
     # 408 / (96 * 112) * (96 * 112) is 407.99...; bpp times the pixel
     # count truncated it to 407.
     image = synthetic_image(0, height=96, width=112)
     cfg = PipelineConfig(codec=CodecConfig(channels=16), l=1)
     packet = Packet(header=stream_header(cfg, 96, 112),
                     payload=Bitstring(bytes(51)))
-    row = cli._episode_row(image, cfg, preset("EP3"), 0, "LC", [packet],
-                           SimpleNamespace(beta=1.0), image, "lossless", 1)
+    monkeypatch.setattr(pipeline, "send", lambda *args, **kwargs: (
+        [packet], None, SimpleNamespace(beta=1.0), None))
+    row = cli.run_episode(image, cfg, preset("EP3"), 0)
     assert row["bits_payload"] == 408
     assert row["bits_total"] == 8 * (HEADER_SIZE + 51)
     assert row["bpp"] == round(408 / (96 * 112), 6)
+
+
+@pytest.mark.parametrize("fec", [None, (2, 1)])
+def test_an_episode_sends_samples_and_receives_once(monkeypatch, fec):
+    # An FEC pair is one more source of the flags: a trace of n_data +
+    # n_parity packets decides every slice at once, all arrive or none.
+    image = synthetic_image(1, height=48, width=64)
+    cfg = PipelineConfig(codec=CodecConfig(channels=16), l=4)
+    calls = {"send": [], "sample_trace": [], "receive": []}
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[name].append((args, out))
+            return out
+        return call
+
+    monkeypatch.setattr(pipeline, "send", recorded("send", pipeline.send))
+    monkeypatch.setattr(pipeline, "receive",
+                        recorded("receive", pipeline.receive))
+    monkeypatch.setattr(cli, "sample_trace",
+                        recorded("sample_trace", cli.sample_trace))
+    outcomes = set()
+    for seed in range(6):
+        row = cli.run_episode(image, cfg, preset("EP6"), seed, fec)
+        assert [len(calls[name]) for name in calls] == [1, 1, 1]
+        (_, trace), = calls["sample_trace"]
+        (args, result), = calls["receive"]
+        flags = list(args[1])
+        if fec is None:
+            assert len(trace) == 4 and flags == list(trace.flags)
+            assert row["mode"] == "LC"
+        else:
+            assert len(trace) == 3
+            assert flags == [fec_channel(2, 1, trace)] * 4
+            assert row["mode"] == "FEC:2/1"
+        assert row["outcome"] == result.outcome
+        assert row["slices_decoded"] == len(result.decoded_slices)
+        outcomes.add(row["outcome"])
+        for made in calls.values():
+            made.clear()
+    if fec is not None:
+        assert outcomes == {"lossless", "failed"}
 
 
 def _tiny_sweep(tmp_path, text="modes = LC, ISC\n"):

@@ -120,21 +120,21 @@ def _cases(draw):
         st.lists(points, max_size=20),
         st.just([(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]),
     ))
-    block = draw(st.sampled_from([1, 7, predictor._BLOCK_ELEMENTS]))
-    # Every block loops over its taps, or every block is gathered at once.
-    gather = draw(st.sampled_from([0, 1 << 40]))
+    # One budget sets the block size and whether a block is gathered at
+    # once or loops over its taps: small budgets make one-point blocks
+    # that loop, 2**40 one block that is gathered.
+    block = draw(st.sampled_from([1, 7, predictor._BLOCK_ELEMENTS, 1 << 40]))
     grid = TokenGrid(values, known)
-    return grid, _prior(channels, window, rng), positions, block, gather
+    return grid, _prior(channels, window, rng), positions, block
 
 
 @settings(max_examples=150, deadline=None)
 @given(_cases())
 def test_predict_equals_full_grid_reference(case):
-    grid, prior, positions, block, gather = case
+    grid, prior, positions, block = case
     if positions is None:
         positions = np.argwhere(~grid.known)
-    with mock.patch.object(predictor, "_BLOCK_ELEMENTS", block), \
-            mock.patch.object(predictor, "_GATHER_ELEMENTS", gather):
+    with mock.patch.object(predictor, "_BLOCK_ELEMENTS", block):
         _assert_matches(grid, prior, positions)
 
 

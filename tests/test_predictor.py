@@ -116,18 +116,19 @@ _ONE_PASS_MODES = [("ISC", {}), ("LC", {}), ("MDC", {"n_d": 2}),
        window=st.sampled_from([1, 3, 11]), channels=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1),
        arrived=st.none() | st.lists(st.booleans(), min_size=9, max_size=9),
-       gather=st.sampled_from([0, 1 << 40]))
+       budget=st.sampled_from([0, 1 << 40]))
 # A receiver grid of MDC:2 where slices 1 and 2 are decoded: slice 3's
 # context is slice 1 alone, so slice 2's known tokens in its window
-# must not count.  The window sums loop over the taps, or gather them.
+# must not count.  The window sums loop over the taps of one-point
+# blocks (budget 0), or gather them in one block (budget 2**40).
 @example(kind=("MDC", {"n_d": 2}), l=6, h=4, w=4, window=11, channels=2,
-         seed=0, arrived=[True, True] + [False] * 7, gather=0)
+         seed=0, arrived=[True, True] + [False] * 7, budget=0)
 @example(kind=("MDC", {"n_d": 2}), l=6, h=4, w=4, window=11, channels=2,
-         seed=0, arrived=[True, True] + [False] * 7, gather=1 << 40)
+         seed=0, arrived=[True, True] + [False] * 7, budget=1 << 40)
 def test_one_pass_model_equals_a_masked_copy_per_slice(
-        kind, l, h, w, window, channels, seed, arrived, gather):
+        kind, l, h, w, window, channels, seed, arrived, budget):
     assume(l <= h * w)
-    with mock.patch.object(predictor, "_GATHER_ELEMENTS", gather):
+    with mock.patch.object(predictor, "_BLOCK_ELEMENTS", budget):
         _check_one_pass_model(kind, l, h, w, window, channels, seed, arrived)
 
 
