@@ -34,14 +34,6 @@ EXIT_IO = 3
 
 MODEL_ENV = "RESICOMP_MODEL"
 
-# The episodes of a process share one table store (`_episode_store`),
-# made at the first episode.  One that holds this many bytes of rows is
-# replaced by an empty one, so a long sweep over real images, whose key
-# space is about 10**5 keys per channel, stays bounded.
-STORE_CAP_BYTES = 32 * 2**20
-
-_store = None
-
 CSV_FIELDS = [
     "image_id", "mode", "L", "beta", "loss_preset", "seed", "eps_target",
     "bits_payload", "bits_total", "bpp", "outcome", "psnr_db",
@@ -225,26 +217,6 @@ def _load_images(image_dir, synthetic):
     return synthetic_corpus(synthetic)
 
 
-def _episode_store(cfg: PipelineConfig) -> pipeline.TableStore:
-    """The table store of the process's episodes, for cfg's prior and
-    clamp.
-
-    A table is a function of its key, the prior and the clamp, so a
-    process builds each table once, not once per stream.  The store is
-    replaced by an empty one for an episode of another prior or clamp,
-    and once it holds STORE_CAP_BYTES of rows.  That happens only here,
-    between episodes, so no stream sees its rows move.  A pool's worker
-    keeps a store of its own; the bytes coded do not depend on it.
-    """
-    global _store
-    prior = cfg.get_prior()
-    if (_store is None or _store.nbytes >= STORE_CAP_BYTES
-            or _store.clamp != cfg.codec.clamp
-            or _store.prior.fingerprint != prior.fingerprint):
-        _store = pipeline.TableStore(prior, cfg.codec.clamp)
-    return _store
-
-
 def run_episode(image, cfg: PipelineConfig, model, trace_seed: int,
                 fec=None):
     """One send -> lossy channel -> receive episode; returns a CSV row.
@@ -258,8 +230,7 @@ def run_episode(image, cfg: PipelineConfig, model, trace_seed: int,
     parity's bandwidth, (n_data + n_parity) / n_data.
     """
     planes = 1 if image.ndim == 2 else image.shape[2]
-    store = _episode_store(cfg)
-    packets, _, plan, _ = pipeline.send(image, cfg, store=store)
+    packets, _, plan, _ = pipeline.send(image, cfg)
     n_data, n_parity = fec or (len(packets), 0)
     trace = sample_trace(model, n_data + n_parity, trace_seed)
     if fec is None:
@@ -271,7 +242,7 @@ def run_episode(image, cfg: PipelineConfig, model, trace_seed: int,
         flags = [transport.fec_channel(n_data, n_parity, trace)] * len(packets)
         mode = f"FEC:{n_data}/{n_parity}"
     result = pipeline.receive(packets, flags, cfg, image.shape[0],
-                              image.shape[1], planes, store=store)
+                              image.shape[1], planes)
     psnr, bpp, _ = pipeline.evaluate(image, result.image, result.outcome,
                                      packets)
     rate = (n_data + n_parity) / n_data  # 1.0 without parity

@@ -130,7 +130,10 @@ def validate(mode: ContextMode):
         return Violation("recoverability", tuple(int(x) + 1 for x in upper[0]))
     # Row i inherits badly when some context k of i has a context j that
     # i lacks; report the first i, then the first (k, j) of that row.
-    rows = np.flatnonzero(((g @ g) & ~g).any(axis=1))
+    # The product counts such k in float32, which BLAS multiplies and
+    # which is exact up to 2**24 slices.
+    f = g.astype(np.float32)
+    rows = np.flatnonzero(((f @ f > 0) & ~g).any(axis=1))
     if len(rows):
         i = int(rows[0])
         k, j = np.argwhere(g[i][:, None] & g & ~g[i])[0]

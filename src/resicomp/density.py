@@ -21,9 +21,10 @@ neighbour keeps the exact prior for both components and is keyed by its
 channel alone.  The snapping uses only multiplication, rounding, square
 roots and comparisons, so both ends compute the same keys whatever
 their libm.  `key_mixtures` turns a key and the prior into the mixture,
-so a table is a function of its key; `pipeline.TableStore` holds a
-stream's tables as rows of one array, by key, and builds only the keys
-it has not seen.
+so a table is a function of its key; `pipeline.TableStore` holds one
+prior's tables at one clamp as rows of one array, by key, and builds
+only the keys it has not seen, and a process keeps one such store per
+prior and clamp for all its streams.
 """
 
 from __future__ import annotations

@@ -27,12 +27,17 @@ packet list, in list order.  The context model runs only at the
 positions of the slices it is given, so its window sums cost work in
 proportion to those slices, not the grid.
 
-Streams of one prior and clamp may share a `TableStore` that the caller
-passes in; otherwise each makes its own, and this module keeps none.
+A table depends only on its key, the prior and the clamp, so the process
+keeps one `TableStore` per (prior fingerprint, clamp), made when a stream
+first needs it: every stream of that prior and clamp, at either end and
+in any thread, builds each table once.  A stream that opens while the
+stores hold STORE_CAP_BYTES of rows drops them all; a live stream keeps
+the store it opened with, so no stream sees its rows move.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -86,11 +91,15 @@ class TableStore:
     A table is a function of its key, the prior and the clamp: the store
     builds a key's table from `key_mixtures(key, prior)` alone, so it may
     meet the keys in any order, and any streams of that prior and clamp
-    may share it.  The array grows by doubling and a row keeps its
-    number.  Each row's likeliest symbol is kept beside it, for the
-    decoder to try first.  The build calls `discretize_batch`,
-    `quantize_probs` and `FreqTable.batch` by this module's names, so
-    wrappers around them see every table built.
+    may share it (`table_store` gives the process's).  The array grows
+    by doubling and a row keeps its number.  Each row's likeliest symbol
+    is kept beside it, for the decoder to try first.  The build calls
+    `discretize_batch`, `quantize_probs` and `FreqTable.batch` by this
+    module's names, so wrappers around them see every table built.
+
+    Threads may share a store: a lock covers each lookup, growth and
+    build.  Rows handed out need none, since growth copies them into a
+    new array and leaves the old one as it was.
     """
 
     def __init__(self, prior: PriorModel, clamp: int):
@@ -99,11 +108,13 @@ class TableStore:
         self._rows = {}  # key -> row number
         self._cum = np.empty((0, 2 * clamp + 2), np.int32)
         self._likeliest = np.empty(0, np.intp)  # one symbol per row
+        self._lock = threading.Lock()
 
     @property
     def likeliest(self) -> np.ndarray:
         """The `entropy_coder.likeliest` symbol of each row held."""
-        return self._likeliest[:len(self._rows)]
+        with self._lock:
+            return self._likeliest[:len(self._rows)]
 
     def __len__(self):
         return len(self._rows)
@@ -121,30 +132,57 @@ class TableStore:
         build's temporaries stay small however many keys a call meets.
         """
         keys, inverse = np.unique(mixture_keys(output), return_inverse=True)
-        held = self._rows
-        rows = np.array([held.get(k, -1) for k in keys.tolist()], np.intp)
-        new = rows < 0
-        if new.any():
-            fresh = keys[new]
-            start, end = len(held), len(held) + len(fresh)
-            if end > len(self._cum):
-                grown = np.empty((max(end, 2 * start), self._cum.shape[1]),
-                                 np.int32)
-                grown[:start] = self._cum[:start]
-                self._cum = grown
-                likeliest = np.empty(len(grown), np.intp)
-                likeliest[:start] = self._likeliest[:start]
-                self._likeliest = likeliest
-            for lo in range(0, len(fresh), TABLE_CHUNK):
-                chunk = fresh[lo:lo + TABLE_CHUNK]
-                at = slice(start + lo, start + lo + len(chunk))
-                self._cum[at] = FreqTable.batch(quantize_probs(
-                    discretize_batch(*key_mixtures(chunk, self.prior),
-                                     self.clamp)))
-                self._likeliest[at] = entropy_coder.likeliest(self._cum[at])
-            rows[new] = np.arange(start, end)
-            held.update(zip(fresh.tolist(), range(start, end)))
-        return self._cum[:len(held)], rows[inverse]
+        with self._lock:
+            held = self._rows
+            rows = np.array([held.get(k, -1) for k in keys.tolist()], np.intp)
+            new = rows < 0
+            if new.any():
+                fresh = keys[new]
+                start, end = len(held), len(held) + len(fresh)
+                if end > len(self._cum):
+                    grown = np.empty((max(end, 2 * start), self._cum.shape[1]),
+                                     np.int32)
+                    grown[:start] = self._cum[:start]
+                    self._cum = grown
+                    likeliest = np.empty(len(grown), np.intp)
+                    likeliest[:start] = self._likeliest[:start]
+                    self._likeliest = likeliest
+                for lo in range(0, len(fresh), TABLE_CHUNK):
+                    chunk = fresh[lo:lo + TABLE_CHUNK]
+                    at = slice(start + lo, start + lo + len(chunk))
+                    self._cum[at] = FreqTable.batch(quantize_probs(
+                        discretize_batch(*key_mixtures(chunk, self.prior),
+                                         self.clamp)))
+                    self._likeliest[at] = entropy_coder.likeliest(
+                        self._cum[at])
+                rows[new] = np.arange(start, end)
+                held.update(zip(fresh.tolist(), range(start, end)))
+            return self._cum[:len(held)], rows[inverse]
+
+
+# Bytes of rows that the process's stores may hold together: 32,768
+# rows of about 1 KB at the default clamp.  A long sweep over real
+# images meets about 10**5 keys per channel, so the stores are dropped
+# rather than grown without end.
+STORE_CAP_BYTES = 32 * 2**20
+
+_stores = {}  # (prior fingerprint, clamp) -> TableStore
+_stores_lock = threading.Lock()
+
+
+def table_store(prior: PriorModel, clamp: int) -> TableStore:
+    """The process's store of prior's tables at clamp, made on first use.
+
+    Once the stores hold STORE_CAP_BYTES of rows, every one is dropped
+    and this one made again.  Streams that hold a dropped store keep it.
+    """
+    with _stores_lock:
+        if sum(store.nbytes for store in _stores.values()) >= STORE_CAP_BYTES:
+            _stores.clear()
+        key = (prior.fingerprint, clamp)
+        if key not in _stores:
+            _stores[key] = TableStore(prior, clamp)
+        return _stores[key]
 
 
 # A CRC-valid header sets what the receiver allocates before reading any
@@ -183,17 +221,14 @@ class Stream:
     It builds the mode, the slice plan over the token grid (BLOCK x
     BLOCK blocks covering the output size) and the codec from the header
     alone; the prior defaults to the header codec's uninformed one.
-    Its tables come from `store`, which other streams of the same prior
-    and clamp may share, or else from a fresh store of its own.
-    ValueError if the grid has more than MAX_GRID_POSITIONS
-    positions, `planes` is outside 1..channels, or `store` holds another
-    prior's or clamp's tables, before anything is built for it; if the
-    header's mode is not valid; and if the prior's fingerprint is not
-    the header's.
+    Its tables come from the process's store of its prior and clamp
+    (`table_store`), taken when it opens.  ValueError if the grid has
+    more than MAX_GRID_POSITIONS positions or `planes` is outside
+    1..channels, before anything is built for it; if the header's mode
+    is not valid; and if the prior's fingerprint is not the header's.
     """
 
-    def __init__(self, header: PacketHeader, prior: PriorModel | None = None,
-                 store: TableStore | None = None):
+    def __init__(self, header: PacketHeader, prior: PriorModel | None = None):
         grid_h, grid_w = -(-header.height // BLOCK), -(-header.width // BLOCK)
         if grid_h * grid_w > MAX_GRID_POSITIONS:
             raise ValueError(
@@ -204,11 +239,6 @@ class Stream:
             raise ValueError(f"planes {header.planes} is outside "
                              f"1..{header.channels}: each plane needs a "
                              "channel")
-        if store is not None and (
-                store.prior.fingerprint != header.prior_fingerprint
-                or store.clamp != header.clamp):
-            raise ValueError("the table store holds another prior's or "
-                             "clamp's tables than the stream's")
         key = MODE_PARAM.get(header.mode_id)
         self.mode = make_mode(header.mode_id, header.total_slices,
                               {key: header.mode_param} if key else {})
@@ -224,9 +254,7 @@ class Stream:
         self.header = header
         self.prior = prior
         self.l = header.total_slices
-        if store is None:
-            store = TableStore(prior, header.clamp)
-        self.store = store
+        self.store = table_store(prior, header.clamp)
 
     def model(self, slices, grid: TokenGrid):
         """(positions, rows, cum): the positions of `slices`, slice by
@@ -244,16 +272,15 @@ class Stream:
         return output.positions, rows, cum
 
 
-def send(image: np.ndarray, cfg: PipelineConfig,
-         store: TableStore | None = None):
-    """Encode an image into one packet per slice, with the tables of
-    `store` if one is given (see `Stream`).
+def send(image: np.ndarray, cfg: PipelineConfig):
+    """Encode an image into one packet per slice, with the tables of the
+    process's store of cfg's prior (see `Stream`).
 
     Returns (packets, grid, plan, mode).
     """
     planes = 1 if image.ndim == 2 else image.shape[2]
     header = stream_header(cfg, image.shape[0], image.shape[1], planes)
-    stream = Stream(header, cfg.prior, store)
+    stream = Stream(header, cfg.prior)
     grid = analyze(image, stream.codec)
     # The sender holds every slice, so one pass models them all.
     slices = range(1, stream.l + 1)
@@ -310,7 +337,7 @@ class Receiver(Stream):
     Slices decode as soon as their packet and all their context slices
     are in, every ready slice of a context depth in one model pass;
     `result` conceals the rest on a copy, so packets may keep arriving.
-    The header, prior and store are checked as `Stream` checks them.
+    The header and prior are checked as `Stream` checks them.
     Each slice has one state, a SLICE_* value: lost or rejected until a
     packet of the stream reaches it, orphaned while that packet is held
     and a context slice is not decoded, then decoded or corrupt.
@@ -321,9 +348,8 @@ class Receiver(Stream):
     tokens.
     """
 
-    def __init__(self, header: PacketHeader, prior: PriorModel | None = None,
-                 store: TableStore | None = None):
-        super().__init__(header, prior, store)
+    def __init__(self, header: PacketHeader, prior: PriorModel | None = None):
+        super().__init__(header, prior)
         self.depths = context_depths(self.mode)
         # The slices of each context depth; `add` models the ready ones
         # of a depth in one pass.
@@ -450,8 +476,7 @@ class Receiver(Stream):
 
 def receive(packets, flags, cfg: PipelineConfig, out_height: int,
             out_width: int, planes: int = 1,
-            receiver: Receiver | None = None,
-            store: TableStore | None = None) -> ReceiveResult:
+            receiver: Receiver | None = None) -> ReceiveResult:
     """Decode received packets; conceal what cannot be entropy-decoded.
 
     flags[i] says whether slice i + 1's packets count as received;
@@ -460,8 +485,8 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
     in list order, and `Receiver.add` decides which one a slice holds:
     the first of the stream that `stream_header` gives for cfg and the
     output size.  Without a `receiver` session, ValueError if no packet
-    of that stream is given, and the session it opens takes its tables
-    from `store` if one is given.  With a `receiver` session for that
+    of that stream is given; the session it opens shares the process's
+    tables with the stream's `send`.  With a `receiver` session for that
     stream, flags that drop a slice it holds raise ValueError.  Only
     wire bytes are checked, by `packet_from_bytes`'s CRC; the `Packet`
     objects given here are trusted, so a payload moved into another
@@ -470,7 +495,7 @@ def receive(packets, flags, cfg: PipelineConfig, out_height: int,
     given = [p for p in packets if p is not None]
     if receiver is None:
         receiver = Receiver(stream_header(cfg, out_height, out_width, planes),
-                            cfg.prior, store)
+                            cfg.prior)
         if not any(p.header == receiver.header for p in given):
             raise ValueError("no packet matches the config and output size")
     if len(flags) != receiver.l:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from resicomp import pipeline
 from resicomp.synthetic import synthetic_corpus, synthetic_image
 from resicomp.token_codec import CodecConfig
 
@@ -36,3 +37,11 @@ def light_codec():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def empty_stores():
+    """Empty the process's table stores; calling the fixture's value
+    empties them again."""
+    pipeline._stores.clear()
+    return pipeline._stores.clear

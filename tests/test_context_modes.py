@@ -180,3 +180,36 @@ def test_validate_equals_triple_loop(case, lower_only):
         g = np.tril(g, k=-1)
     mode = ContextMode(l=l, g=g, mode_id=MODE_CUSTOM)
     assert validate(mode) == _validate_by_loops(mode)
+
+
+def _validate_by_boolean_product(mode):
+    """`validate` as it was written first: a boolean matrix product."""
+    g = mode.g
+    upper = np.argwhere(np.triu(g))
+    if len(upper):
+        return Violation("recoverability", tuple(int(x) + 1 for x in upper[0]))
+    rows = np.flatnonzero(((g @ g) & ~g).any(axis=1))
+    if len(rows):
+        i = int(rows[0])
+        k, j = np.argwhere(g[i][:, None] & g & ~g[i])[0]
+        return Violation("inheritance", (i + 1, int(k) + 1, int(j) + 1))
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0), st.booleans(), st.integers(0, 3))
+def test_validate_equals_boolean_product(l, seed, density, closed, flips):
+    rng = np.random.default_rng(seed)
+    g = np.tril(rng.random((l, l)) < density, k=-1)
+    if closed:
+        g = _closure(g)  # valid until an entry is flipped
+    if l > 1:
+        for _ in range(flips):
+            i = int(rng.integers(1, l))
+            g[i, int(rng.integers(0, i))] ^= True
+    mode = ContextMode(l=l, g=g, mode_id=MODE_CUSTOM)
+    want = _validate_by_boolean_product(mode)
+    assert validate(mode) == want
+    if closed and not flips:
+        assert want is None

@@ -325,7 +325,8 @@ def test_swapped_payloads_report_a_corrupt_slice(small_image, light_codec):
 
 
 @pytest.mark.parametrize("kind,params", [("LC", {}), ("MDC", {"n_d": 2})])
-def test_packets_in_any_order(small_image, light_codec, kind, params):
+def test_packets_in_any_order(small_image, light_codec, kind, params,
+                              empty_stores):
     cfg = _cfg(light_codec, kind, 8, params)
     image = synthetic_image(5, height=48, width=64)
     packets, grid, _, _ = send(image, cfg)
@@ -333,8 +334,9 @@ def test_packets_in_any_order(small_image, light_codec, kind, params):
     shuffled = list(packets)
     random.Random(1).shuffle(shuffled)
     for order in (packets[::-1], shuffled):
-        # The session's table store meets the keys in another order than
-        # the sender's; the tables, and so the tokens, are the same.
+        # From empty stores, the session meets the keys in another order
+        # than the sender did; the tables, and so the tokens, are the same.
+        empty_stores()
         session = Receiver(order[0].header)
         for p in order:
             session.add(p)
@@ -372,7 +374,8 @@ def test_receive_refuses_flags_that_drop_a_held_packet(small_image,
 
 
 def test_progressive_builds_no_more_tables_than_one_receive(monkeypatch,
-                                                            light_codec):
+                                                            light_codec,
+                                                            empty_stores):
     cfg = _cfg(light_codec, l=8)
     image = synthetic_image(5, height=64, width=64)
     packets, _, _, _ = send(image, cfg)
@@ -384,9 +387,13 @@ def test_progressive_builds_no_more_tables_than_one_receive(monkeypatch,
         return batch(counts)
 
     monkeypatch.setattr(FreqTable, "batch", staticmethod(counted))
+    # Each decode starts from empty stores, so neither finds the send's
+    # tables or the other's.
+    empty_stores()
     receive(packets, [1] * cfg.l, cfg, *image.shape)
     once = sum(rows)
     rows.clear()
+    empty_stores()
     steps = progressive_receive(packets, cfg, *image.shape)
     assert steps[-1].outcome == OUTCOME_LOSSLESS
     assert 0 < sum(rows) <= once

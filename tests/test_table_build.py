@@ -7,28 +7,31 @@ quantizing that symbol's (snapped) row alone gives.  The reference below is
 the direct evaluation: every component of every row integrated over
 all bins with the pinned CDF written as one expression, then
 largest-remainder quantization by a full sort.  Streams and sweep
-episodes that share one store code exactly as with stores of their own.
+episodes share the process's store of their prior and clamp, and code
+exactly as they do from empty stores, in one thread or in several.
 """
 
 import math
+import sys
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from resicomp import cli, density, pipeline
 from resicomp.density import (FREQ_TOTAL, SIGMA_FLOOR, SIGMA_LEVELS,
                               FreqTable, _normal_cdf_in_place,
                               discretize_batch, quantize_probs, unique_rows)
-from resicomp.pipeline import (PipelineConfig, Receiver, Stream, TableStore,
-                               receive, send, stream_header)
-from resicomp.predictor import default_prior, predict
+from resicomp.pipeline import (OUTCOME_LOSSLESS, PipelineConfig, Receiver,
+                               TableStore, receive, send)
+from resicomp.predictor import default_prior, fit_prior, predict
 from resicomp.synthetic import synthetic_image
-from resicomp.token_codec import CodecConfig, TokenGrid
+from resicomp.token_codec import CodecConfig, TokenGrid, analyze
 from resicomp.transport import preset
 
 
@@ -243,86 +246,122 @@ _MODES = [("ISC", {}), ("LC", {}), ("MDC", {"n_d": 2}),
           ("SLC", {"enhancements": 1})]
 
 
-@settings(max_examples=20, deadline=None)
+def _coded(image, cfg, arrived):
+    """What a stream's send and a receive of its arrived slices give:
+    the packet bytes, the grid and image bytes, the outcome and the
+    slice states."""
+    packets, _, _, _ = send(image, cfg)
+    got = receive(packets, arrived[:cfg.l], cfg, *image.shape)
+    return ([p.to_bytes() for p in packets], got.grid.values.tobytes(),
+            got.image.tobytes(), got.outcome, got.slice_status)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.tuples(st.sampled_from(range(len(_IMAGES))),
                           st.sampled_from(_MODES), st.integers(2, 8),
                           st.lists(st.booleans(), min_size=8, max_size=8)),
                 min_size=2, max_size=4))
-def test_streams_sharing_a_store_code_as_with_their_own(streams):
-    # The shared store meets each stream's keys after other streams'
-    # keys and in another order than a fresh store does.
-    store = TableStore(default_prior(_CODEC.channels, _CODEC.clamp),
-                       _CODEC.clamp)
-    for image_index, (kind, params), l, arrived in streams:
-        image = _IMAGES[image_index]
-        cfg = PipelineConfig(codec=_CODEC, mode_kind=kind, l=l,
-                             mode_params=params)
-        own, _, _, _ = send(image, cfg)
-        shared, _, _, _ = send(image, cfg, store=store)
-        assert [p.to_bytes() for p in shared] == [p.to_bytes() for p in own]
-        flags = arrived[:l]
-        want = receive(own, flags, cfg, *image.shape)
-        got = receive(shared, flags, cfg, *image.shape, store=store)
-        assert got.grid.values.tobytes() == want.grid.values.tobytes()
-        assert got.image.tobytes() == want.image.tobytes()
-        assert (got.outcome, got.slice_status) == (want.outcome,
-                                                    want.slice_status)
+def test_streams_sharing_a_store_code_as_with_their_own(empty_stores,
+                                                        streams):
+    # The process store meets each stream's keys after other streams'
+    # keys and in another order than an emptied one does.
+    configs = [(_IMAGES[image_index],
+                PipelineConfig(codec=_CODEC, mode_kind=kind, l=l,
+                               mode_params=params), arrived)
+               for image_index, (kind, params), l, arrived in streams]
+    own = []
+    for case in configs:
+        empty_stores()
+        own.append(_coded(*case))
+    empty_stores()
+    assert [_coded(*case) for case in configs] == own
 
 
-def test_a_stream_refuses_a_store_of_another_prior_or_clamp(monkeypatch):
-    cfg = PipelineConfig(codec=_CODEC, l=4)
-    header = stream_header(cfg, 48, 64)
+def test_streams_of_two_priors_and_two_clamps_code_as_with_fresh_stores(
+        empty_stores):
+    fitted = fit_prior([analyze(image, _CODEC) for image in _IMAGES])
+    narrow = CodecConfig(channels=16, clamp=63)
+    # Each run of four streams meets all four stores.
+    configs = [PipelineConfig(codec=codec, mode_kind=kind, l=l,
+                              mode_params=params, prior=prior)
+               for (kind, params), l in zip(_MODES[1:], (4, 6, 5))
+               for codec in (_CODEC, narrow) for prior in (None, fitted)]
+    arrived = [True, False, True, True, True, True]
+    own = []
+    for cfg in configs:
+        empty_stores()
+        own.append(_coded(_IMAGES[0], cfg, arrived))
+    empty_stores()
+    assert [_coded(_IMAGES[0], cfg, arrived) for cfg in configs] == own
+    assert len(pipeline._stores) == 4
 
-    def nothing_built(*args):
-        raise AssertionError("a mode or plan was built")
 
-    monkeypatch.setattr(pipeline, "make_mode", nothing_built)
-    monkeypatch.setattr(pipeline, "build_plan", nothing_built)
-    other_prior = TableStore(default_prior(_CODEC.channels, 63), _CODEC.clamp)
-    other_clamp = TableStore(default_prior(_CODEC.channels, _CODEC.clamp), 63)
-    for store in (other_prior, other_clamp):
-        for open_stream in (Stream, Receiver):
-            with pytest.raises(ValueError, match="table store"):
-                open_stream(header, store=store)
-        with pytest.raises(ValueError, match="table store"):
-            send(_IMAGES[0], cfg, store=store)
-        assert len(store) == 0
+def test_threads_sharing_a_store_code_as_one_thread_does(empty_stores):
+    images = [synthetic_image(seed, height=64, width=64)
+              for seed in range(11, 17)]
+    cases = [(image, PipelineConfig(codec=_CODEC, mode_kind=kind, l=6,
+                                    mode_params=params), [True] * 6)
+             for image, (kind, params) in zip(images, _MODES * 2)]
+    serial = [_coded(*case) for case in cases]
+    empty_stores()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads swap in the midst of a build
+    try:
+        with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+            threaded = list(pool.map(lambda case: _coded(*case), cases,
+                                     timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def _rows(store):
     return store._rows, store._cum[:len(store)].tobytes()
 
 
-def test_cli_replaces_its_store_at_the_cap_and_for_another_prior(monkeypatch):
-    monkeypatch.setattr(cli, "_store", None)
+def test_the_stores_are_dropped_at_the_cap_and_kept_by_open_streams(
+        monkeypatch, empty_stores):
     model = preset("EP6")
     first = PipelineConfig(codec=_CODEC, mode_kind="LC", l=4)
     second = PipelineConfig(codec=_CODEC, mode_kind="MDC", l=6,
                             mode_params={"n_d": 2})
+    prior = first.get_prior()
+    # Packets whose keys the store below has not met.
+    packets, grid, _, _ = send(_IMAGES[1], second)
+    empty_stores()
     cli.run_episode(_IMAGES[0], first, model, 1)
-    store = cli._store
+    store = pipeline.table_store(prior, _CODEC.clamp)
     cli.run_episode(_IMAGES[1], first, model, 2)
-    assert cli._store is store  # under the cap
-    monkeypatch.setattr(cli, "STORE_CAP_BYTES", store.nbytes)
+    assert pipeline.table_store(prior, _CODEC.clamp) is store  # under the cap
+    session = Receiver(packets[0].header)
+    monkeypatch.setattr(pipeline, "STORE_CAP_BYTES", store.nbytes)
     row = cli.run_episode(_IMAGES[1], second, model, 3)
-    replaced = cli._store
+    replaced = pipeline.table_store(prior, _CODEC.clamp)
     assert replaced is not store and 0 < len(replaced) < len(store)
-    monkeypatch.setattr(cli, "_store", None)
+    # The session opened before the drop builds into the store it holds.
+    held = len(store)
+    session.add(*packets)
+    result = session.result()
+    assert result.outcome == OUTCOME_LOSSLESS
+    assert result.grid.values.tobytes() == grid.values.tobytes()
+    assert session.store is store and len(store) > held
+    empty_stores()
     assert cli.run_episode(_IMAGES[1], second, model, 3) == row
-    assert _rows(replaced) == _rows(cli._store)
-    monkeypatch.setattr(cli, "STORE_CAP_BYTES", 2**40)
-    # Another prior, then the same prior at another clamp.
-    prior = default_prior(8)
+    assert _rows(replaced) == _rows(pipeline.table_store(prior, _CODEC.clamp))
+    monkeypatch.setattr(pipeline, "STORE_CAP_BYTES", 2**40)
+    # Another prior, then the same prior at another clamp, each a store
+    # beside the others.
+    other = default_prior(8)
     for codec in (CodecConfig(channels=8), CodecConfig(channels=8, clamp=63)):
-        held = cli._store
-        cli.run_episode(_IMAGES[0], replace(first, codec=codec, prior=prior),
+        cli.run_episode(_IMAGES[0], replace(first, codec=codec, prior=other),
                         model, 4)
-        assert cli._store is not held
-        assert (cli._store.prior, cli._store.clamp) == (prior, codec.clamp)
+    assert [(s.prior.fingerprint, s.clamp) for s in pipeline._stores.values()
+            ] == [(prior.fingerprint, 127), (other.fingerprint, 127),
+                  (other.fingerprint, 63)]
 
 
-def test_a_sweep_builds_each_key_once(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_store", None)
+def test_a_sweep_builds_each_key_once(tmp_path, monkeypatch, empty_stores):
     built, keys = [], set()
     batch, mixture_keys = FreqTable.batch, pipeline.mixture_keys
 
@@ -344,4 +383,5 @@ def test_a_sweep_builds_each_key_once(tmp_path, monkeypatch):
     spec.validate()
     cli.run_sweep(spec, jobs=1)
     assert len(keys) > 0
-    assert sum(built) == len(keys) == len(cli._store)
+    [store] = pipeline._stores.values()
+    assert sum(built) == len(keys) == len(store)
