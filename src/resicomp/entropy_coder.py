@@ -4,14 +4,34 @@ Carry-propagating byte renormalization in the classic cache/pending
 style.  The tables are the rows of one (N, S+1) int32 array of
 cumulative counts, as `FreqTable.batch` makes them, and each symbol
 names its table by row number.  `encode` and `decode` each run one loop
-over a slice's symbols; `decode` tries each symbol's guessed span, its
-table's likeliest symbol by default, before it searches the table.
+over a run's coding steps, and the steps come in two layouts:
+
+- symbol by symbol, each under its own table (`encode(indices, rows,
+  cum)`, `decode(bits, rows, cum[, guess])`);
+- block by block, the payload layout since packet version 4
+  (`encode(indices, rows, cum, steps)` with the sender's `block_steps`,
+  `decode(bits, rows, cum, blocks=...)` with the receiver's `blocks`).
+  A block is one position's `channels` symbols.
+  It codes k first, 1 + the index of its last symbol that is not its
+  row's likeliest symbol (`peaks`), or 0 if there is none; then its
+  symbols below k - 1, each under its own table; then symbol k - 1
+  under its table with the likeliest symbol taken out.  The symbols
+  from k on are their likeliest symbols, as JPEG ends a block's scan
+  at its last nonzero coefficient (ITU-T T.81).
+
+k's table is not a model parameter: it follows from the block's own
+tables (`k_tables`), so both ends build it from what they hold.  Each
+end lays out a whole run at once, and a packet's call codes its cut.
+
+`decode` tries each symbol's guessed span, its table's likeliest symbol,
+before it searches the table.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -34,15 +54,154 @@ class Bitstring:
         return 8 * len(self.data)
 
 
-def encode(indices, rows, cum) -> Bitstring:
-    """Encode symbol indices, symbol i under table `cum[rows[i]]`."""
-    indices = np.asarray(indices, dtype=np.intp)
+def peaks(cum) -> np.ndarray:
+    """(N, 2): each row's likeliest symbol, the first of its largest
+    counts, and that count."""
+    counts = np.diff(cum, axis=1)
+    like = np.argmax(counts, axis=1)
+    return np.stack([like, counts[np.arange(len(counts)), like]], axis=1)
+
+
+def likeliest(cum) -> np.ndarray:
+    """Each row's likeliest symbol: the first of its largest counts."""
+    return peaks(cum)[:, 0]
+
+
+def k_tables(counts) -> np.ndarray:
+    """(P, C + 2) int64 cumulative counts of k, one row per block, from
+    the (P, C) counts of its symbols' likeliest symbols.
+
+    With T_i the product of `count / FREQ_TOTAL` over channels i..C-1
+    (T_C = 1), `cum[j] = floor(T_{j-1} * (FREQ_TOTAL - C - 1)) + j` for
+    j = 1..C+1 and `cum[0] = 0`.  So k = j gets about T_j - T_{j-1} of
+    the total (k = 0 about T_0): its chance if the channels were
+    independent.  Each count is at least 1, since T only grows with i,
+    and the last entry is FREQ_TOTAL.  Every step is one correctly
+    rounded float64 product, in a fixed order, or a floor, so the tables
+    are the same on every CPU.
+    """
+    counts = np.asarray(counts)
+    blocks, channels = counts.shape
+    # tail[i] is T_{C-1-i}, one column per block.
+    tail = counts.T[::-1] / FREQ_TOTAL
+    np.multiply.accumulate(tail, axis=0, out=tail)
+    tail *= FREQ_TOTAL - channels - 1
+    np.floor(tail, out=tail)
+    cum = np.empty((blocks, channels + 2), np.int64)
+    cum[:, 0] = 0
+    cum[:, channels:0:-1] = tail.T
+    cum[:, 1:channels + 1] += np.arange(1, channels + 1)
+    cum[:, -1] = FREQ_TOTAL
+    return cum
+
+
+class Blocks:
+    """The decoder's view of a run of positions coded block by block:
+    each symbol's likeliest symbol (`like`), the span [`low`, `high`) of
+    it in the symbol's row, and each block's table of k (`kcum`, (P,
+    C + 2)).  `blocks` makes one for a whole run, and `blocks[lo:hi]`
+    cuts out positions lo..hi - 1 in a few array views.
+
+    This and `Steps` are plain classes, not dataclasses: perfbench
+    imports the library afresh for each set-up, and each dataclass
+    costs a fraction of a millisecond to define.
+    """
+
+    __slots__ = ("channels", "like", "low", "high", "kcum")
+
+    def __init__(self, channels, like, low, high, kcum):
+        self.channels, self.like, self.low = channels, like, low
+        self.high, self.kcum = high, kcum
+
+    def __getitem__(self, at: slice) -> Blocks:
+        symbols = slice(at.start * self.channels, at.stop * self.channels)
+        return Blocks(self.channels, self.like[symbols], self.low[symbols],
+                      self.high[symbols], self.kcum[at.start:at.stop])
+
+
+def blocks(rows, cum, row_peaks, channels: int) -> Blocks:
+    """The blocks of `channels` symbols each, position-major, with
+    symbol i under row `rows[i]` of `cum` and `row_peaks` the `peaks` of
+    every row."""
     rows = np.asarray(rows, dtype=np.intp)
+    like, count = np.take(row_peaks, rows, axis=0).T
+    low = cum.reshape(-1)[rows * cum.shape[1] + like]
+    return Blocks(channels, like, low, low + count,
+                  k_tables(count.reshape(-1, channels)))
+
+
+class Steps:
+    """The encoder's view of a run of blocks: `spans`, the (3, steps)
+    rows of low, freq and total of each coding step in order, and
+    `cuts`, the first step of each block and of the end.  `block_steps`
+    makes one for a whole run, and `steps[lo:hi]` cuts out the steps of
+    positions lo..hi - 1 as a view."""
+
+    __slots__ = ("spans", "cuts")
+
+    def __init__(self, spans, cuts):
+        self.spans, self.cuts = spans, cuts
+
+    def __getitem__(self, at: slice) -> Steps:
+        return Steps(self.spans[:, self.cuts[at.start]:self.cuts[at.stop]],
+                     self.cuts[at.start:at.stop + 1])
+
+
+def block_steps(indices, rows, cum, row_peaks, channels: int) -> Steps:
+    """The coding steps of `indices` as blocks of `channels` symbols
+    each, position-major, with symbol i under row `rows[i]` of `cum` and
+    `row_peaks` the `peaks` of every row."""
+    rows = np.asarray(rows, dtype=np.intp)
+    indices = np.asarray(indices, dtype=np.intp)
+    like, count = np.take(row_peaks, rows, axis=0).T
+    kcum = k_tables(count.reshape(-1, channels))
+    k = ((indices != like).reshape(-1, channels)
+         * np.arange(1, channels + 1)).max(axis=1)
+    # A block's first step codes k, its next ones its channels below k.
+    cuts = np.zeros(len(k) + 1, np.intp)
+    np.cumsum(k + 1, out=cuts[1:])
+    spans = np.empty((3, cuts[-1]), np.int64)
+    lows, freqs, totals = spans
+    totals[:] = FREQ_TOTAL
+    block = np.arange(len(k))
+    lows[cuts[:-1]] = kcum[block, k]
+    freqs[cuts[:-1]] = kcum[block, k + 1] - lows[cuts[:-1]]
+    coded = np.flatnonzero(np.arange(channels) < k[:, None])
+    at = coded + np.repeat(cuts[:-1] + 1 - block * channels, k)
+    flat = cum.reshape(-1)
+    starts = rows[coded] * cum.shape[1] + indices[coded]
+    low = flat[starts]
+    lows[at] = low
+    freqs[at] = flat[starts + 1] - low
+    # The last coded symbol of a block is not its likeliest one, whose
+    # span is taken out of its table: the symbols above it move down.
+    ends = k > 0
+    last = (block * channels + k - 1)[ends]
+    at = cuts[1:][ends] - 1
+    taken = count[last]
+    lows[at] -= np.where(indices[last] > like[last], taken, 0)
+    totals[at] -= taken
+    return Steps(spans, cuts)
+
+
+def encode(indices, rows, cum, steps: Steps | None = None) -> Bitstring:
+    """Encode symbol indices, symbol i under table `cum[rows[i]]`: one
+    by one, or as blocks by `steps`, the `block_steps` of these indices
+    and rows."""
     if len(indices) != len(rows):
         raise ValueError("one table per symbol required")
-    # Every symbol's span, gathered before the loop.
+    if steps is not None:
+        return _encode(*steps.spans.tolist())
+    indices = np.asarray(indices, dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
     lows = cum[rows, indices]
-    freqs = (cum[rows, indices + 1] - lows).tolist()
+    return _encode(lows.tolist(), (cum[rows, indices + 1] - lows).tolist(),
+                   repeat(FREQ_TOTAL))
+
+
+def _encode(lows, freqs, totals) -> Bitstring:
+    """The range code of the steps: each narrows the range to its span
+    [low, low + freq) of its total."""
     out = bytearray()
 
     def shift(low, cache, pending):
@@ -56,12 +215,23 @@ def encode(indices, rows, cum) -> Bitstring:
 
     # low holds up to 33 bits until the carry is flushed.
     low, rng, cache, pending = 0, _MASK32, 0, 0
-    for low_count, freq in zip(lows.tolist(), freqs):
-        r = rng // FREQ_TOTAL
+    for low_count, freq, total in zip(lows, freqs, totals):
+        r = rng // total
         low += r * low_count
         rng = r * freq
         while rng < _TOP:
-            low, cache, pending = shift(low, cache, pending)
+            # `shift`, written out: a call per byte would cost a third
+            # of the loop.
+            if low < 0xFF000000 or low > _MASK32:
+                carry = low >> 32
+                out.append((cache + carry) & 0xFF)
+                if pending:
+                    out.extend((b"\x00" if carry else b"\xff") * pending)
+                    pending = 0
+                cache = (low >> 24) & 0xFF
+            else:
+                pending += 1
+            low = (low << 8) & _MASK32
             rng <<= 8
     for _ in range(5):
         low, cache, pending = shift(low, cache, pending)
@@ -70,60 +240,117 @@ def encode(indices, rows, cum) -> Bitstring:
     return Bitstring(bytes(out[1:]))
 
 
-def likeliest(cum) -> np.ndarray:
-    """Each row's likeliest symbol: the first of its largest counts."""
-    return np.argmax(np.diff(cum, axis=1), axis=1)
-
-
-def decode(bits: Bitstring, rows, cum, guess=None) -> list:
+def decode(bits: Bitstring, rows, cum, guess=None,
+           blocks: Blocks | None = None) -> list:
     """Decode exactly len(rows) symbol indices, symbol i under table
-    `cum[rows[i]]`.
+    `cum[rows[i]]`: one by one, or as `blocks` of these rows.
 
-    Symbol i first tries `guess[rows[i]]`, by default its row's
-    `likeliest` symbol, and bisects its row only when the value lies
-    outside that symbol's span.  A span that holds the value is the one
-    the bisection finds, so any guesses give the same symbols, and raise
-    where the bisection alone raises.
+    One by one, symbol i first tries `guess[rows[i]]`, by default its
+    row's `likeliest` symbol, and bisects its row only when the value
+    lies outside that symbol's span.  A span that holds the value is the
+    one the bisection finds, so any guesses give the same symbols, and
+    raise where the bisection alone raises.  Blocks try the likeliest
+    symbol, which is part of their code.  Every row must hold two or
+    more symbols of nonzero count.
     """
     width = cum.shape[1]
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-    if guess is None:
-        used, rows_of = np.unique(rows, return_inverse=True)
-        guesses = likeliest(cum[used])[rows_of]
+    if blocks is not None:
+        if len(blocks.like) != len(rows):
+            raise ValueError("the blocks are not those of the rows")
+        like, low, high = blocks.like, blocks.low, blocks.high
+        kcum = memoryview(np.ascontiguousarray(blocks.kcum).reshape(-1))
+        channels, count = blocks.channels, len(blocks.kcum)
     else:
-        guesses = np.asarray(guess, dtype=np.intp)[rows]
-    # Every guess's span, gathered before the loop.
-    lows = cum[rows, guesses]
-    highs = cum[rows, guesses + 1]
+        if guess is None:
+            used, rows_of = np.unique(rows, return_inverse=True)
+            like = likeliest(cum[used])[rows_of]
+        else:
+            like = np.asarray(guess, dtype=np.intp)[rows]
+        low, high = cum[rows, like], cum[rows, like + 1]
+        kcum, channels, count = None, len(rows), 1
     # Items of a memoryview index as Python ints, so the loop's
-    # arithmetic stays in plain Python.
-    flat = memoryview(cum.reshape(-1))
-    data = bits.data
+    # arithmetic stays in plain Python; only the symbols it codes are
+    # read.
+    return _decode(bits.data, memoryview(cum.reshape(-1)), width,
+                   memoryview(rows), like.tolist(), memoryview(low),
+                   memoryview(high), count, channels, kcum)
+
+
+def _decode(data, flat, width, rows, symbols, lows, highs, count,
+            channels, kcum) -> list:
+    """Decode `count` runs of `channels` symbols from data: each is a
+    block whose k is read under `kcum` or, with no `kcum`, all coded.
+
+    Symbol j's table is row `rows[j]` of `flat`, the table array's
+    items; `symbols[j]` starts as its guess, spanning [lows[j],
+    highs[j]), and is overwritten when the value lies outside.
+    """
     if len(data) < 4:
         raise CorruptStreamError("bitstring exhausted")
     code = int.from_bytes(data[:4], "big")
-    pos, rng = 4, _MASK32
-    symbols = []
-    for start, symbol, low, high in zip((rows * width).tolist(),
-                                        guesses.tolist(), lows.tolist(),
-                                        highs.tolist()):
-        r = rng // FREQ_TOTAL
-        value = code // r
-        if value >= FREQ_TOTAL:
-            raise CorruptStreamError("decoder state out of range")
-        if not low <= value < high:
-            index = bisect_right(flat, value, start, start + width) - 1
-            symbol = index - start
-            low, high = flat[index], flat[index + 1]
-        code -= r * low
-        rng = r * (high - low)
-        while rng < _TOP:
-            if pos >= len(data):
-                raise CorruptStreamError("bitstring exhausted")
-            code = ((code << 8) | data[pos]) & _MASK32
-            pos += 1
-            rng <<= 8
-        if code >= rng:
-            raise CorruptStreamError("decoder state overflow")
-        symbols.append(symbol)
+    rng = _MASK32
+    rest = iter(data[4:])
+    # Each step keeps code < rng: the value lies in its symbol's span.
+    # So a shifted code stays below 2**32, and no state can overflow.
+    k = base = 0
+    try:
+        for kbase in range(0, count * (channels + 2), channels + 2):
+            if kcum is None:
+                coded = channels
+            else:
+                r = rng // FREQ_TOTAL
+                value = code // r
+                if value >= FREQ_TOTAL:
+                    raise CorruptStreamError("decoder state out of range")
+                index = bisect_right(kcum, value, kbase,
+                                     kbase + channels + 2) - 1
+                k, low = index - kbase, kcum[index]
+                code -= r * low
+                rng = r * (kcum[index + 1] - low)
+                while rng < _TOP:
+                    code = (code << 8) | next(rest)
+                    rng <<= 8
+                coded = k - 1
+            for j in range(base, base + coded):
+                low, high = lows[j], highs[j]
+                r = rng // FREQ_TOTAL
+                value = code // r
+                if not low <= value < high:
+                    if value >= FREQ_TOTAL:
+                        raise CorruptStreamError("decoder state out of range")
+                    start = rows[j] * width
+                    index = bisect_right(flat, value, start,
+                                         start + width) - 1
+                    symbols[j] = index - start
+                    low, high = flat[index], flat[index + 1]
+                code -= r * low
+                rng = r * (high - low)
+                while rng < _TOP:
+                    code = (code << 8) | next(rest)
+                    rng <<= 8
+            if k:
+                # The last coded symbol is not the likeliest one, whose
+                # span [like_low, like_high) is taken out of its table.
+                j = base + k - 1
+                like_low, start = lows[j], rows[j] * width
+                taken = highs[j] - like_low
+                total = FREQ_TOTAL - taken
+                r = rng // total
+                value = code // r
+                if value >= total:
+                    raise CorruptStreamError("decoder state out of range")
+                above = taken if value >= like_low else 0
+                index = bisect_right(flat, value + above, start,
+                                     start + width) - 1
+                symbols[j] = index - start
+                low = flat[index]
+                code -= r * (low - above)
+                rng = r * (flat[index + 1] - low)
+                while rng < _TOP:
+                    code = (code << 8) | next(rest)
+                    rng <<= 8
+            base += channels
+    except StopIteration:
+        raise CorruptStreamError("bitstring exhausted") from None
     return symbols

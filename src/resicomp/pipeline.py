@@ -10,7 +10,11 @@ in one pass with the `Stream` of the header it writes and codes each
 slice's symbols into one packet; a `Receiver` is the `Stream` of the
 header it is given and decodes in the iterations of
 `iteration_schedule`: one pass of the same `model`, on its grid as it
-stands, for every ready slice of a context depth.  It is a session:
+stands, for every ready slice of a context depth.  A payload codes each
+position's channels as one block, up to its last symbol that is not its
+table's likeliest; each end lays out the blocks of a whole pass at once
+(`entropy_coder.block_steps` and `blocks`), so a packet's `encode` or
+`decode` call only cuts out its own.  It is a session:
 packets are added one at a time, in any order, and each slice is
 entropy-decoded once, as soon as its packet and its full context
 closure are in.  `Receiver.add` is the one rule for which packet a
@@ -44,7 +48,7 @@ import numpy as np
 
 from . import entropy_coder
 from .context_modes import (DEFAULT_BETA, MODE_PARAM, context_depths,
-                            iteration_schedule, make_mode, preset_id)
+                            make_mode, preset_id)
 from .density import (FreqTable, discretize_batch, key_mixtures, mixture_keys,
                       quantize_probs)
 from .image_io import psnr_db
@@ -93,7 +97,8 @@ class TableStore:
     meet the keys in any order, and any streams of that prior and clamp
     may share it (`table_store` gives the process's).  The array grows
     by doubling and a row keeps its number.  Each row's likeliest symbol
-    is kept beside it, for the decoder to try first.  The build calls
+    and its count are kept beside it (`entropy_coder.peaks`), for the
+    block code of both ends.  The build calls
     `discretize_batch`, `quantize_probs` and `FreqTable.batch` by this
     module's names, so wrappers around them see every table built.
 
@@ -107,14 +112,14 @@ class TableStore:
         self.clamp = clamp
         self._rows = {}  # key -> row number
         self._cum = np.empty((0, 2 * clamp + 2), np.int32)
-        self._likeliest = np.empty(0, np.intp)  # one symbol per row
+        self._peaks = np.empty((0, 2), np.intp)  # (symbol, count) per row
         self._lock = threading.Lock()
 
     @property
-    def likeliest(self) -> np.ndarray:
-        """The `entropy_coder.likeliest` symbol of each row held."""
+    def peaks(self) -> np.ndarray:
+        """The `entropy_coder.peaks` of each row held."""
         with self._lock:
-            return self._likeliest[:len(self._rows)]
+            return self._peaks[:len(self._rows)]
 
     def __len__(self):
         return len(self._rows)
@@ -144,17 +149,16 @@ class TableStore:
                                      np.int32)
                     grown[:start] = self._cum[:start]
                     self._cum = grown
-                    likeliest = np.empty(len(grown), np.intp)
-                    likeliest[:start] = self._likeliest[:start]
-                    self._likeliest = likeliest
+                    peaks = np.empty((len(grown), 2), np.intp)
+                    peaks[:start] = self._peaks[:start]
+                    self._peaks = peaks
                 for lo in range(0, len(fresh), TABLE_CHUNK):
                     chunk = fresh[lo:lo + TABLE_CHUNK]
                     at = slice(start + lo, start + lo + len(chunk))
                     self._cum[at] = FreqTable.batch(quantize_probs(
                         discretize_batch(*key_mixtures(chunk, self.prior),
                                          self.clamp)))
-                    self._likeliest[at] = entropy_coder.likeliest(
-                        self._cum[at])
+                    self._peaks[at] = entropy_coder.peaks(self._cum[at])
                 rows[new] = np.arange(start, end)
                 held.update(zip(fresh.tolist(), range(start, end)))
             return self._cum[:len(held)], rows[inverse]
@@ -287,11 +291,16 @@ def send(image: np.ndarray, cfg: PipelineConfig):
     positions, rows, cum = stream.model(slices, grid)
     symbols = (grid.values[tuple(positions.T)].astype(np.int64)
                + header.clamp).reshape(-1)
-    # Slice i's symbols are those between its plan boundaries.
-    bounds = [b * grid.channels for b in stream.plan.boundaries]
+    # Every slice's coding steps in one go; a packet codes its cut.
+    steps = entropy_coder.block_steps(symbols, rows, cum, stream.store.peaks,
+                                      grid.channels)
+    # Slice i's positions are those between its plan boundaries.
+    bounds = stream.plan.boundaries
     packets = []
     for i, lo, hi in zip(slices, bounds, bounds[1:]):
-        payload = entropy_coder.encode(symbols[lo:hi], rows[lo:hi], cum)
+        at = slice(lo * grid.channels, hi * grid.channels)
+        payload = entropy_coder.encode(symbols[at], rows[at], cum,
+                                       steps[lo:hi])
         packets.append(Packet(header=replace(header, slice_index=i - 1),
                               payload=payload))
     return packets, grid, stream.plan, stream.mode
@@ -351,9 +360,11 @@ class Receiver(Stream):
     def __init__(self, header: PacketHeader, prior: PriorModel | None = None):
         super().__init__(header, prior)
         self.depths = context_depths(self.mode)
-        # The slices of each context depth; `add` models the ready ones
-        # of a depth in one pass.
-        self.groups, _ = iteration_schedule(self.mode)
+        # The slices of each context depth, as `iteration_schedule`
+        # groups them; `add` models the ready ones of a depth in one pass.
+        self.groups = [[] for _ in range(max(self.depths) + 1)]
+        for i, depth in enumerate(self.depths, start=1):
+            self.groups[depth].append(i)
         shape = self.plan.owner.shape
         self.grid = TokenGrid(
             values=np.zeros((*shape, header.channels), np.int16),
@@ -412,6 +423,7 @@ class Receiver(Stream):
         """
         positions, rows, cum = self.model(slices, self.grid)
         channels = self.header.channels
+        blocks = entropy_coder.blocks(rows, cum, self.store.peaks, channels)
         bounds = self.plan.boundaries
         lo = 0
         for i in slices:
@@ -419,7 +431,7 @@ class Receiver(Stream):
             try:
                 symbols = entropy_coder.decode(
                     self.packets[i].payload, rows[lo * channels:hi * channels],
-                    cum, self.store.likeliest)
+                    cum, blocks=blocks[lo:hi])
             except entropy_coder.CorruptStreamError:
                 self.state[i - 1] = SLICE_CORRUPT
             else:

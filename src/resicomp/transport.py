@@ -22,7 +22,7 @@ import numpy as np
 from .entropy_coder import Bitstring
 
 PACKET_MAGIC = b"RCPK"
-PACKET_VERSION = 3
+PACKET_VERSION = 4
 # Header fields and their struct codes in wire order, after the magic
 # and the version byte; the payload length and a crc32 over header and
 # payload follow.  Little-endian, no padding.

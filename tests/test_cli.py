@@ -128,19 +128,19 @@ def test_decode_counts_the_bits_of_the_packets_it_holds(tmp_path, capsys):
                  str(pkt_dir)]) == EXIT_OK
     capsys.readouterr()
     assert main(["decode", "--packets", str(pkt_dir), "--out", out]) == EXIT_OK
-    assert "decoded=10/10 payload_bits=1840" in capsys.readouterr().out
+    assert "decoded=10/10 payload_bits=1808" in capsys.readouterr().out
     trace = tmp_path / "trace.txt"
     trace.write_text("1000000000\n")
     assert main(["decode", "--packets", str(pkt_dir), "--trace", str(trace),
                  "--out", out]) == EXIT_OK
-    assert "decoded=1/10 payload_bits=208" in capsys.readouterr().out
+    assert "decoded=1/10 payload_bits=176" in capsys.readouterr().out
     # The last slice's packet, rewritten as another image's, is rejected.
     last = pkt_dir / "slice_009.pkt"
     packet = packet_from_bytes(last.read_bytes())
     last.write_bytes(Packet(header=replace(packet.header, image_id=5),
                             payload=packet.payload).to_bytes())
     assert main(["decode", "--packets", str(pkt_dir), "--out", out]) == EXIT_OK
-    bits = 1840 - packet.payload.bit_length
+    bits = 1808 - packet.payload.bit_length
     assert f"decoded=9/10 payload_bits={bits}" in capsys.readouterr().out
 
 
@@ -578,10 +578,10 @@ def test_sweep_output_is_pinned(tmp_path, capsys, jobs):
     data = out_csv.read_bytes()
     assert data.count(b"\r\n") == 41
     assert hashlib.sha256(data).hexdigest() == (
-        "4c11e8d481fda70e6fa15c0e1d7d050602bb8b79d4587f321741f6aa1e83c820")
+        "a949e14f596b61d1e27a6dbada641f270f298083b307d8ffd18e7e763d681983")
     summary = capsys.readouterr().out.encode()
     assert hashlib.sha256(summary).hexdigest() == (
-        "8c4cabee37f26e0262383e7413f2929463ecf5ca5811a67868c26a12c27493f9")
+        "b4ae800c4241d8bd8bc7650ce7ff6c27eb89741ca1a6df7e2ec87837306aaae9")
 
 
 def test_sweep_bits_are_the_packets_own(monkeypatch):
@@ -765,7 +765,7 @@ def test_simulate_output_is_pinned(capsys):
                  "--seed", "7", "--channels", "16"]) == EXIT_OK
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
-        "5d9fd43e7ec1c3bc4a3b5ce59467c8cab72307d1c23e40cbab35831e9dd5b4e4")
+        "28a8583408d7bc78aa7aab8c8bd873a9fb4d7a766563dec739a0366430c1c365")
 
 
 def test_the_csv_names_a_mode_by_its_own_parameter():

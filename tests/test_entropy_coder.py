@@ -1,3 +1,7 @@
+import hashlib
+import os
+import subprocess
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -6,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resicomp.density import FREQ_TOTAL, FreqTable, quantize_probs
-from resicomp.entropy_coder import (Bitstring, CorruptStreamError, decode,
-                                    encode, likeliest)
+from resicomp.entropy_coder import (Bitstring, CorruptStreamError,
+                                    block_steps, blocks, decode, encode,
+                                    k_tables, likeliest, peaks)
 
 # The reference coder: the two stateful classes that `encode` and
 # `decode` replaced, kept verbatim but for their tables' type.  They
@@ -442,3 +447,213 @@ def test_swapped_table_never_crashes(rng):
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
         encode([1, 2], *_under(_uniform_table(), 1))
+
+
+def test_symbol_by_symbol_bytes_are_pinned():
+    # The three-argument path codes as it did before the block layout.
+    symbols, rows, cum = _stream([(255, "dirichlet", 1), (40, "sparse", 2),
+                                  (3, "skewed", 3)], 3000, 7)
+    bits = encode(symbols, rows, cum)
+    assert hashlib.sha256(bits.data).hexdigest() == (
+        "14b2e364e02488cca9214d763ccfd20ad55380befe794bb4194de3197da5db2b")
+
+
+# Block code: one position's channels are a block, coded up to its last
+# symbol that is not its row's likeliest.
+
+def _tied_table(rng, size):
+    """A table whose two largest counts are equal."""
+    counts = np.ones(size, dtype=np.int64)
+    first, second, third = rng.choice(size, 3, replace=False)
+    counts[[first, second]] = (FREQ_TOTAL - (size - 2)) // 2
+    counts[third] += FREQ_TOTAL - counts.sum()
+    return _table(counts)
+
+
+def _block_tables(specs):
+    """(cum, sizes): the tables of `specs` as (alphabet size, kind, seed),
+    kind one of _KINDS or "tied", stacked as `_stack` does."""
+    tables = [_tied_table(np.random.default_rng(seed), size)
+              if kind == "tied" else _tables([(size, kind, seed)])[0]
+              for size, kind, seed in specs]
+    return _stack(tables), [len(t) - 1 for t in tables]
+
+
+_BLOCK_SPECS = st.lists(st.tuples(st.integers(3, 300),
+                                  st.sampled_from(_KINDS + ("tied",)),
+                                  st.integers(0, 2**32 - 1)),
+                        min_size=1, max_size=4)
+# How a block ends: no surprise (k = 0), at the last channel (k = C), or
+# anywhere; and what its last surprise is.
+_ENDS = ("none", "last", "any")
+_SURPRISES = ("zero", "top", "below", "above", "any")
+
+
+@st.composite
+def _block_runs(draw, channels=(1, 2, 16, 64, 255), max_positions=6):
+    """(symbols, rows, cum, channels) of a run of blocks, each ending as
+    one of _ENDS draws, with the last surprise as _SURPRISES draws."""
+    cum, sizes = _block_tables(draw(_BLOCK_SPECS))
+    like = likeliest(cum).tolist()
+    c = draw(st.sampled_from(channels))
+    n = draw(st.integers(0, max_positions))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(len(sizes), size=n * c).tolist()
+    symbols = []
+    for p in range(n):
+        block = rows[p * c:(p + 1) * c]
+        end = draw(st.sampled_from(_ENDS))
+        k = (0 if end == "none" else c if end == "last"
+             else int(rng.integers(1, c + 1)))
+        for j, row in enumerate(block):
+            if j < k - 1:
+                # Often the likeliest symbol, so a block codes it too.
+                symbols.append(like[row] if rng.random() < 0.5
+                               else int(rng.integers(sizes[row])))
+            elif j == k - 1:
+                want = draw(st.sampled_from(_SURPRISES))
+                top = sizes[row] - 1
+                pick = {"zero": 0, "top": top, "below": like[row] - 1,
+                        "above": like[row] + 1}.get(want)
+                if pick is None or not 0 <= pick <= top or pick == like[row]:
+                    pick = int(rng.choice([s for s in (0, top,
+                                                       like[row] - 1,
+                                                       like[row] + 1)
+                                           if 0 <= s <= top
+                                           and s != like[row]]))
+                symbols.append(pick)
+            else:
+                symbols.append(like[row])
+    return symbols, rows, cum, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_runs(), st.data())
+def test_blocks_round_trip(run, data):
+    symbols, rows, cum, c = run
+    row_peaks = peaks(cum)
+    sent = block_steps(symbols, rows, cum, row_peaks, c)
+    received = blocks(rows, cum, row_peaks, c)
+    bits = encode(symbols, rows, cum, sent)
+    assert decode(bits, rows, cum, blocks=received) == symbols
+    # A run cut into two packets codes each cut alone.
+    n = len(rows) // c
+    cut = data.draw(st.integers(0, n))
+    for lo, hi in ((0, cut), (cut, n)):
+        part = slice(lo * c, hi * c)
+        bits = encode(symbols[part], rows[part], cum, sent[lo:hi])
+        assert decode(bits, rows[part], cum,
+                      blocks=received[lo:hi]) == symbols[part]
+
+
+def test_blocks_code_only_up_to_the_last_surprise():
+    # A block of likeliest symbols costs k = 0 alone, far less than its
+    # symbols one by one; its surprises cost what they did.
+    cum, _ = _block_tables([(255, "dirichlet", 5)])
+    like = int(likeliest(cum)[0])
+    rows = [0] * 64 * 50
+    quiet = [like] * len(rows)
+    row_peaks = peaks(cum)
+    by_block = encode(quiet, rows, cum,
+                      block_steps(quiet, rows, cum, row_peaks, 64))
+    assert by_block.bit_length < encode(quiet, rows, cum).bit_length / 10
+    loud = list(quiet)
+    loud[63::64] = [(like + 1) % 255] * 50
+    bits = encode(loud, rows, cum, block_steps(loud, rows, cum, row_peaks, 64))
+    assert decode(bits, rows, cum,
+                  blocks=blocks(rows, cum, row_peaks, 64)) == loud
+
+
+_BLOCK_DAMAGES = ["none", "truncate", "flip", "junk", "short", "append"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_runs(channels=(1, 2, 16, 64)), st.sampled_from(_BLOCK_DAMAGES),
+       st.data())
+def test_no_block_payload_crashes_the_decoder(run, damage, data):
+    symbols, rows, cum, c = run
+    row_peaks = peaks(cum)
+    payload = encode(symbols, rows, cum,
+                     block_steps(symbols, rows, cum, row_peaks, c)).data
+    if damage == "append":
+        bits = Bitstring(payload + data.draw(st.binary(min_size=1,
+                                                       max_size=16)))
+    else:
+        bits = _damaged(payload, damage, data)
+    try:
+        got = decode(bits, rows, cum, blocks=blocks(rows, cum, row_peaks, c))
+    except CorruptStreamError:
+        return
+    assert len(got) == len(rows)
+    assert all(type(s) is int and 0 <= s < _WIDTH - 1 for s in got)
+    if damage in ("none", "append"):
+        assert got == symbols
+
+
+def test_a_value_outside_the_conditioned_total_is_corrupt():
+    # One block of one channel whose likeliest symbol holds all but 7
+    # counts.  The code below decodes k = 1, so the channel is read
+    # under the 7 counts left; the range then holds 7 * r plus a
+    # remainder, and a code in that remainder lies outside.
+    cum = _table([FREQ_TOTAL - 7] + [1] * 7)[None]
+    kcum = k_tables([[FREQ_TOTAL - 7]])[0].tolist()
+    r = _MASK32 // FREQ_TOTAL
+    left = r * (FREQ_TOTAL - kcum[1])  # the range after k = 1
+    assert left < _TOP <= left << 8 and (left << 8) % 7
+    assert ((left << 8) - 1) // ((left << 8) // 7) >= 7
+    code = r * kcum[1] + left - 1
+    bits = Bitstring(code.to_bytes(4, "big") + b"\xff")
+    with pytest.raises(CorruptStreamError, match="out of range"):
+        decode(bits, [0], cum, blocks=blocks([0], cum, peaks(cum), 1))
+
+
+def _k_tables_are_valid(kcum, channels):
+    assert kcum.shape[1] == channels + 2
+    assert (kcum[:, 0] == 0).all() and (kcum[:, -1] == FREQ_TOTAL).all()
+    assert (np.diff(kcum, axis=1) >= 1).all()
+
+
+def test_k_tables_give_every_k_a_count():
+    rng = np.random.default_rng(0)
+    for channels in range(1, 256):
+        counts = np.stack([np.full(channels, 1), np.full(channels,
+                                                         FREQ_TOTAL - 1),
+                           rng.integers(1, FREQ_TOTAL, size=channels)])
+        _k_tables_are_valid(k_tables(counts), channels)
+
+
+# k's tables of a fixed set of blocks, printed as a digest by a child
+# process, so that a run with numpy's AVX-512 loops switched off can be
+# compared with one that has them.
+_K_TABLE_DIGEST = """
+import hashlib, numpy as np
+from resicomp.entropy_coder import k_tables
+rng = np.random.default_rng(7)
+h = hashlib.sha256()
+for channels in (1, 2, 16, 64, 255):
+    counts = rng.integers(1, 65536, size=(200, channels))
+    counts[:50] = rng.integers(60000, 65536, size=(50, channels))
+    h.update(k_tables(counts).tobytes())
+print(h.hexdigest())
+"""
+_NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _k_table_digest(**env):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH",
+                                                              "")])}
+    return subprocess.run([sys.executable, "-c", _K_TABLE_DIGEST], env=env,
+                          capture_output=True, text=True)
+
+
+def test_k_tables_do_not_depend_on_the_cpu():
+    plain = _k_table_digest()
+    assert plain.returncode == 0, plain.stderr
+    masked = _k_table_digest(NPY_DISABLE_CPU_FEATURES=_NO_AVX512)
+    if masked.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in masked.stderr:
+        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES here: "
+                    + masked.stderr.strip().splitlines()[-1])
+    assert masked.returncode == 0, masked.stderr
+    assert masked.stdout == plain.stdout

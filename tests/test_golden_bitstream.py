@@ -2,12 +2,15 @@
 
 Any change to the transform, the predictor, the density tables or the
 range coder that alters a single output byte fails here; the packet
-header carries PACKET_VERSION, so these digests pin it at 3 too.  A
+header carries PACKET_VERSION, so these digests pin it at 4 too.  A
 deliberate format change must bump PACKET_VERSION and re-pin them.
 The payload digests pin the coded bits alone: a header change leaves
 them as they are.  Version 3 snaps the local mixture component to a
-grid, which changed every payload that has a known neighbour; ISC has
-none, so its payload digest is the one of versions 1 and 2.
+grid, which changed every payload that has a known neighbour.  Version
+4 codes each position's channels as one block, up to its last symbol
+that is not its table's likeliest, which changed every payload.  The
+decoded tokens are the same, so the decoded-image digests are those of
+version 3.
 """
 
 import hashlib
@@ -23,15 +26,15 @@ from resicomp.token_codec import CodecConfig
 # concatenated Packet.to_bytes() of every slice.
 GOLDEN_PACKETS = {
     ("ISC", (), 10, 64, 96, 112):
-        "8fcfbbfe9ad7b10f4b141423c9c806ebc8adf4f8223fe0869b83f1236db87737",
+        "7934bb0029f182af79d728ee610e526b0ca38ff81ac83924eaaeafbbbb125a56",
     ("LC", (), 10, 64, 96, 112):
-        "2a721026aa0524f2eecec903649f4d0d949875ee82f99866c30330d625398854",
+        "f9fd89d6ef4e1bad9cbc4c6239c2a586aee42ed31fd0e2de7d5e7ac22c109db6",
     ("MDC", (("n_d", 2),), 10, 64, 96, 112):
-        "a66becb557faecddb51464ff53e7d6e6e2c07da4f97bfc517b36d5d69195235f",
+        "c355cb951b3a25e7c684fbe68cc516592ff6f6dbc92bff301feb1a1d40a6bf3e",
     ("SLC", (("enhancements", 1),), 10, 64, 96, 112):
-        "65f6eceb7eb1ed55619843f94bbf763f0ce3a8e3e60678ec6606d488e3e053f8",
+        "38d6139c715e770560ed37b42c6a99ee517ec54c84de99b94cc2d4a38f6c8fef",
     ("LC", (), 4, 16, 64, 64):
-        "6d91fd7137f1c03985ee7ca892316a9b0e44ab90486a4637d66da0fea35b3256",
+        "4407a57adc8c1321c8ff8b7bd084549cb92b22be761d4da2b03b406b2f5080a1",
 }
 
 # Same keys -> digest of the concatenated payload bytes alone.  These
@@ -39,16 +42,16 @@ GOLDEN_PACKETS = {
 # leaves them as they are.
 GOLDEN_PAYLOADS = {
     ("ISC", (), 10, 64, 96, 112):
-        "20d1988b0c5546cb000586f183f671c752ec1db99ce54b091787c2df3ce33eaf",
+        "43367d2b5b7ae1a91ce60555ab3770395f98ac44d36d221d2c881d8edab94f13",
     ("LC", (), 10, 64, 96, 112):
-        "3bcab8cd0e4d35d01c9a63efa667c4b25c08692b9b23b083e5e7f76b4d5d90fb",
+        "206fdebc8e07c6e935824076f370034e44bbd95884fadca0bdd031cd480cf946",
     ("MDC", (("n_d", 2),), 10, 64, 96, 112):
-        "3f78cb93ecf87d2ac540a4ea91720435f8ea646e30ebcb510001711755ab5bef",
+        "de73df92b356b038422d94354cdac0f416d757526879f35493f0ab1e78a408c9",
     # SLC:1 has LC's context matrix and default beta, so LC's bits.
     ("SLC", (("enhancements", 1),), 10, 64, 96, 112):
-        "3bcab8cd0e4d35d01c9a63efa667c4b25c08692b9b23b083e5e7f76b4d5d90fb",
+        "206fdebc8e07c6e935824076f370034e44bbd95884fadca0bdd031cd480cf946",
     ("LC", (), 4, 16, 64, 64):
-        "1b2a6e162c88897e7a22a3316310077f6cd6070656b8147f75580983babe649d",
+        "2b4925290ff4b29f112afcf9474628fe1709c32e01787d805c8fb2bd39c2c66e",
 }
 
 # MDC:2 L=10 at C=64 with slices 3 and 8 lost: description 1 loses its

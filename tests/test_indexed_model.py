@@ -16,7 +16,7 @@ from resicomp import pipeline
 from resicomp.density import (CLAMP_MAX, MU_STEPS, SIGMA_FLOOR, SIGMA_LEVELS,
                               SIGMA_RATIO, FreqTable, key_mixtures,
                               mixture_keys, snap)
-from resicomp.entropy_coder import likeliest
+from resicomp.entropy_coder import peaks
 from resicomp.pipeline import (OUTCOME_LOSSLESS, PipelineConfig, TableStore,
                                receive, send)
 from resicomp.predictor import PredictorOutput, predict
@@ -239,4 +239,4 @@ def test_a_store_keeps_each_rows_likeliest_symbol(monkeypatch):
     store = TableStore(cfg.get_prior(), 127)
     for output in outputs:
         cum, _ = store.tables(output)
-        assert store.likeliest.tobytes() == likeliest(cum).tobytes()
+        assert store.peaks.tobytes() == peaks(cum).tobytes()

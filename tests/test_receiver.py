@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resicomp import entropy_coder, pipeline
-from resicomp.context_modes import make_mode
+from resicomp.context_modes import iteration_schedule, make_mode
 from resicomp.density import FreqTable
 from resicomp.entropy_coder import Bitstring
 from resicomp.pipeline import (OUTCOME_CONCEALED, OUTCOME_FAILED,
                                OUTCOME_LOSSLESS, SLICE_CORRUPT, SLICE_DECODED,
                                SLICE_LOST, SLICE_ORPHANED, PipelineConfig,
                                Receiver, SliceStatus, progressive_receive,
-                               receive, send)
+                               receive, send, stream_header)
 from resicomp.predictor import conceal, predict
 from resicomp.synthetic import synthetic_image
 from resicomp.token_codec import BLOCK, CodecConfig, TokenGrid, synthesize
@@ -63,9 +63,12 @@ def _receive_from_scratch(packets, flags, cfg, out_height, out_width):
         if mode.contexts_of(i):
             depths_predicted.add(depths[i - 1])
         output = predict(ctx, prior, plan.slice_positions(i))
-        cum, rows = pipeline.TableStore(prior, cfg.codec.clamp).tables(output)
+        store = pipeline.TableStore(prior, cfg.codec.clamp)
+        cum, rows = store.tables(output)
+        blocks = entropy_coder.blocks(rows, cum, store.peaks, ref.channels)
         try:
-            symbols = entropy_coder.decode(by_slice[i].payload, rows, cum)
+            symbols = entropy_coder.decode(by_slice[i].payload, rows, cum,
+                                           blocks=blocks)
         except entropy_coder.CorruptStreamError:
             status[i - 1] = SliceStatus(SLICE_CORRUPT)
             continue
@@ -496,3 +499,16 @@ def test_another_streams_packet_after_a_good_one_is_not_held():
     result = receive(packets, [1] * 4, _RULE_CFG, 48, 64)
     assert [str(s) for s in result.slice_status] == [
         "decoded", "rejected", "orphaned by 2", "orphaned by 2"]
+
+
+def test_receiver_groups_are_the_iteration_schedule():
+    # The session groups its own context depths; the groups must be the
+    # schedule's for every preset mode.
+    for l in range(1, 33):
+        modes = [("ISC", {}), ("LC", {})]
+        modes += [("MDC", {"n_d": n_d}) for n_d in range(1, l + 1)]
+        modes += [("SLC", {"enhancements": e}) for e in range(1, l)]
+        for kind, params in modes:
+            cfg = _cfg(CodecConfig(channels=16), kind, l, params)
+            session = Receiver(stream_header(cfg, 128, 128))
+            assert session.groups == iteration_schedule(session.mode)[0]
