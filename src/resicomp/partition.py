@@ -105,9 +105,17 @@ class SlicePlan:
         return self.positions[lo:hi]
 
     @cached_property
+    def position_array(self) -> np.ndarray:
+        """Read-only (h * w, 2) intp array of `positions`: slice i's
+        rows are those between boundaries i - 1 and i."""
+        array = np.array(self.positions, dtype=np.intp).reshape(-1, 2)
+        array.setflags(write=False)
+        return array
+
+    @cached_property
     def owner(self) -> np.ndarray:
         """(h, w) array of each position's 1-based slice index."""
-        rows, cols = np.array(self.positions, dtype=np.intp).T
+        rows, cols = self.position_array.T
         owner = np.empty((self.h, self.w), dtype=np.intp)
         owner[rows, cols] = np.repeat(np.arange(1, self.l + 1),
                                       np.diff(self.boundaries))

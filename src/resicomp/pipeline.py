@@ -31,6 +31,10 @@ packet list, in list order.  The context model runs only at the
 positions of the slices it is given, so its window sums cost work in
 proportion to those slices, not the grid.
 
+A stream's mode, slice plan and context depths depend only on a few
+header fields, so the process builds them once (`stream_layout`, which
+keeps the last 16), and the uninformed prior once per channel count and
+clamp (`default_prior`): a receive reuses what its send built.
 A table depends only on its key, the prior and the clamp, so the process
 keeps one `TableStore` per (prior fingerprint, clamp), made when a stream
 first needs it: every stream of that prior and clamp, at either end and
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -195,6 +200,36 @@ def table_store(prior: PriorModel, clamp: int) -> TableStore:
 MAX_GRID_POSITIONS = 2**16
 
 
+# Layouts the process keeps.  A layout of MAX_GRID_POSITIONS positions
+# holds 5.5 MiB (tracemalloc), so the cache holds at most about 88 MiB;
+# a 512x512 image's holds 0.35 MiB.
+@lru_cache(maxsize=16)
+def stream_layout(grid_h: int, grid_w: int, mode_id: int, l: int,
+                  mode_param: int, plan_seed: int, beta_milli: int):
+    """(mode, plan, depths, groups) of a stream over a grid_h x grid_w
+    token grid, from the header fields that set them.
+
+    `depths` is each slice's `context_depths` and `groups[d]` the slices
+    of depth d, as `iteration_schedule` groups them; both are tuples,
+    and the plan's `owner` is made here.  The process keeps the layouts
+    it built last, so a receive finds the one its send built.  A miss
+    calls `make_mode`, `build_plan` and `context_depths` by this
+    module's names, so wrappers around them see every layout built.
+    ValueError, raised again on every call, if the fields make no mode
+    or no plan.
+    """
+    key = MODE_PARAM.get(mode_id)
+    mode = make_mode(mode_id, l, {key: mode_param} if key else {})
+    plan = build_plan(grid_h, grid_w, mode.l, mode, plan_seed,
+                      beta_milli / 1000)
+    plan.owner  # made once, for every stream of the layout
+    depths = tuple(context_depths(mode))
+    groups = [[] for _ in range(max(depths) + 1)]
+    for i, depth in enumerate(depths, start=1):
+        groups[depth].append(i)
+    return mode, plan, depths, tuple(map(tuple, groups))
+
+
 def stream_header(cfg: PipelineConfig, height: int, width: int,
                   planes: int = 1) -> PacketHeader:
     """Slice 0's header of cfg's stream for a height x width image.
@@ -222,11 +257,13 @@ def stream_header(cfg: PipelineConfig, height: int, width: int,
 class Stream:
     """The stream that a packet header describes, and its context model.
 
-    It builds the mode, the slice plan over the token grid (BLOCK x
-    BLOCK blocks covering the output size) and the codec from the header
-    alone; the prior defaults to the header codec's uninformed one.
-    Its tables come from the process's store of its prior and clamp
-    (`table_store`), taken when it opens.  ValueError if the grid has
+    Its mode, slice plan over the token grid (BLOCK x BLOCK blocks
+    covering the output size), context depths and their groups come from
+    the header alone, through the process's `stream_layout`, and so does
+    its codec; the prior defaults to the header codec's uninformed one,
+    which `default_prior` also builds once per process.  Its tables come
+    from the process's store of its prior and clamp (`table_store`),
+    taken when it opens.  ValueError if the grid has
     more than MAX_GRID_POSITIONS positions or `planes` is outside
     1..channels, before anything is built for it; if the header's mode
     is not valid; and if the prior's fingerprint is not the header's.
@@ -243,11 +280,10 @@ class Stream:
             raise ValueError(f"planes {header.planes} is outside "
                              f"1..{header.channels}: each plane needs a "
                              "channel")
-        key = MODE_PARAM.get(header.mode_id)
-        self.mode = make_mode(header.mode_id, header.total_slices,
-                              {key: header.mode_param} if key else {})
-        self.plan = build_plan(grid_h, grid_w, self.mode.l, self.mode,
-                               header.plan_seed, header.beta_milli / 1000)
+        mode_param = header.mode_param if header.mode_id in MODE_PARAM else 0
+        self.mode, self.plan, self.depths, self.groups = stream_layout(
+            grid_h, grid_w, header.mode_id, header.total_slices, mode_param,
+            header.plan_seed, header.beta_milli)
         self.codec = CodecConfig(header.channels, header.quality,
                                  header.clamp)
         if prior is None:
@@ -359,12 +395,6 @@ class Receiver(Stream):
 
     def __init__(self, header: PacketHeader, prior: PriorModel | None = None):
         super().__init__(header, prior)
-        self.depths = context_depths(self.mode)
-        # The slices of each context depth, as `iteration_schedule`
-        # groups them; `add` models the ready ones of a depth in one pass.
-        self.groups = [[] for _ in range(max(self.depths) + 1)]
-        for i, depth in enumerate(self.depths, start=1):
-            self.groups[depth].append(i)
         shape = self.plan.owner.shape
         self.grid = TokenGrid(
             values=np.zeros((*shape, header.channels), np.int16),

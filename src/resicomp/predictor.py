@@ -93,11 +93,20 @@ class PriorModel:
         return hashlib.blake2b(prior_bytes(self), digest_size=8).digest()
 
 
+@lru_cache(maxsize=32)
 def default_prior(channels: int, clamp: int = 127) -> PriorModel:
-    """Uninformed prior: zero mean, wide first channel, narrowing tail."""
+    """Uninformed prior: zero mean, wide first channel, narrowing tail.
+
+    Built once per process for each (channels, clamp): every caller gets
+    the same model, whose arrays are read-only, so its `fingerprint` and
+    `mixture_weights` are computed once too.
+    """
     z = np.arange(channels)
     stds = np.maximum(SIGMA_FLOOR, clamp / 2.0 / (1.0 + z))
-    return PriorModel(means=np.zeros(channels), stds=stds)
+    prior = PriorModel(means=np.zeros(channels), stds=stds)
+    prior.means.setflags(write=False)
+    prior.stds.setflags(write=False)
+    return prior
 
 
 def fit_prior(grids, window: int = DEFAULT_WINDOW,
@@ -193,9 +202,8 @@ def collect_context(slices, mode: ContextMode, plan: SlicePlan,
     """
     sees = np.zeros((plan.l + 1, plan.l + 1), dtype=bool)
     sees[1:, 1:] = mode.g
-    positions = np.concatenate(
-        [np.asarray(plan.slice_positions(i), dtype=np.intp).reshape(-1, 2)
-         for i in slices])
+    at, bounds = plan.position_array, plan.boundaries
+    positions = np.concatenate([at[bounds[i - 1]:bounds[i]] for i in slices])
     return Context(grid=grid, positions=positions, owner=plan.owner,
                    sees=sees)
 

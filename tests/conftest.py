@@ -45,3 +45,11 @@ def empty_stores():
     empties them again."""
     pipeline._stores.clear()
     return pipeline._stores.clear
+
+
+@pytest.fixture
+def empty_layouts():
+    """Empty the process's stream layouts before and after the test."""
+    pipeline.stream_layout.cache_clear()
+    yield
+    pipeline.stream_layout.cache_clear()

@@ -153,14 +153,22 @@ def test_receive_decodes_by_depth_as_slice_by_slice(stream, seed, custom):
     if custom:
         mode = _closed_mode(cfg.l, np.random.default_rng(seed))
     rng = random.Random(seed)
-    with mock.patch.object(pipeline, "make_mode", lambda *_: mode), \
-            mock.patch(f"{__name__}.make_mode", lambda *_: mode):
-        packets, _, _, _ = send(_IMAGE, cfg)
-        packets = [_damage(p, rng) if d else p
-                   for p, d in zip(packets, damaged)]
-        _assert_same(_as_tuple(receive(packets, flags, cfg, *_IMAGE.shape)),
-                     _receive_from_scratch(packets, flags, cfg,
-                                           *_IMAGE.shape))
+    # The process keeps the layouts it built, so the injected mode is
+    # built only into a cache emptied before and after the patch.
+    pipeline.stream_layout.cache_clear()
+    try:
+        with mock.patch.object(pipeline, "make_mode", lambda *_: mode), \
+                mock.patch(f"{__name__}.make_mode", lambda *_: mode):
+            packets, _, _, _ = send(_IMAGE, cfg)
+            packets = [_damage(p, rng) if d else p
+                       for p, d in zip(packets, damaged)]
+            _assert_same(
+                _as_tuple(receive(packets, flags, cfg, *_IMAGE.shape)),
+                _receive_from_scratch(packets, flags, cfg, *_IMAGE.shape))
+            session = Receiver(stream_header(cfg, *_IMAGE.shape))
+            assert np.array_equal(session.mode.g, mode.g)
+    finally:
+        pipeline.stream_layout.cache_clear()
 
 
 def _damage(packet, rng):
@@ -511,4 +519,5 @@ def test_receiver_groups_are_the_iteration_schedule():
         for kind, params in modes:
             cfg = _cfg(CodecConfig(channels=16), kind, l, params)
             session = Receiver(stream_header(cfg, 128, 128))
-            assert session.groups == iteration_schedule(session.mode)[0]
+            assert list(map(list, session.groups)) == iteration_schedule(
+                session.mode)[0]

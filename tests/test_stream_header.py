@@ -225,7 +225,8 @@ def test_a_grid_over_the_bound_is_refused():
         send(np.zeros((height, width), np.uint8), _cfg())
 
 
-def test_the_largest_header_is_refused_before_any_plan(monkeypatch):
+def test_the_largest_header_is_refused_before_any_plan(monkeypatch,
+                                                       empty_layouts):
     header = replace(stream_header(_cfg(), 48, 48), height=65535,
                      width=65535, channels=255)
 
@@ -240,8 +241,8 @@ def test_the_largest_header_is_refused_before_any_plan(monkeypatch):
 
 
 @pytest.mark.parametrize("planes", [0, 17])
-def test_a_plane_count_outside_the_channels_is_refused_up_front(monkeypatch,
-                                                                planes):
+def test_a_plane_count_outside_the_channels_is_refused_up_front(
+        monkeypatch, empty_layouts, planes):
     # A CRC-valid header: without the check in `Stream` a session
     # decoded every slice and failed only in `result`.
     packet = Packet(header=replace(stream_header(_cfg(l=4), 48, 48),
