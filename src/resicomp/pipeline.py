@@ -21,10 +21,13 @@ closure are in.  `Receiver.add` is the one rule for which packet a
 slice holds: the first of the session's own stream; later copies are
 ignored, and a slice that only other streams' packets reached is
 rejected.  A session keeps one state per slice, and its result
-conceals all still-masked tokens in a single predictor pass,
-synthesizes the image and says per slice whether it was decoded, lost,
-orphaned by a context slice, corrupt, or rejected; the concealed grid
-and the image are made again only once another slice has decoded.
+conceals all still-masked tokens, synthesizes the image and says per
+slice whether it was decoded, lost, orphaned by a context slice,
+corrupt, or rejected; the concealed grid and the image are made again
+only once another slice has decoded.  The session keeps its
+concealment sums (`predictor.RunningSums`): its first concealment
+computes the window sums at the masked positions once, and each later
+one adds only the terms of the tokens decoded since.
 `receive` hands a session every packet its flags keep;
 `progressive_receive` keeps one session across every prefix of a
 packet list, in list order.  The context model runs only at the
@@ -58,8 +61,8 @@ from .density import (FreqTable, discretize_batch, key_mixtures, mixture_keys,
                       quantize_probs)
 from .image_io import psnr_db
 from .partition import build_plan
-from .predictor import (PriorModel, collect_context, conceal, default_prior,
-                        predict)
+from .predictor import (PriorModel, RunningSums, collect_context, conceal,
+                        default_prior, predict)
 from .token_codec import BLOCK, CodecConfig, TokenGrid, analyze, synthesize
 from .transport import Packet, PacketHeader
 
@@ -404,6 +407,7 @@ class Receiver(Stream):
         self.state = [SLICE_LOST] * self.l  # slice i's is state[i - 1]
         # (decoded slices, concealed grid, image) of the last result.
         self._last = None
+        self._sums = None  # the RunningSums, from the first concealment
 
     def _missing_context(self, i: int) -> int | None:
         """Slice i's first context slice that is not decoded, if any; a
@@ -478,6 +482,8 @@ class Receiver(Stream):
         The concealed grid and the image depend on the decoded slices
         alone, so they are computed again only once another slice has
         decoded; until then each result shares the last one's arrays.
+        The session's first concealment makes its concealment sums, and
+        each later one adds the terms of the tokens decoded since.
         """
         # Predictions at one context depth count as one pass of the
         # iterative schedule; slices predicted from no context at all
@@ -497,8 +503,9 @@ class Receiver(Stream):
             if outcome == OUTCOME_LOSSLESS:
                 full = self.grid.copy()
             else:
-                full = conceal(self.grid, predict(self.grid, self.prior,
-                                                  sigmas=False))
+                if self._sums is None:
+                    self._sums = RunningSums(self.grid, self.prior)
+                full = conceal(self.grid, self._sums.predict(self.grid))
             h = self.header
             self._last = (decoded, full, synthesize(
                 full, self.codec, h.height, h.width, h.planes))

@@ -10,21 +10,31 @@ model file.  `density` mixes it with that prior under the prior's
 pooled weights, so encoder and decoder reproduce identical
 distributions with zero side information.
 
+The window weights are integers, rint(2**16 / d) at distance d, so
+every window sum is an integer that float64 holds exactly (up to
+MAX_WINDOW): the order in which its terms are added cannot change it.
+The sums are therefore BLAS products, one per tile of points, and the
+same on every machine and BLAS kernel.
+
 Each caller computes only the head it reads.  `pipeline.Stream.model`
 codes slices from the density head (means, sigmas and whether a
 neighbor is known) at their positions.  It predicts any set of slices
 in one pass: `collect_context` gives each point its slice and the
 mode's context relation, and the window sums count a neighbor only if
 its slice is in the point's context, so each point's estimate is the
-one a grid masked to its own slice's context gives.  The receiver's
-concealment reads only the value head, so it calls `predict` with
-`sigmas=False`, which sums the window over known and value alone and
-skips the value^2 sums and the spread.
+one a grid masked to its own slice's context gives.  Concealment reads
+only the value head, which `predict` gives with `sigmas=False` from the
+window sums of known and value alone.  A receiver keeps those sums in a
+`RunningSums`: computed once at the positions masked at its first
+concealment, then brought up to date by adding the terms of each token
+decoded since, which equals a fresh `predict` because the sums are
+exact.  Both share one step from window sums to estimates.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -43,6 +53,41 @@ DEFAULT_LOGITS = (3.0, 0.0, 0.0)
 # Logits in a model file: the local component's, then two that both
 # weigh the prior component (see predict).
 MIXTURES = 3
+
+# Window weights are rint(_WEIGHT_SCALE / d) at distance d from the
+# centre: integers, so every window sum is an integer, which float64
+# holds exactly in any order of addition up to MAX_WINDOW.
+_WEIGHT_SCALE = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _window_kernel(window: int) -> np.ndarray:
+    """The (window, window) weights, 0 at the centre; read-only."""
+    radius = window // 2
+    dy, dx = np.mgrid[-radius:radius + 1, -radius:radius + 1]
+    dist = np.sqrt(dy * dy + dx * dx)
+    kernel = np.zeros_like(dist)
+    nonzero = dist > 0
+    kernel[nonzero] = np.rint(_WEIGHT_SCALE / dist[nonzero])
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _max_window() -> int:
+    """The largest odd window whose every window sum is exact.
+
+    A token is int16, so |value| <= 2**15, and the largest sum is of
+    value**2 over a whole window: below 2**53 while the kernel's sum
+    times 2**30 is.  Every partial sum of any order is smaller.
+    """
+    window = 1
+    # Uncached: only the windows in use need to stay built.
+    while _window_kernel.__wrapped__(window + 2).sum() * 2.0**30 < 2.0**53:
+        window += 2
+    return window
+
+
+MAX_WINDOW = _max_window()  # 37
 
 
 @dataclass(frozen=True)
@@ -64,8 +109,8 @@ class PriorModel:
             raise ValueError("prior means, stds and logits must be finite")
         if np.any(stds < SIGMA_FLOOR):
             raise ValueError(f"prior stds must be >= {SIGMA_FLOOR}")
-        if self.window < 1 or self.window % 2 == 0:
-            raise ValueError("window must be odd and positive")
+        if not 1 <= self.window <= MAX_WINDOW or self.window % 2 == 0:
+            raise ValueError(f"window must be odd and in 1..{MAX_WINDOW}")
         if len(logits) != MIXTURES:
             raise ValueError(f"need {MIXTURES} logits")
         object.__setattr__(self, "means", means)
@@ -208,29 +253,6 @@ def collect_context(slices, mode: ContextMode, plan: SlicePlan,
                    sees=sees)
 
 
-def _window_kernel(window: int) -> np.ndarray:
-    radius = window // 2
-    dy, dx = np.mgrid[-radius:radius + 1, -radius:radius + 1]
-    dist = np.sqrt(dy * dy + dx * dx)
-    kernel = np.zeros_like(dist)
-    nonzero = dist > 0
-    kernel[nonzero] = 1.0 / dist[nonzero]
-    return kernel
-
-
-@lru_cache(maxsize=None)
-def _window_taps(window: int):
-    """(dy, dx, weight) of the nonzero kernel taps, in the kernel's C
-    order, each offset relative to the window's centre.  Built once per
-    window size; the arrays are read-only."""
-    kernel = _window_kernel(window)
-    tap_y, tap_x = np.nonzero(kernel)
-    taps = (tap_y - window // 2, tap_x - window // 2, kernel[tap_y, tap_x])
-    for a in taps:
-        a.flags.writeable = False
-    return taps
-
-
 def _softmax(logits):
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max()
@@ -238,12 +260,90 @@ def _softmax(logits):
     return e / e.sum()
 
 
-# Positions per gather block are capped so one (block, columns) float64
-# temporary, or the block's (block, taps) index array, stays near 1 MB.
-# A block whose (taps read, points, columns) gather fits the same 1 MB
-# is gathered at once and summed over the taps; a larger one loops over
-# its taps.
-_BLOCK_ELEMENTS = 1 << 17
+# Elements of one weight matrix, a tile's points by the padded positions
+# their windows span: 2**15 float64 are 256 KiB, so a tile's weights and
+# the temporaries of its product stay in a core's cache.  At window 11 a
+# tile of every position is then at most 9 x 9 points.
+_PRODUCT_ELEMENTS = 1 << 15
+# A tile's side in positions, however sparse its points: a point's row
+# of weights spans its whole tile, so a wider tile costs each point more
+# than its fewer products save.
+_MAX_TILE = 32
+
+
+@lru_cache(maxsize=None)
+def _kernel_plane(window: int) -> np.ndarray:
+    """The kernel at [_MAX_TILE - 1, _MAX_TILE - 1] of a square of zeros,
+    2 _MAX_TILE - 1 + 2 radius wide; read-only.  The window of it at
+    [_MAX_TILE - 1 - i, _MAX_TILE - 1 - j] is the kernel of the point at
+    (i, j) of a tile, over the padded positions from the tile's corner."""
+    side = 2 * _MAX_TILE - 1 + window - 1
+    plane = np.zeros((side, side))
+    corner = _MAX_TILE - 1
+    plane[corner:corner + window, corner:corner + window] = (
+        _window_kernel(window))
+    plane.flags.writeable = False
+    return plane
+
+
+def _weight_tiles(rows, cols, window: int, shape):
+    """Cut points into tiles; yield (points, span, weights) per tile.
+
+    `points` indexes the tile's points, `span` is the region of a
+    `shape` array, the grid zero-padded by `window // 2` on every side,
+    that their windows cover, and `weights` the (points, span size)
+    matrix whose row j is point j's kernel there.
+
+    The points' bounding box is cut into equal tiles of at most s x s
+    positions, s the largest side up to _MAX_TILE whose weight matrix,
+    at the box's density of points, fits _PRODUCT_ELEMENTS: s * s *
+    density points by (s + 2 radius)**2 positions.  A tile that holds
+    more points than one matrix may, such as a dense corner of a sparse
+    box, is yielded in pieces, so every matrix fits the bound or has a
+    single row.
+    """
+    if not len(rows):
+        return
+    radius = window // 2
+    top, left = rows.min(), cols.min()
+    height, width = rows.max() - top + 1, cols.max() - left + 1
+    budget = math.isqrt(_PRODUCT_ELEMENTS * height * width // len(rows))
+    side = min(_MAX_TILE,
+               max(1, math.isqrt(budget + radius * radius) - radius))
+    down, across = -(-height // side), -(-width // side)
+    tile_h, tile_w = -(-height // down), -(-width // across)
+    piece = max(1, _PRODUCT_ELEMENTS
+                // ((tile_h + 2 * radius) * (tile_w + 2 * radius)))
+    if down == across == 1:
+        # One tile, as on small grids: the points in their own order,
+        # without the sort (about 4% of a 96x112 C=64 episode).
+        order, in_y, in_x = np.arange(len(rows)), rows - top, cols - left
+        cuts, tiles = [0, len(rows)], [0]
+    else:
+        tile_y, in_y = np.divmod(rows - top, tile_h)
+        tile_x, in_x = np.divmod(cols - left, tile_w)
+        tile = tile_y * across + tile_x
+        order = np.argsort(tile, kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(tile[order])) + 1).tolist(),
+                len(order)]
+        tiles = tile[order[cuts[:-1]]].tolist()
+    plane = _kernel_plane(window)
+    corner = _MAX_TILE - 1
+    for lo, hi, t in zip(cuts, cuts[1:], tiles):
+        y, x = divmod(t, across)
+        y, x = top + y * tile_h, left + x * tile_w
+        span_h = min(tile_h + 2 * radius, shape[0] - y)
+        span_w = min(tile_w + 2 * radius, shape[1] - x)
+        # Every span_h x span_w window of the plane, as sliding_window_view
+        # gives them, without its checks.
+        view = np.ndarray((plane.shape[0] - span_h + 1,
+                           plane.shape[1] - span_w + 1, span_h, span_w),
+                          plane.dtype, plane, strides=plane.strides * 2)
+        for start in range(lo, hi, piece):
+            at = order[start:min(hi, start + piece)]
+            weights = view[corner - in_y[at], corner - in_x[at]]
+            yield (at, np.s_[y:y + span_h, x:x + span_w],
+                   weights.reshape(len(at), -1))
 
 
 def _known_columns(grid: TokenGrid, squares: bool, radius: int) -> np.ndarray:
@@ -264,87 +364,82 @@ def _known_columns(grid: TokenGrid, squares: bool, radius: int) -> np.ndarray:
 
 def _window_sums(padded: np.ndarray, rows, cols, window: int,
                  context=None) -> np.ndarray:
-    """Inverse-distance window sums of per-position columns at points.
+    """Window sums of per-position columns at points.
 
     `padded` holds m columns per grid position, zero-padded by
     `window // 2` on every side, as `_known_columns` stacks them: column
     0 is the known mask and every column is 0.0 where that mask is.
-    The result is (len(rows), m).  Each sum starts at 0.0 and adds
-    `neighbor * weight` over the nonzero kernel taps in the kernel's C
-    order, exactly the arithmetic of a zero-padded full-grid
-    convolution, so the results are bit-identical to
-    `scipy.ndimage.convolve(..., mode="constant", cval=0.0)` there.  A
-    tap whose neighbor is unknown or off the grid adds +0.0, which
-    leaves a sum that started at +0.0 unchanged, so such taps are
-    skipped.
+    The result is (len(rows), m), each point's sum of weight x column
+    over its window.  Every term is an integer, and every partial sum
+    is below 2**53 (MAX_WINDOW), so each sum is exact whatever order
+    its terms are added in: it equals the zero-padded full-grid
+    convolution `scipy.ndimage.convolve(..., mode="constant", cval=0.0)`
+    with `_window_kernel` there.  Each tile of points (`_weight_tiles`) is one
+    product of its weight matrix and the columns of its span.
 
     With a `context`, the (owner, sees) pair of a `Context`, a point
-    reads a known neighbor only if `sees[owner[point], owner[neighbor]]`.
-    Any other tap's index is pointed at padded row 0, which is padding
-    and so 0.0 in every column: the tap counts as an unknown neighbor,
-    and every sum is the one a grid masked to the point's context gives.
-    A point whose slice sees no slice reads nothing and is skipped.
-
-    A block of points whose gather of every tap read fits
-    `_BLOCK_ELEMENTS` is gathered as one (taps, points, m) array and
-    reduced over its first axis from 0.0: the same additions in the same
-    tap order as the per-tap loop of larger blocks.
+    reads a known neighbor only if `sees[owner[point], owner[neighbor]]`:
+    the point's weight of any other neighbor is zeroed, so every sum is
+    the one a grid masked to the point's context gives.  A point whose
+    slice sees no slice reads nothing and is skipped.
     """
     height, width, m = padded.shape
-    dy, dx, tap_w = _window_taps(window)
     radius = window // 2
-    padded = padded.reshape(-1, m)
-    # Flat offsets of the taps relative to a point's padded index; one
-    # gather of a padded row serves every column.
-    offsets = dy * width + dx
-    base = (rows + radius) * width + cols + radius
-    if context is None:
-        known = padded[:, 0] > 0.0
-    else:
+    sums = np.zeros((len(rows), m))
+    points = np.arange(len(rows))
+    if context is not None:
         owner, sees = context
         point_slice = owner[rows, cols]
-        live = np.flatnonzero(sees.any(axis=1)[point_slice])
-        base = base[live]
-        # Flat index into `sees` of each point's row, and the slice of
-        # each padded position (0, seen by no slice, on the padding).
-        seen_from = point_slice[live] * sees.shape[1]
+        points = np.flatnonzero(sees.any(axis=1)[point_slice])
+        # The slice of each padded position (0, seen by no slice, on
+        # the padding), and the 0/1 weight factor of each slice pair.
         slice_of = np.zeros((height, width), np.intp)
         slice_of[radius:height - radius, radius:width - radius] = owner
-        slice_of = slice_of.reshape(-1)
-        sees = sees.reshape(-1)
-    n = len(base)
-    sums = np.zeros((n, m))
-    block = max(1, _BLOCK_ELEMENTS // max(m, len(offsets)))
-    for lo in range(0, n, block):
-        idx = base[lo:lo + block, None] + offsets
-        if context is None:
-            read = known[idx]
-        else:
-            # In the point's context; an unknown neighbor there adds
-            # +0.0 all the same.
-            at = slice_of[idx]
-            at += seen_from[lo:lo + block, None]
-            read = sees[at]
-            idx *= read
-        out = sums[lo:lo + block]
-        used = np.flatnonzero(read.any(axis=0))
-        if len(used) * out.size <= _BLOCK_ELEMENTS:
-            terms = padded.take(idx[:, used].T, axis=0)
-            terms *= tap_w[used, None, None]
-            np.add.reduce(terms, axis=0, out=out, initial=0.0)
-            continue
-        term = np.empty_like(out)
-        for t in used.tolist():
-            # Every index is inside `padded`; "clip" only lets `take`
-            # write into `term` without an intermediate buffer.
-            padded.take(idx[:, t], axis=0, out=term, mode="clip")
-            term *= tap_w[t]
-            out += term
-    if context is None:
-        return sums
-    every = np.zeros((len(rows), m))
-    every[live] = sums
-    return every
+        seen = sees.astype(np.float64)
+    for at, span, weights in _weight_tiles(rows[points], cols[points],
+                                           window, (height, width)):
+        at = points[at]
+        if context is not None:
+            weights *= np.take(seen[point_slice[at]],
+                               slice_of[span].reshape(-1), axis=1)
+        sums[at] = weights @ padded[span].reshape(-1, m)
+    return sums
+
+
+def _estimates(positions, sums, prior: PriorModel,
+               sigmas: bool) -> PredictorOutput:
+    """Both heads at `positions` from their window sums.
+
+    `sums` is (n, m), the columns `_known_columns` stacks, with the
+    squares only if `sigmas`; it is overwritten.  The local estimate is
+    the window mean where any window neighbor is read and the prior
+    elsewhere, and the value head is its rounded mean.
+    """
+    channels = prior.channels
+    sum_w = sums[:, 0]
+    has_neighbors = sum_w > 0.0
+    safe_w = np.where(has_neighbors, sum_w, 1.0)[:, None]
+    # The window means of the values, then of their squares, in place.
+    sums[:, 1:] /= safe_w
+    local_mean = sums[:, 1:channels + 1]
+    neighbor_sel = has_neighbors[:, None]
+    means = np.where(neighbor_sel, local_mean, prior.means)
+    spread = None
+    if sigmas:
+        # The variance, clipped at 0, then its floored root, in place.
+        local_sigma = sums[:, channels + 1:]
+        local_sigma -= local_mean * local_mean
+        np.maximum(local_sigma, 0.0, out=local_sigma)
+        np.sqrt(local_sigma, out=local_sigma)
+        np.maximum(SIGMA_FLOOR, local_sigma, out=local_sigma)
+        spread = np.where(neighbor_sel, local_sigma, prior.stds)
+    return PredictorOutput(
+        positions=positions,
+        means=means,
+        sigmas=spread,
+        values=np.rint(means).astype(np.int16),
+        has_neighbors=has_neighbors,
+    )
 
 
 def predict(grid, prior: PriorModel, positions=None,
@@ -377,34 +472,61 @@ def predict(grid, prior: PriorModel, positions=None,
     rows, cols = positions[:, 0], positions[:, 1]
     if np.any((rows < 0) | (rows >= grid.h) | (cols < 0) | (cols >= grid.w)):
         raise ValueError("positions must lie on the grid")
-    channels = grid.channels
     window = prior.window
     sums = _window_sums(_known_columns(grid, sigmas, window // 2), rows,
                         cols, window, context)
-    sum_w = sums[:, 0]
-    has_neighbors = sum_w > 0.0
-    safe_w = np.where(has_neighbors, sum_w, 1.0)[:, None]
-    # The window means of the values, then of their squares, in place.
-    sums[:, 1:] /= safe_w
-    local_mean = sums[:, 1:channels + 1]
-    neighbor_sel = has_neighbors[:, None]
-    means = np.where(neighbor_sel, local_mean, prior.means)
-    spread = None
-    if sigmas:
-        # The variance, clipped at 0, then its floored root, in place.
-        local_sigma = sums[:, channels + 1:]
-        local_sigma -= local_mean * local_mean
-        np.maximum(local_sigma, 0.0, out=local_sigma)
-        np.sqrt(local_sigma, out=local_sigma)
-        np.maximum(SIGMA_FLOOR, local_sigma, out=local_sigma)
-        spread = np.where(neighbor_sel, local_sigma, prior.stds)
-    return PredictorOutput(
-        positions=positions,
-        means=means,
-        sigmas=spread,
-        values=np.rint(means).astype(np.int16),
-        has_neighbors=has_neighbors,
-    )
+    return _estimates(positions, sums, prior, sigmas)
+
+
+class RunningSums:
+    """Concealment's window sums on a grid whose tokens only become known.
+
+    Made from a grid, it holds the window sums of the grid's known
+    tokens at the positions masked then, computed once.  Each `predict`
+    first adds the terms of the tokens that became known since, one
+    transposed product per tile of them, then gives the value head at
+    the positions still masked.  The sums are exact integers, so that is
+    `predict(grid, prior, sigmas=False)` bit for bit, in whatever order
+    the tokens became known.  A known token must not change or become
+    masked again.
+    """
+
+    def __init__(self, grid: TokenGrid, prior: PriorModel):
+        if prior.channels != grid.channels:
+            raise ValueError("prior channel count does not match grid")
+        self.prior = prior
+        radius = prior.window // 2
+        masked = ~grid.known
+        positions = np.argwhere(masked)
+        # The row of each masked position's sums, -1 at any other
+        # position and on `radius` positions of padding on every side.
+        self._row = np.full((grid.h + 2 * radius, grid.w + 2 * radius), -1,
+                            np.intp)
+        inner = self._row[radius:radius + grid.h, radius:radius + grid.w]
+        inner[masked] = np.arange(len(positions))
+        self._sums = _window_sums(_known_columns(grid, False, radius),
+                                  positions[:, 0], positions[:, 1],
+                                  prior.window)
+        self._known = grid.known.copy()
+
+    def predict(self, grid: TokenGrid) -> PredictorOutput:
+        """The value head at grid's masked positions, in row-major order."""
+        window = self.prior.window
+        new = np.argwhere(grid.known & ~self._known)
+        self._known = grid.known.copy()
+        rows, cols = new[:, 0], new[:, 1]
+        terms = np.ones((len(new), 1 + grid.channels))
+        terms[:, 1:] = grid.values[rows, cols]
+        for at, span, weights in _weight_tiles(rows, cols, window,
+                                               self._row.shape):
+            target = self._row[span].reshape(-1)
+            hit = target >= 0
+            self._sums[target[hit]] += (weights.T @ terms[at])[hit]
+        positions = np.argwhere(~grid.known)
+        radius = window // 2
+        sums = self._sums[self._row[positions[:, 0] + radius,
+                                    positions[:, 1] + radius]]
+        return _estimates(positions, sums, self.prior, sigmas=False)
 
 
 def conceal(grid: TokenGrid, output: PredictorOutput) -> TokenGrid:

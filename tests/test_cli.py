@@ -885,6 +885,26 @@ def test_bad_model_file_is_a_validation_error(tmp_path, image_file,
     assert reason in err
 
 
+def test_a_model_window_past_the_bound_writes_no_packet(tmp_path, image_file,
+                                                       monkeypatch, capsys):
+    model = tmp_path / "model.rcpm"
+    assert main(["fit-model", "--synthetic", "2", "--channels", "16",
+                 "--out", str(model)]) == EXIT_OK
+    raw = bytearray(model.read_bytes())
+    # Magic (4 bytes), version (1), channels (2), then the window (2).
+    raw[7:9] = (65535).to_bytes(2, "little")
+    model.write_bytes(bytes(raw))
+    monkeypatch.setenv(MODEL_ENV, str(model))
+    capsys.readouterr()
+    out = tmp_path / "pkts"
+    assert main(["encode", "--image", str(image_file), "--out", str(out),
+                 "--channels", "16", "--L", "4"]) == EXIT_VALIDATION == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "window" in err
+    assert not out.exists()
+
+
 def test_fit_model_reads_only_the_images_in_a_directory(tmp_path, image_file):
     alone, mixed = tmp_path / "alone", tmp_path / "mixed"
     for folder in (alone, mixed):

@@ -2,7 +2,7 @@
 
 Any change to the transform, the predictor, the density tables or the
 range coder that alters a single output byte fails here; the packet
-header carries PACKET_VERSION, so these digests pin it at 4 too.  A
+header carries PACKET_VERSION, so these digests pin it at 5 too.  A
 deliberate format change must bump PACKET_VERSION and re-pin them.
 The payload digests pin the coded bits alone: a header change leaves
 them as they are.  Version 3 snaps the local mixture component to a
@@ -10,7 +10,9 @@ grid, which changed every payload that has a known neighbour.  Version
 4 codes each position's channels as one block, up to its last symbol
 that is not its table's likeliest, which changed every payload.  The
 decoded tokens are the same, so the decoded-image digests are those of
-version 3.
+version 3.  Version 5 weighs window neighbours by rint(2**16 / d)
+instead of 1 / d; the payloads pinned here did not change, so only
+the version byte and the CRC of each packet did.
 """
 
 import hashlib
@@ -26,15 +28,15 @@ from resicomp.token_codec import CodecConfig
 # concatenated Packet.to_bytes() of every slice.
 GOLDEN_PACKETS = {
     ("ISC", (), 10, 64, 96, 112):
-        "7934bb0029f182af79d728ee610e526b0ca38ff81ac83924eaaeafbbbb125a56",
+        "28535bb9e05bb1bcfa5d9ed7ff3713ca0e22d39766b9d58acbf58cb3225b3139",
     ("LC", (), 10, 64, 96, 112):
-        "f9fd89d6ef4e1bad9cbc4c6239c2a586aee42ed31fd0e2de7d5e7ac22c109db6",
+        "b4e6d151d8df957f5f198fb4bb35c30f903863657d5d573cd513929ea9a9f9f1",
     ("MDC", (("n_d", 2),), 10, 64, 96, 112):
-        "c355cb951b3a25e7c684fbe68cc516592ff6f6dbc92bff301feb1a1d40a6bf3e",
+        "e22b66e6cd1a163a44e22265d0f94fa1b2b9a3cb53a189c8b981918d9d7856c7",
     ("SLC", (("enhancements", 1),), 10, 64, 96, 112):
-        "38d6139c715e770560ed37b42c6a99ee517ec54c84de99b94cc2d4a38f6c8fef",
+        "7b63339da72ccfd2e9f7de35cb061fe3a32109c9a296b16e7df497c8cb47dc78",
     ("LC", (), 4, 16, 64, 64):
-        "4407a57adc8c1321c8ff8b7bd084549cb92b22be761d4da2b03b406b2f5080a1",
+        "6db1ca79e346657865f206e0b20bb78a81803bbe2a96714b94a7a8fe4e1dcb1b",
 }
 
 # Same keys -> digest of the concatenated payload bytes alone.  These

@@ -2,11 +2,14 @@
 
 `predict` computes the window sums only at the positions it is given.
 Each sum must equal, bit for bit, the zero-padded full-grid convolution
-`scipy.ndimage.convolve(..., mode="constant", cval=0.0)` at that
-position, and every output array must equal the full-grid predictor's
-at that position byte for byte.  The reference below is that full-grid
-predictor, evaluated on the whole grid and then indexed, with the
-pooled mixture weights that `PriorModel.mixture_weights` must equal.
+`scipy.ndimage.convolve(..., mode="constant", cval=0.0)` with the
+integer kernel at that position, and every output array must equal the
+full-grid predictor's at that position byte for byte.  The kernel's
+weights are integers, so every sum is exact and scipy's order of
+addition gives the same bytes as the predictor's tiled products.  The
+reference below is that full-grid predictor, evaluated on the whole
+grid and then indexed, with the pooled mixture weights that
+`PriorModel.mixture_weights` must equal.
 """
 
 from unittest import mock
@@ -120,21 +123,21 @@ def _cases(draw):
         st.lists(points, max_size=20),
         st.just([(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]),
     ))
-    # One budget sets the block size and whether a block is gathered at
-    # once or loops over its taps: small budgets make one-point blocks
-    # that loop, 2**40 one block that is gathered.
-    block = draw(st.sampled_from([1, 7, predictor._BLOCK_ELEMENTS, 1 << 40]))
+    # One bound sets the tiles, and with them which points share a
+    # product: 1 makes one product per point, 2**40 a single product.
+    bound = draw(st.sampled_from([1, 2000, predictor._PRODUCT_ELEMENTS,
+                                  1 << 40]))
     grid = TokenGrid(values, known)
-    return grid, _prior(channels, window, rng), positions, block
+    return grid, _prior(channels, window, rng), positions, bound
 
 
 @settings(max_examples=150, deadline=None)
 @given(_cases())
 def test_predict_equals_full_grid_reference(case):
-    grid, prior, positions, block = case
+    grid, prior, positions, bound = case
     if positions is None:
         positions = np.argwhere(~grid.known)
-    with mock.patch.object(predictor, "_BLOCK_ELEMENTS", block):
+    with mock.patch.object(predictor, "_PRODUCT_ELEMENTS", bound):
         _assert_matches(grid, prior, positions)
 
 

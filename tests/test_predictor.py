@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -11,10 +14,11 @@ from resicomp.context_modes import (MODE_CUSTOM, ContextMode, make_mode,
 from resicomp.density import SIGMA_FLOOR, mixture_keys
 from resicomp.partition import build_plan
 from resicomp.pipeline import TableStore
-from resicomp.predictor import (DEFAULT_LOGITS, DEFAULT_WINDOW, MODEL_MAGIC,
-                                PriorModel, collect_context, conceal,
-                                default_prior, fit_prior, load_prior, predict,
-                                save_prior)
+from resicomp.predictor import (DEFAULT_LOGITS, DEFAULT_WINDOW, MAX_WINDOW,
+                                MODEL_MAGIC, PriorModel, RunningSums,
+                                _known_columns, _window_kernel, _window_sums,
+                                collect_context, conceal, default_prior,
+                                fit_prior, load_prior, predict, save_prior)
 from resicomp.token_codec import CodecConfig, TokenGrid, analyze
 
 
@@ -116,19 +120,19 @@ _ONE_PASS_MODES = [("ISC", {}), ("LC", {}), ("MDC", {"n_d": 2}),
        window=st.sampled_from([1, 3, 11]), channels=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1),
        arrived=st.none() | st.lists(st.booleans(), min_size=9, max_size=9),
-       budget=st.sampled_from([0, 1 << 40]))
+       bound=st.sampled_from([0, 2000, 1 << 40]))
 # A receiver grid of MDC:2 where slices 1 and 2 are decoded: slice 3's
 # context is slice 1 alone, so slice 2's known tokens in its window
-# must not count.  The window sums loop over the taps of one-point
-# blocks (budget 0), or gather them in one block (budget 2**40).
+# must not count.  The window sums make one product per point (bound
+# 0), or one product of every point (bound 2**40).
 @example(kind=("MDC", {"n_d": 2}), l=6, h=4, w=4, window=11, channels=2,
-         seed=0, arrived=[True, True] + [False] * 7, budget=0)
+         seed=0, arrived=[True, True] + [False] * 7, bound=0)
 @example(kind=("MDC", {"n_d": 2}), l=6, h=4, w=4, window=11, channels=2,
-         seed=0, arrived=[True, True] + [False] * 7, budget=1 << 40)
+         seed=0, arrived=[True, True] + [False] * 7, bound=1 << 40)
 def test_one_pass_model_equals_a_masked_copy_per_slice(
-        kind, l, h, w, window, channels, seed, arrived, budget):
+        kind, l, h, w, window, channels, seed, arrived, bound):
     assume(l <= h * w)
-    with mock.patch.object(predictor, "_BLOCK_ELEMENTS", budget):
+    with mock.patch.object(predictor, "_PRODUCT_ELEMENTS", bound):
         _check_one_pass_model(kind, l, h, w, window, channels, seed, arrived)
 
 
@@ -368,3 +372,141 @@ def test_prior_validation():
         PriorModel(means=np.zeros(3), stds=np.ones(3), window=4)
     with pytest.raises(ValueError):
         PriorModel(means=np.zeros(3), stds=np.ones(3), logits=(1.0,))
+
+
+def test_the_window_is_bounded_by_exact_sums():
+    assert MAX_WINDOW == 37
+    assert PriorModel(means=np.zeros(2), stds=np.ones(2),
+                      window=MAX_WINDOW).window == 37
+    for window in (39, 65535):
+        with pytest.raises(ValueError, match="window"):
+            PriorModel(means=np.zeros(2), stds=np.ones(2), window=window)
+
+
+def test_a_model_file_with_a_window_past_the_bound_is_refused(tmp_path):
+    path = tmp_path / "model.rcpm"
+    save_prior(path, PriorModel(means=np.zeros(2), stds=np.ones(2)))
+    raw = bytearray(path.read_bytes())
+    # Magic (4 bytes), version (1), channels (2), then the window (2).
+    raw[7:9] = (65535).to_bytes(2, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="window"):
+        load_prior(path)
+
+
+@pytest.mark.parametrize("bound", [predictor._PRODUCT_ELEMENTS, 1 << 40])
+def test_window_sums_are_exact_at_the_widest_window_and_clamp(bound):
+    # Every token at +-32767, the widest clamp, all known: the squares
+    # column's sums come within 2% of 2**53 and must all be exact.
+    window = MAX_WINDOW
+    radius = window // 2
+    h, w = 45, 41
+    rng = np.random.default_rng(0)
+    values = np.full((h, w, 2), 32767)
+    values[:, :, 0] *= rng.choice([-1, 1], size=(h, w))
+    grid = _grid(values, np.ones((h, w)))
+    columns = np.concatenate([np.ones((h, w, 1), np.int64), values,
+                              values * values], axis=2)
+    padded = np.pad(columns, ((radius, radius), (radius, radius), (0, 0)))
+    kernel = _window_kernel(window).astype(np.int64)
+    want = np.zeros((h, w, columns.shape[2]), np.int64)
+    for dy, dx in np.argwhere(kernel):
+        want += kernel[dy, dx] * padded[dy:dy + h, dx:dx + w]
+    assert 2**52 < want.max() < 2**53
+    rows, cols = np.divmod(np.arange(h * w), w)
+    with mock.patch.object(predictor, "_PRODUCT_ELEMENTS", bound):
+        got = _window_sums(_known_columns(grid, True, radius), rows, cols,
+                           window)
+    assert np.array_equal(got, want.reshape(h * w, -1).astype(np.float64))
+    assert np.array_equal(got.astype(np.int64), want.reshape(h * w, -1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), channels=st.integers(1, 3),
+       window=st.sampled_from([1, 3, 11, MAX_WINDOW]),
+       seed=st.integers(0, 2**32 - 1),
+       bound=st.sampled_from([0, 2000, 1 << 40]))
+def test_running_sums_equal_a_fresh_prediction(h, w, channels, window, seed,
+                                               bound):
+    # Tokens become known in random batches; after each, the running
+    # sums' value head is the one a fresh `predict` gives, bit for bit.
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(h * w)
+    cuts = [0, *sorted(rng.integers(0, h * w + 1, size=4).tolist()), h * w]
+    grid = _grid(rng.integers(-127, 128, size=(h, w, channels)),
+                 np.zeros((h, w)))
+    grid.known.reshape(-1)[order[:cuts[1]]] = True
+    prior = PriorModel(means=rng.normal(0.0, 10.0, channels),
+                       stds=rng.uniform(SIGMA_FLOOR, 30.0, channels),
+                       window=window)
+    with mock.patch.object(predictor, "_PRODUCT_ELEMENTS", bound):
+        sums = RunningSums(grid, prior)
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            grid.known.reshape(-1)[order[lo:hi]] = True
+            got = sums.predict(grid)
+            want = predict(grid, prior, sigmas=False)
+            for name in ("positions", "means", "values", "has_neighbors"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Predictions and packet payloads, printed as a digest by a child
+# process, so that runs under two BLAS kernels can be compared.
+_PREDICT_DIGEST = """
+import hashlib, numpy as np
+from resicomp.context_modes import make_mode
+from resicomp.partition import build_plan
+from resicomp.pipeline import PipelineConfig, send
+from resicomp.predictor import PriorModel, collect_context, predict
+from resicomp.synthetic import synthetic_image
+from resicomp.token_codec import CodecConfig, TokenGrid
+rng = np.random.default_rng(11)
+h = hashlib.sha256()
+for window in (3, 11, 37):
+    grid = TokenGrid(rng.integers(-32767, 32768, size=(30, 34, 8)),
+                     rng.random((30, 34)) < 0.6)
+    prior = PriorModel(means=rng.normal(0.0, 9.0, 8),
+                       stds=rng.uniform(1.0, 20.0, 8), window=window)
+    mode = make_mode("MDC", 10, {"n_d": 2})
+    context = collect_context(range(1, 11), mode,
+                              build_plan(30, 34, 10, mode, 3), grid)
+    for out in (predict(grid, prior), predict(context, prior)):
+        for a in (out.means, out.sigmas, out.values, out.has_neighbors):
+            h.update(a.tobytes())
+for kind in ("LC", "ISC", "MDC"):
+    cfg = PipelineConfig(codec=CodecConfig(channels=16), mode_kind=kind, l=8,
+                         mode_params={"n_d": 2} if kind == "MDC" else {})
+    for index in (2, 5):
+        packets, _, _, _ = send(synthetic_image(index, 128, 144), cfg)
+        for p in packets:
+            h.update(p.payload.data)
+print(h.hexdigest())
+"""
+
+
+def _predict_digest(**env):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH",
+                                                              "")])}
+    return subprocess.run([sys.executable, "-c", _PREDICT_DIGEST], env=env,
+                          capture_output=True, text=True)
+
+
+def _dynamic_arch_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not an OpenBLAS that picks its "
+                           "kernel at run time")
+def test_predictions_do_not_depend_on_the_blas_kernel():
+    plain = _predict_digest()
+    assert plain.returncode == 0, plain.stderr
+    old = _predict_digest(OPENBLAS_CORETYPE="Prescott")
+    assert old.returncode == 0, old.stderr
+    assert old.stdout == plain.stdout

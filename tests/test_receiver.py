@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resicomp import entropy_coder, pipeline
+from resicomp import entropy_coder, pipeline, predictor
 from resicomp.context_modes import iteration_schedule, make_mode
 from resicomp.density import FreqTable
 from resicomp.entropy_coder import Bitstring
@@ -109,6 +109,7 @@ def _assert_same(got, want):
 _MODES = [("ISC", {}), ("LC", {}), ("MDC", {"n_d": 2}), ("MDC", {"n_d": 3}),
           ("SLC", {"enhancements": 1}), ("SLC", {"enhancements": 2})]
 _IMAGE = synthetic_image(3, height=48, width=64)  # 3x4 token grid
+_LARGE_IMAGE = synthetic_image(5, height=160, width=176)  # 10x11 tokens
 _GARBAGE = Bitstring(b"\xff" * 4)
 
 
@@ -169,6 +170,35 @@ def test_receive_decodes_by_depth_as_slice_by_slice(stream, seed, custom):
             assert np.array_equal(session.mode.g, mode.g)
     finally:
         pipeline.stream_layout.cache_clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([("LC", {}), ("ISC", {}), ("MDC", {"n_d": 2}),
+                             ("SLC", {"enhancements": 1})]),
+       l=st.integers(2, 9), data=st.data(),
+       bound=st.sampled_from([0, 2000, predictor._PRODUCT_ELEMENTS]))
+def test_running_concealment_equals_a_fresh_prediction(kind, l, data, bound):
+    # Packets in any order, some lost and some sent twice: every
+    # concealed prefix of one session, whose concealment sums run across
+    # the prefixes, equals a fresh session's grid concealed by `predict`.
+    # A small bound cuts the running sums' products into many tiles.
+    cfg = _cfg(CodecConfig(channels=16), kind[0], l, kind[1])
+    packets, _, _, _ = send(_LARGE_IMAGE, cfg)
+    listed = data.draw(st.lists(st.none() | st.sampled_from(packets),
+                                min_size=1, max_size=2 * l))
+    if all(p is None for p in listed):
+        listed[0] = packets[0]
+    with mock.patch.object(predictor, "_PRODUCT_ELEMENTS", bound):
+        steps = progressive_receive(listed, cfg, *_LARGE_IMAGE.shape)
+    for k, step in enumerate(steps, start=1):
+        if step.outcome == OUTCOME_LOSSLESS:
+            continue
+        fresh = Receiver(packets[0].header)
+        fresh.add(*(p for p in listed[:k] if p is not None))
+        want = conceal(fresh.grid, predict(fresh.grid, fresh.prior,
+                                           sigmas=False))
+        assert step.grid.values.tobytes() == want.values.tobytes()
+        assert step.grid.known.all()
 
 
 def _damage(packet, rng):
