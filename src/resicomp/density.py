@@ -296,8 +296,9 @@ def mixture_keys(output):
     key.  ValueError for an output without sigmas (the value head only).
     """
     if output.sigmas is None:
-        raise ValueError("the predictor output has no sigmas: predict "
-                         "with sigmas=True to key its tables")
+        raise ValueError("the predictor output has no sigmas (a "
+                         "RunningSums value head); key tables from a "
+                         "predict output")
     channels = output.means.shape[1]
     mu, sigma = snap(output.means, output.sigmas)
     local = (mu + _MU_MAX) * len(SIGMA_LEVELS) + sigma + 1

@@ -4,34 +4,29 @@ Carry-propagating byte renormalization in the classic cache/pending
 style.  The tables are the rows of one (N, S+1) int32 array of
 cumulative counts, as `FreqTable.batch` makes them, and each symbol
 names its table by row number.  `encode` and `decode` each run one loop
-over a run's coding steps, and the steps come in two layouts:
-
-- symbol by symbol, each under its own table (`encode(indices, rows,
-  cum)`, `decode(bits, rows, cum[, guess])`);
-- block by block, the payload layout since packet version 4
-  (`encode(indices, rows, cum, steps)` with the sender's `block_steps`,
-  `decode(bits, rows, cum, blocks=...)` with the receiver's `blocks`).
-  A block is one position's `channels` symbols.
-  It codes k first, 1 + the index of its last symbol that is not its
-  row's likeliest symbol (`peaks`), or 0 if there is none; then its
-  symbols below k - 1, each under its own table; then symbol k - 1
-  under its table with the likeliest symbol taken out.  The symbols
-  from k on are their likeliest symbols, as JPEG ends a block's scan
-  at its last nonzero coefficient (ITU-T T.81).
+over a run's coding steps, laid out block by block, the payload layout
+since packet version 4 (`encode(indices, rows, cum, steps)` with the
+sender's `block_steps`, `decode(bits, rows, cum, blocks)` with the
+receiver's `blocks`).  A block is one position's `channels` symbols.
+It codes k first, 1 + the index of its last symbol that is not its
+row's likeliest symbol (`peaks`), or 0 if there is none; then its
+symbols below k - 1, each under its own table; then symbol k - 1 under
+its table with the likeliest symbol taken out.  The symbols from k on
+are their likeliest symbols, as JPEG ends a block's scan at its last
+nonzero coefficient (ITU-T T.81).
 
 k's table is not a model parameter: it follows from the block's own
 tables (`k_tables`), so both ends build it from what they hold.  Each
 end lays out a whole run at once, and a packet's call codes its cut.
 
-`decode` tries each symbol's guessed span, its table's likeliest symbol,
-before it searches the table.
+`decode` tries each symbol's likeliest span before it searches the
+symbol's table.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -60,11 +55,6 @@ def peaks(cum) -> np.ndarray:
     counts = np.diff(cum, axis=1)
     like = np.argmax(counts, axis=1)
     return np.stack([like, counts[np.arange(len(counts)), like]], axis=1)
-
-
-def likeliest(cum) -> np.ndarray:
-    """Each row's likeliest symbol: the first of its largest counts."""
-    return peaks(cum)[:, 0]
 
 
 def k_tables(counts) -> np.ndarray:
@@ -185,18 +175,15 @@ def block_steps(indices, rows, cum, row_peaks, channels: int) -> Steps:
 
 
 def encode(indices, rows, cum, steps: Steps | None = None) -> Bitstring:
-    """Encode symbol indices, symbol i under table `cum[rows[i]]`: one
-    by one, or as blocks by `steps`, the `block_steps` of these indices
-    and rows."""
+    """Encode symbol indices, symbol i under table `cum[rows[i]]`, by
+    `steps`, the `block_steps` of these indices and rows; by default
+    each symbol is a block of one channel."""
     if len(indices) != len(rows):
         raise ValueError("one table per symbol required")
-    if steps is not None:
-        return _encode(*steps.spans.tolist())
-    indices = np.asarray(indices, dtype=np.intp)
-    rows = np.asarray(rows, dtype=np.intp)
-    lows = cum[rows, indices]
-    return _encode(lows.tolist(), (cum[rows, indices + 1] - lows).tolist(),
-                   repeat(FREQ_TOTAL))
+    if steps is None:
+        cum = cum[np.asarray(rows, dtype=np.intp)]
+        steps = block_steps(indices, np.arange(len(cum)), cum, peaks(cum), 1)
+    return _encode(*steps.spans.tolist())
 
 
 def _encode(lows, freqs, totals) -> Bitstring:
@@ -240,79 +227,63 @@ def _encode(lows, freqs, totals) -> Bitstring:
     return Bitstring(bytes(out[1:]))
 
 
-def decode(bits: Bitstring, rows, cum, guess=None,
-           blocks: Blocks | None = None) -> list:
+def decode(bits: Bitstring, rows, cum, blocks: Blocks) -> np.ndarray:
     """Decode exactly len(rows) symbol indices, symbol i under table
-    `cum[rows[i]]`: one by one, or as `blocks` of these rows.
+    `cum[rows[i]]`, coded as `blocks`, the `blocks` of these rows: an
+    int64 array of the blocks' likeliest symbols with each decoded
+    surprise written in.
 
-    One by one, symbol i first tries `guess[rows[i]]`, by default its
-    row's `likeliest` symbol, and bisects its row only when the value
-    lies outside that symbol's span.  A span that holds the value is the
-    one the bisection finds, so any guesses give the same symbols, and
-    raise where the bisection alone raises.  Blocks try the likeliest
-    symbol, which is part of their code.  Every row must hold two or
-    more symbols of nonzero count.
+    A symbol whose likeliest span holds the decoder's value takes it;
+    the decoder bisects the symbol's row only on a miss.  Every row must
+    hold two or more symbols of nonzero count.
     """
-    width = cum.shape[1]
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-    if blocks is not None:
-        if len(blocks.like) != len(rows):
-            raise ValueError("the blocks are not those of the rows")
-        like, low, high = blocks.like, blocks.low, blocks.high
-        kcum = memoryview(np.ascontiguousarray(blocks.kcum).reshape(-1))
-        channels, count = blocks.channels, len(blocks.kcum)
-    else:
-        if guess is None:
-            used, rows_of = np.unique(rows, return_inverse=True)
-            like = likeliest(cum[used])[rows_of]
-        else:
-            like = np.asarray(guess, dtype=np.intp)[rows]
-        low, high = cum[rows, like], cum[rows, like + 1]
-        kcum, channels, count = None, len(rows), 1
+    if len(blocks.like) != len(rows):
+        raise ValueError("the blocks are not those of the rows")
     # Items of a memoryview index as Python ints, so the loop's
     # arithmetic stays in plain Python; only the symbols it codes are
     # read.
-    return _decode(bits.data, memoryview(cum.reshape(-1)), width,
-                   memoryview(rows), like.tolist(), memoryview(low),
-                   memoryview(high), count, channels, kcum)
+    at, surprises = _decode(
+        bits.data, memoryview(cum.reshape(-1)), cum.shape[1],
+        memoryview(rows), memoryview(blocks.low), memoryview(blocks.high),
+        memoryview(np.ascontiguousarray(blocks.kcum).reshape(-1)),
+        blocks.channels)
+    symbols = blocks.like.astype(np.int64)
+    symbols[at] = surprises
+    return symbols
 
 
-def _decode(data, flat, width, rows, symbols, lows, highs, count,
-            channels, kcum) -> list:
-    """Decode `count` runs of `channels` symbols from data: each is a
-    block whose k is read under `kcum` or, with no `kcum`, all coded.
+def _decode(data, flat, width, rows, lows, highs, kcum,
+            channels) -> tuple[list, list]:
+    """The surprises in data, as lists of their indices and symbols: a
+    block of `channels` symbols per row of `kcum`, k's tables flattened.
 
     Symbol j's table is row `rows[j]` of `flat`, the table array's
-    items; `symbols[j]` starts as its guess, spanning [lows[j],
-    highs[j]), and is overwritten when the value lies outside.
+    items, and its likeliest symbol spans [lows[j], highs[j]).
     """
     if len(data) < 4:
         raise CorruptStreamError("bitstring exhausted")
     code = int.from_bytes(data[:4], "big")
     rng = _MASK32
     rest = iter(data[4:])
+    at, surprises = [], []
     # Each step keeps code < rng: the value lies in its symbol's span.
     # So a shifted code stays below 2**32, and no state can overflow.
-    k = base = 0
+    base = 0
     try:
-        for kbase in range(0, count * (channels + 2), channels + 2):
-            if kcum is None:
-                coded = channels
-            else:
-                r = rng // FREQ_TOTAL
-                value = code // r
-                if value >= FREQ_TOTAL:
-                    raise CorruptStreamError("decoder state out of range")
-                index = bisect_right(kcum, value, kbase,
-                                     kbase + channels + 2) - 1
-                k, low = index - kbase, kcum[index]
-                code -= r * low
-                rng = r * (kcum[index + 1] - low)
-                while rng < _TOP:
-                    code = (code << 8) | next(rest)
-                    rng <<= 8
-                coded = k - 1
-            for j in range(base, base + coded):
+        for kbase in range(0, len(kcum), channels + 2):
+            r = rng // FREQ_TOTAL
+            value = code // r
+            if value >= FREQ_TOTAL:
+                raise CorruptStreamError("decoder state out of range")
+            index = bisect_right(kcum, value, kbase, kbase + channels + 2) - 1
+            k, low = index - kbase, kcum[index]
+            code -= r * low
+            rng = r * (kcum[index + 1] - low)
+            while rng < _TOP:
+                code = (code << 8) | next(rest)
+                rng <<= 8
+            for j in range(base, base + k - 1):
                 low, high = lows[j], highs[j]
                 r = rng // FREQ_TOTAL
                 value = code // r
@@ -322,7 +293,8 @@ def _decode(data, flat, width, rows, symbols, lows, highs, count,
                     start = rows[j] * width
                     index = bisect_right(flat, value, start,
                                          start + width) - 1
-                    symbols[j] = index - start
+                    at.append(j)
+                    surprises.append(index - start)
                     low, high = flat[index], flat[index + 1]
                 code -= r * low
                 rng = r * (high - low)
@@ -343,7 +315,8 @@ def _decode(data, flat, width, rows, symbols, lows, highs, count,
                 above = taken if value >= like_low else 0
                 index = bisect_right(flat, value + above, start,
                                      start + width) - 1
-                symbols[j] = index - start
+                at.append(j)
+                surprises.append(index - start)
                 low = flat[index]
                 code -= r * (low - above)
                 rng = r * (flat[index + 1] - low)
@@ -353,4 +326,4 @@ def _decode(data, flat, width, rows, symbols, lows, highs, count,
             base += channels
     except StopIteration:
         raise CorruptStreamError("bitstring exhausted") from None
-    return symbols
+    return at, surprises

@@ -465,11 +465,11 @@ class Receiver(Stream):
             try:
                 symbols = entropy_coder.decode(
                     self.packets[i].payload, rows[lo * channels:hi * channels],
-                    cum, blocks=blocks[lo:hi])
+                    cum, blocks[lo:hi])
             except entropy_coder.CorruptStreamError:
                 self.state[i - 1] = SLICE_CORRUPT
             else:
-                values = np.array(symbols, dtype=np.int64) - self.header.clamp
+                values = symbols - self.header.clamp
                 at = tuple(positions[lo:hi].T)
                 self.grid.values[at] = values.reshape(hi - lo, channels)
                 self.grid.known[at] = True

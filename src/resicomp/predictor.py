@@ -23,12 +23,12 @@ in one pass: `collect_context` gives each point its slice and the
 mode's context relation, and the window sums count a neighbor only if
 its slice is in the point's context, so each point's estimate is the
 one a grid masked to its own slice's context gives.  Concealment reads
-only the value head, which `predict` gives with `sigmas=False` from the
-window sums of known and value alone.  A receiver keeps those sums in a
-`RunningSums`: computed once at the positions masked at its first
-concealment, then brought up to date by adding the terms of each token
-decoded since, which equals a fresh `predict` because the sums are
-exact.  Both share one step from window sums to estimates.
+only the value head, which a receiver's `RunningSums` gives from the
+window sums of known and value alone: computed once at the positions
+masked at its first concealment, then brought up to date by adding the
+terms of each token decoded since, which equals a fresh `predict`
+because the sums are exact.  Both share one step from window sums to
+estimates.
 """
 
 from __future__ import annotations
@@ -442,8 +442,7 @@ def _estimates(positions, sums, prior: PriorModel,
     )
 
 
-def predict(grid, prior: PriorModel, positions=None,
-            sigmas: bool = True) -> PredictorOutput:
+def predict(grid, prior: PriorModel, positions=None) -> PredictorOutput:
     """Density head and concealment head at `positions` only.
 
     `grid` is a `TokenGrid`, whose known tokens every point reads, or a
@@ -453,10 +452,8 @@ def predict(grid, prior: PriorModel, positions=None,
     row-major order, the ones concealment fills.  The local estimate is
     the inverse-distance-weighted window estimate where any window
     neighbor is read and the prior elsewhere.  The value head is its
-    rounded mean, so both heads agree by construction.  With
-    `sigmas=False` the local spread is not computed and the output's
-    `sigmas` is None: enough for `conceal`, not for
-    `density.mixture_keys`.
+    rounded mean, so both heads agree by construction.  Concealment's
+    value head alone comes from a `RunningSums`.
     """
     context = None
     if isinstance(grid, Context):
@@ -473,9 +470,9 @@ def predict(grid, prior: PriorModel, positions=None,
     if np.any((rows < 0) | (rows >= grid.h) | (cols < 0) | (cols >= grid.w)):
         raise ValueError("positions must lie on the grid")
     window = prior.window
-    sums = _window_sums(_known_columns(grid, sigmas, window // 2), rows,
+    sums = _window_sums(_known_columns(grid, True, window // 2), rows,
                         cols, window, context)
-    return _estimates(positions, sums, prior, sigmas)
+    return _estimates(positions, sums, prior, sigmas=True)
 
 
 class RunningSums:
@@ -486,9 +483,9 @@ class RunningSums:
     first adds the terms of the tokens that became known since, one
     transposed product per tile of them, then gives the value head at
     the positions still masked.  The sums are exact integers, so that is
-    `predict(grid, prior, sigmas=False)` bit for bit, in whatever order
-    the tokens became known.  A known token must not change or become
-    masked again.
+    the value head of `predict(grid, prior)` bit for bit, in whatever
+    order the tokens became known.  A known token must not change or
+    become masked again.
     """
 
     def __init__(self, grid: TokenGrid, prior: PriorModel):

@@ -42,7 +42,10 @@ class PacketFormatError(Exception):
 
 @dataclass(frozen=True)
 class PacketHeader:
-    """What a packet says about its stream; equal headers, one stream."""
+    """What a packet says about its stream.  Equal headers (every field
+    but `slice_index`) mean the same config, prior and image size, not
+    the same image: two images coded with one config get equal headers
+    (ROADMAP item 10)."""
 
     image_id: int
     slice_index: int = field(compare=False)  # 0-based on the wire

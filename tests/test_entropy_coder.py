@@ -12,30 +12,15 @@ from hypothesis import strategies as st
 from resicomp.density import FREQ_TOTAL, FreqTable, quantize_probs
 from resicomp.entropy_coder import (Bitstring, CorruptStreamError,
                                     block_steps, blocks, decode, encode,
-                                    k_tables, likeliest, peaks)
+                                    k_tables, peaks)
 
 # The reference coder: the two stateful classes that `encode` and
-# `decode` replaced, kept verbatim but for their tables' type.  They
-# read tables through the `FreqTable` methods of that time, which
-# `_ReferenceTable` provides over one row of a table array.
+# `decode` replaced, but for their steps' type.  The encoder codes
+# (low, freq, total) steps, and the decoder decodes a symbol under a
+# cumulative row (a list) whose last entry is its total.
 
 _TOP = 1 << 24
 _MASK32 = (1 << 32) - 1
-
-
-class _ReferenceTable:
-    total = FREQ_TOTAL
-
-    def __init__(self, row):
-        self._cum = row.tolist()
-
-    def low_high(self, index):
-        cum = self._cum
-        return cum[index], cum[index + 1]
-
-    def find(self, value):
-        """Index of the symbol whose cumulative span contains value."""
-        return bisect_right(self._cum, value) - 1
 
 
 class RangeEncoder:
@@ -47,11 +32,10 @@ class RangeEncoder:
         self.started = False
         self.out = bytearray()
 
-    def encode(self, table: _ReferenceTable, index: int):
-        low_count, high_count = table.low_high(index)
-        r = self.range // table.total
+    def encode(self, low_count, freq, total):
+        r = self.range // total
         self.low += r * low_count
-        self.range = r * (high_count - low_count)
+        self.range = r * freq
         while self.range < _TOP:
             self._shift_low()
             self.range = (self.range << 8) & _MASK32
@@ -97,13 +81,14 @@ class RangeDecoder:
         self.pos += 1
         return b
 
-    def decode(self, table: _ReferenceTable) -> int:
-        r = self.range // table.total
+    def decode(self, cum) -> int:
+        total = cum[-1]
+        r = self.range // total
         value = self.code // r
-        if value >= table.total:
+        if value >= total:
             raise CorruptStreamError("decoder state out of range")
-        index = table.find(value)
-        low_count, high_count = table.low_high(index)
+        index = bisect_right(cum, value) - 1
+        low_count, high_count = cum[index], cum[index + 1]
         self.code -= r * low_count
         self.range = r * (high_count - low_count)
         while self.range < _TOP:
@@ -114,22 +99,81 @@ class RangeDecoder:
         return index
 
 
-def reference_encode(indices, tables) -> Bitstring:
-    """Encode symbol indices, one _ReferenceTable per symbol."""
-    indices = list(indices)
-    tables = list(tables)
-    if len(indices) != len(tables):
-        raise ValueError("one table per symbol required")
-    enc = RangeEncoder()
-    for idx, table in zip(indices, tables):
-        enc.encode(table, idx)
+# The reference block layout, in plain loops over lists: a block codes
+# its k under k's table, its symbols below k - 1 under their own tables,
+# then symbol k - 1 under its table with the likeliest symbol taken out.
+# k's tables come from `k_tables`, which has tests of its own below.
+
+def _first_largest(row):
+    """The first symbol of the largest count in cumulative row `row`."""
+    counts = [high - low for low, high in zip(row, row[1:])]
+    return counts.index(max(counts))
+
+
+def _taken_out(row, symbol):
+    """Cumulative row `row` with `symbol`'s count taken out."""
+    count = row[symbol + 1] - row[symbol]
+    return row[:symbol + 1] + [c - count for c in row[symbol + 1:]]
+
+
+def _k(block, like):
+    """1 + the index of the block's last symbol that is not its
+    likeliest, or 0."""
+    return max((j + 1 for j, (s, l) in enumerate(zip(block, like))
+                if s != l), default=0)
+
+
+def _reference_blocks(rows, cum, channels):
+    """(k's table, the channels' tables, their likeliest symbols) of
+    each block, all as lists."""
+    tables = [cum[row].tolist() for row in rows]
+    like = [_first_largest(table) for table in tables]
+    counts = [table[s + 1] - table[s] for table, s in zip(tables, like)]
+    kcum = k_tables(np.array(counts, dtype=np.int64).reshape(-1, channels))
+    for p, ktable in enumerate(kcum.tolist()):
+        at = slice(p * channels, (p + 1) * channels)
+        yield ktable, tables[at], like[at]
+
+
+def _step(cum, symbol):
+    return cum[symbol], cum[symbol + 1] - cum[symbol], cum[-1]
+
+
+def reference_steps(symbols, rows, cum, channels) -> list:
+    """The (low, freq, total) steps of `symbols` as blocks of `channels`
+    symbols, symbol i under row `rows[i]` of `cum`."""
+    steps = []
+    for p, (ktable, tables, like) in enumerate(
+            _reference_blocks(rows, cum, channels)):
+        block = symbols[p * channels:(p + 1) * channels]
+        k = _k(block, like)
+        steps.append(_step(ktable, k))
+        for j in range(k):
+            table = tables[j] if j < k - 1 else _taken_out(tables[j], like[j])
+            steps.append(_step(table, block[j]))
+    return steps
+
+
+def reference_encode(steps, enc=None) -> Bitstring:
+    """The range code of (low, freq, total) steps."""
+    enc = RangeEncoder() if enc is None else enc
+    for step in steps:
+        enc.encode(*step)
     return enc.finish()
 
 
-def reference_decode(bits: Bitstring, tables) -> list:
-    """Decode exactly len(tables) symbol indices."""
+def reference_decode(bits: Bitstring, rows, cum, channels) -> list:
+    """Decode exactly len(rows) symbols, as blocks of `channels`."""
     dec = RangeDecoder(bits)
-    return [dec.decode(table) for table in tables]
+    symbols = []
+    for ktable, tables, like in _reference_blocks(rows, cum, channels):
+        k = dec.decode(ktable)
+        block = list(like)
+        for j in range(k):
+            block[j] = dec.decode(tables[j] if j < k - 1
+                                  else _taken_out(tables[j], like[j]))
+        symbols += block
+    return symbols
 
 
 def _table(counts):
@@ -140,6 +184,12 @@ def _table(counts):
 def _under(table, n):
     """(rows, cum) that put n symbols under one table."""
     return [0] * n, table[None]
+
+
+def _decode_one_channel(bits, rows, cum):
+    """The symbols that the three-argument `encode` coded in bits: blocks
+    of one channel."""
+    return decode(bits, rows, cum, blocks(rows, cum, peaks(cum), 1)).tolist()
 
 
 # Every table of a stream below is padded to this width (the widest
@@ -167,16 +217,29 @@ def _random_table(rng, size):
     return _table(quantize_probs(probs))
 
 
+def _tied_table(rng, size):
+    """A table whose two largest counts are equal."""
+    counts = np.ones(size, dtype=np.int64)
+    first, second, third = rng.choice(size, 3, replace=False)
+    counts[[first, second]] = (FREQ_TOTAL - (size - 2)) // 2
+    counts[third] += FREQ_TOTAL - counts.sum()
+    return _table(counts)
+
+
 _KINDS = ("dirichlet", "sparse", "skewed")
 
 
 def _tables(specs):
     """Cumulative rows of the tables given as (alphabet size, kind,
-    seed).  A "sparse" table holds most symbols at the floor count of 1
-    and a "skewed" one all but size - 1 counts on one symbol."""
+    seed).  A "sparse" table holds most symbols at the floor count of 1,
+    a "skewed" one all but size - 1 counts on one symbol and a "tied"
+    one (size 3 or more) two equal largest counts."""
     tables = []
     for size, kind, table_seed in specs:
         rng = np.random.default_rng(table_seed)
+        if kind == "tied":
+            tables.append(_tied_table(rng, size))
+            continue
         if kind == "dirichlet":
             probs = rng.dirichlet(np.full(size, 0.3))
         elif kind == "sparse":
@@ -211,41 +274,72 @@ def _stream(specs, n, seed):
     return symbols.tolist(), which.tolist(), _stack(tables)
 
 
-_SPECS = st.lists(st.tuples(st.integers(2, 300), st.sampled_from(_KINDS),
-                            st.integers(0, 2**32 - 1)),
-                  min_size=1, max_size=4)
+def _block_stream(specs, channels, n, seed):
+    """(symbols, rows, cum) of n blocks of `channels` symbols, drawn as
+    `_stream` draws them.  Then each block is cut to end at its k: 0,
+    `channels` or any k between, about a third each.  Its symbols from k
+    on become their likeliest, and its last surprise, where it is not
+    one, becomes a symbol beside the likeliest or at either end of the
+    alphabet, as it always does at k = C."""
+    symbols, rows, cum = _stream(specs, n * channels, seed)
+    like = [_first_largest(row) for row in cum.tolist()]
+    sizes = [size for size, _, _ in specs]
+    rng = np.random.default_rng([seed, 1])
+    for p, end in enumerate(rng.integers(3, size=n).tolist()):
+        block = range(p * channels, (p + 1) * channels)
+        k = (0, channels, int(rng.integers(1, channels + 1)))[end]
+        for i in block[k:]:
+            symbols[i] = like[rows[i]]
+        if k:
+            last, row = block[k - 1], rows[block[k - 1]]
+            if end == 1 or symbols[last] == like[row]:
+                symbols[last] = int(rng.choice(
+                    [s for s in (0, sizes[row] - 1, like[row] - 1,
+                                 like[row] + 1)
+                     if 0 <= s < sizes[row] and s != like[row]]))
+    return symbols, rows, cum
+
+
+_BLOCK_SPECS = st.lists(st.tuples(st.integers(3, 300),
+                                  st.sampled_from(_KINDS + ("tied",)),
+                                  st.integers(0, 2**32 - 1)),
+                        min_size=1, max_size=4)
 
 
 @st.composite
-def _streams(draw, max_symbols=2000):
-    """Streams of 0..max_symbols symbols under one to four tables over
-    2..300 symbols."""
-    return _stream(draw(_SPECS), draw(st.integers(0, max_symbols)),
-                   draw(st.integers(0, 2**32 - 1)))
-
-
-def _reference_tables(rows, cum):
-    return [_ReferenceTable(cum[row]) for row in rows]
+def _block_streams(draw, channels=(1, 2, 16), max_symbols=2000):
+    """(symbols, rows, cum, channels): `_block_stream`s of blocks of one
+    of `channels`, up to max_symbols symbols, under one to four tables
+    over 3..300 symbols."""
+    c = draw(st.sampled_from(channels))
+    return (*_block_stream(draw(_BLOCK_SPECS), c,
+                           draw(st.integers(0, max_symbols // c)),
+                           draw(st.integers(0, 2**32 - 1))), c)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_streams())
+@given(_block_streams())
 def test_encode_matches_the_reference(stream):
-    symbols, rows, cum = stream
-    expected = reference_encode(symbols, _reference_tables(rows, cum))
-    assert encode(symbols, rows, cum).data == expected.data
+    symbols, rows, cum, c = stream
+    expected = reference_encode(reference_steps(symbols, rows, cum, c))
+    steps = block_steps(symbols, rows, cum, peaks(cum), c)
+    assert encode(symbols, rows, cum, steps).data == expected.data
+    if c == 1:
+        # The three-argument call codes blocks of one channel.
+        assert encode(symbols, rows, cum).data == expected.data
 
 
-def _reference_outcome(bits, rows, cum):
+def _reference_outcome(bits, rows, cum, c):
     try:
-        return reference_decode(bits, _reference_tables(rows, cum))
+        return reference_decode(bits, rows, cum, c)
     except CorruptStreamError:
         return CorruptStreamError
 
 
-def _outcome(bits, rows, cum):
+def _outcome(bits, rows, cum, c):
     try:
-        return decode(bits, rows, cum)
+        return decode(bits, rows, cum,
+                      blocks(rows, cum, peaks(cum), c)).tolist()
     except CorruptStreamError:
         return CorruptStreamError
 
@@ -270,68 +364,49 @@ def _damaged(payload, damage, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_streams(max_symbols=300), st.sampled_from(_DAMAGES), st.data())
+@given(_block_streams(max_symbols=300), st.sampled_from(_DAMAGES), st.data())
 def test_decode_matches_the_reference_on_any_payload(stream, damage, data):
-    symbols, rows, cum = stream
+    symbols, rows, cum, c = stream
     bits = _damaged(reference_encode(
-        symbols, _reference_tables(rows, cum)).data, damage, data)
+        reference_steps(symbols, rows, cum, c)).data, damage, data)
     if damage == "short" and data.draw(st.booleans()):
         rows = []
-    assert _outcome(bits, rows, cum) == _reference_outcome(bits, rows, cum)
+    got = _outcome(bits, rows, cum, c)
+    assert got == _reference_outcome(bits, rows, cum, c)
     if damage == "none":
-        assert _outcome(bits, rows, cum) == symbols
+        assert got == symbols
 
 
 @settings(max_examples=150, deadline=None)
-@given(_streams(max_symbols=300), _SPECS, st.integers(0, 2**32 - 1),
-       st.sampled_from(_DAMAGES), st.data())
+@given(_block_streams(max_symbols=300), _BLOCK_SPECS,
+       st.integers(0, 2**32 - 1), st.sampled_from(_DAMAGES), st.data())
 def test_rows_among_other_rows_code_as_the_reference(stream, other_specs,
                                                      seed, damage, data):
     # The stream's tables sit at scattered rows of one array, next to
     # other tables; the coder must read each symbol's row and no other.
-    symbols, rows, cum = stream
+    symbols, rows, cum, c = stream
     others = _stack(_tables(other_specs))
     place = np.random.default_rng(seed).permutation(len(cum) + len(others))
     mixed = np.empty((len(place), _WIDTH), dtype=np.int32)
     mixed[place] = np.concatenate([cum, others])
     moved = place[rows].tolist()
-    bits = reference_encode(symbols, _reference_tables(rows, cum))
-    assert encode(symbols, moved, mixed).data == bits.data
+    bits = reference_encode(reference_steps(symbols, rows, cum, c))
+    steps = block_steps(symbols, moved, mixed, peaks(mixed), c)
+    assert encode(symbols, moved, mixed, steps).data == bits.data
     bits = _damaged(bits.data, damage, data)
-    assert _outcome(bits, moved, mixed) == _reference_outcome(bits, rows, cum)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_streams(max_symbols=300), st.sampled_from(_DAMAGES),
-       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.data())
-def test_any_guess_decodes_as_the_reference(stream, damage, share, seed,
-                                            data):
-    # Each row guesses its likeliest symbol, or with probability `share`
-    # any symbol of the width, often one of count 0 past the alphabet;
-    # only the work on a miss may differ.
-    symbols, rows, cum = stream
-    bits = _damaged(reference_encode(
-        symbols, _reference_tables(rows, cum)).data, damage, data)
-    rng = np.random.default_rng(seed)
-    guess = np.where(rng.random(len(cum)) < share,
-                     rng.integers(_WIDTH - 1, size=len(cum)), likeliest(cum))
-    try:
-        got = decode(bits, rows, cum, guess)
-    except CorruptStreamError:
-        got = CorruptStreamError
-    assert got == _reference_outcome(bits, rows, cum)
-    assert got == _outcome(bits, rows, cum)
+    assert (_outcome(bits, moved, mixed, c)
+            == _reference_outcome(bits, rows, cum, c))
 
 
 def test_likeliest_is_the_first_largest_count():
     cum = _stack([_table([1, 30000, 30000, 5535]),
                   _table([FREQ_TOTAL - 1, 1]), _table([1, 1, FREQ_TOTAL - 2])])
-    assert likeliest(cum).tolist() == [1, 0, 2]
+    assert peaks(cum)[:, 0].tolist() == [1, 0, 2]
 
 
 def test_stream_strategy_reaches_carries_into_pending_bytes():
     # A carry into 0xFF bytes held back is the coder's hardest path;
-    # the streams above must reach it.
+    # the block streams above must reach it, and blocks of every end.
     events = set()
 
     class Observed(RangeEncoder):
@@ -346,20 +421,26 @@ def test_stream_strategy_reaches_carries_into_pending_bytes():
 
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        specs = [(int(rng.integers(2, 301)), kind, seed) for kind in _KINDS]
-        symbols, rows, cum = _stream(specs, 2000, seed)
-        enc = Observed()
-        for idx, table in zip(symbols, _reference_tables(rows, cum)):
-            enc.encode(table, idx)
-        enc.finish()
-    assert events == {"carry", "pending", "carry into pending"}
+        specs = [(int(rng.integers(3, 301)), kind, seed)
+                 for kind in _KINDS + ("tied",)]
+        c = (1, 2, 16)[seed % 3]
+        symbols, rows, cum = _block_stream(specs, c, 2000 // c, seed)
+        reference_encode(reference_steps(symbols, rows, cum, c), Observed())
+        like = [_first_largest(row) for row in cum.tolist()]
+        for p in range(len(rows) // c):
+            at = slice(p * c, (p + 1) * c)
+            k = _k(symbols[at], [like[row] for row in rows[at]])
+            events.add("k = 0" if k == 0 else "k = C" if k == c
+                       else "0 < k < C")
+    assert events == {"carry", "pending", "carry into pending", "k = 0",
+                      "0 < k < C", "k = C"}
 
 
 def test_empty_payload_is_small():
     rows, cum = _under(_uniform_table(), 0)
     bits = encode([], rows, cum)
     assert bits.bit_length <= 64
-    assert decode(bits, rows, cum) == []
+    assert _decode_one_channel(bits, rows, cum) == []
 
 
 def test_uniform_256_codes_at_eight_bits(rng):
@@ -367,7 +448,7 @@ def test_uniform_256_codes_at_eight_bits(rng):
     symbols = rng.integers(0, 256, size=1000).tolist()
     bits = encode(symbols, rows, cum)
     assert 8000 <= bits.bit_length <= 8000 + 64 + 8
-    assert decode(bits, rows, cum) == symbols
+    assert _decode_one_channel(bits, rows, cum) == symbols
 
 
 def test_roundtrip_random_tables(rng):
@@ -378,7 +459,7 @@ def test_roundtrip_random_tables(rng):
         rows = [i % len(cum) for i in range(n)]
         symbols = [int(rng.integers(0, size)) for _ in range(n)]
         bits = encode(symbols, rows, cum)
-        assert decode(bits, rows, cum) == symbols
+        assert _decode_one_channel(bits, rows, cum) == symbols
 
 
 @settings(max_examples=100, deadline=None)
@@ -398,7 +479,7 @@ def test_roundtrip_property(data):
     )
     rows, cum = _under(table, len(symbols))
     bits = encode(symbols, rows, cum)
-    assert decode(bits, rows, cum) == symbols
+    assert _decode_one_channel(bits, rows, cum) == symbols
 
 
 def test_efficiency_bound(rng):
@@ -427,7 +508,7 @@ def test_truncated_stream_raises(rng):
     bits = encode(symbols, rows, cum)
     truncated = Bitstring(bits.data[: len(bits.data) // 2])
     with pytest.raises(CorruptStreamError):
-        decode(truncated, rows, cum)
+        _decode_one_channel(truncated, rows, cum)
 
 
 def test_swapped_table_never_crashes(rng):
@@ -438,7 +519,7 @@ def test_swapped_table_never_crashes(rng):
     symbols = rng.integers(1, 256, size=100).tolist()
     bits = encode(symbols, *_under(uniform, 100))
     try:
-        wrong = decode(bits, *_under(skewed, 100))
+        wrong = _decode_one_channel(bits, *_under(skewed, 100))
         assert wrong != symbols
     except CorruptStreamError:
         pass
@@ -449,93 +530,29 @@ def test_mismatched_lengths_rejected():
         encode([1, 2], *_under(_uniform_table(), 1))
 
 
-def test_symbol_by_symbol_bytes_are_pinned():
-    # The three-argument path codes as it did before the block layout.
+def test_one_channel_block_bytes_are_pinned():
+    # The three-argument call codes each symbol as a block of one
+    # channel.
     symbols, rows, cum = _stream([(255, "dirichlet", 1), (40, "sparse", 2),
                                   (3, "skewed", 3)], 3000, 7)
     bits = encode(symbols, rows, cum)
     assert hashlib.sha256(bits.data).hexdigest() == (
-        "14b2e364e02488cca9214d763ccfd20ad55380befe794bb4194de3197da5db2b")
+        "e41e174636646e6f12403953726677c710fcb01373e41f86a2feb0f5026a84f8")
 
 
 # Block code: one position's channels are a block, coded up to its last
 # symbol that is not its row's likeliest.
 
-def _tied_table(rng, size):
-    """A table whose two largest counts are equal."""
-    counts = np.ones(size, dtype=np.int64)
-    first, second, third = rng.choice(size, 3, replace=False)
-    counts[[first, second]] = (FREQ_TOTAL - (size - 2)) // 2
-    counts[third] += FREQ_TOTAL - counts.sum()
-    return _table(counts)
-
-
-def _block_tables(specs):
-    """(cum, sizes): the tables of `specs` as (alphabet size, kind, seed),
-    kind one of _KINDS or "tied", stacked as `_stack` does."""
-    tables = [_tied_table(np.random.default_rng(seed), size)
-              if kind == "tied" else _tables([(size, kind, seed)])[0]
-              for size, kind, seed in specs]
-    return _stack(tables), [len(t) - 1 for t in tables]
-
-
-_BLOCK_SPECS = st.lists(st.tuples(st.integers(3, 300),
-                                  st.sampled_from(_KINDS + ("tied",)),
-                                  st.integers(0, 2**32 - 1)),
-                        min_size=1, max_size=4)
-# How a block ends: no surprise (k = 0), at the last channel (k = C), or
-# anywhere; and what its last surprise is.
-_ENDS = ("none", "last", "any")
-_SURPRISES = ("zero", "top", "below", "above", "any")
-
-
-@st.composite
-def _block_runs(draw, channels=(1, 2, 16, 64, 255), max_positions=6):
-    """(symbols, rows, cum, channels) of a run of blocks, each ending as
-    one of _ENDS draws, with the last surprise as _SURPRISES draws."""
-    cum, sizes = _block_tables(draw(_BLOCK_SPECS))
-    like = likeliest(cum).tolist()
-    c = draw(st.sampled_from(channels))
-    n = draw(st.integers(0, max_positions))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = rng.integers(len(sizes), size=n * c).tolist()
-    symbols = []
-    for p in range(n):
-        block = rows[p * c:(p + 1) * c]
-        end = draw(st.sampled_from(_ENDS))
-        k = (0 if end == "none" else c if end == "last"
-             else int(rng.integers(1, c + 1)))
-        for j, row in enumerate(block):
-            if j < k - 1:
-                # Often the likeliest symbol, so a block codes it too.
-                symbols.append(like[row] if rng.random() < 0.5
-                               else int(rng.integers(sizes[row])))
-            elif j == k - 1:
-                want = draw(st.sampled_from(_SURPRISES))
-                top = sizes[row] - 1
-                pick = {"zero": 0, "top": top, "below": like[row] - 1,
-                        "above": like[row] + 1}.get(want)
-                if pick is None or not 0 <= pick <= top or pick == like[row]:
-                    pick = int(rng.choice([s for s in (0, top,
-                                                       like[row] - 1,
-                                                       like[row] + 1)
-                                           if 0 <= s <= top
-                                           and s != like[row]]))
-                symbols.append(pick)
-            else:
-                symbols.append(like[row])
-    return symbols, rows, cum, c
-
-
 @settings(max_examples=200, deadline=None)
-@given(_block_runs(), st.data())
+@given(_block_streams(channels=(1, 2, 16, 64, 255), max_symbols=1530),
+       st.data())
 def test_blocks_round_trip(run, data):
     symbols, rows, cum, c = run
     row_peaks = peaks(cum)
     sent = block_steps(symbols, rows, cum, row_peaks, c)
     received = blocks(rows, cum, row_peaks, c)
     bits = encode(symbols, rows, cum, sent)
-    assert decode(bits, rows, cum, blocks=received) == symbols
+    assert decode(bits, rows, cum, received).tolist() == symbols
     # A run cut into two packets codes each cut alone.
     n = len(rows) // c
     cut = data.draw(st.integers(0, n))
@@ -543,14 +560,14 @@ def test_blocks_round_trip(run, data):
         part = slice(lo * c, hi * c)
         bits = encode(symbols[part], rows[part], cum, sent[lo:hi])
         assert decode(bits, rows[part], cum,
-                      blocks=received[lo:hi]) == symbols[part]
+                      received[lo:hi]).tolist() == symbols[part]
 
 
 def test_blocks_code_only_up_to_the_last_surprise():
     # A block of likeliest symbols costs k = 0 alone, far less than its
-    # symbols one by one; its surprises cost what they did.
-    cum, _ = _block_tables([(255, "dirichlet", 5)])
-    like = int(likeliest(cum)[0])
+    # symbols as blocks of one channel; its surprises cost what they did.
+    cum = _stack(_tables([(255, "dirichlet", 5)]))
+    like = int(peaks(cum)[0, 0])
     rows = [0] * 64 * 50
     quiet = [like] * len(rows)
     row_peaks = peaks(cum)
@@ -561,15 +578,15 @@ def test_blocks_code_only_up_to_the_last_surprise():
     loud[63::64] = [(like + 1) % 255] * 50
     bits = encode(loud, rows, cum, block_steps(loud, rows, cum, row_peaks, 64))
     assert decode(bits, rows, cum,
-                  blocks=blocks(rows, cum, row_peaks, 64)) == loud
+                  blocks(rows, cum, row_peaks, 64)).tolist() == loud
 
 
 _BLOCK_DAMAGES = ["none", "truncate", "flip", "junk", "short", "append"]
 
 
 @settings(max_examples=300, deadline=None)
-@given(_block_runs(channels=(1, 2, 16, 64)), st.sampled_from(_BLOCK_DAMAGES),
-       st.data())
+@given(_block_streams(channels=(1, 2, 16, 64), max_symbols=384),
+       st.sampled_from(_BLOCK_DAMAGES), st.data())
 def test_no_block_payload_crashes_the_decoder(run, damage, data):
     symbols, rows, cum, c = run
     row_peaks = peaks(cum)
@@ -581,13 +598,13 @@ def test_no_block_payload_crashes_the_decoder(run, damage, data):
     else:
         bits = _damaged(payload, damage, data)
     try:
-        got = decode(bits, rows, cum, blocks=blocks(rows, cum, row_peaks, c))
+        got = decode(bits, rows, cum, blocks(rows, cum, row_peaks, c))
     except CorruptStreamError:
         return
-    assert len(got) == len(rows)
-    assert all(type(s) is int and 0 <= s < _WIDTH - 1 for s in got)
+    assert got.dtype == np.int64 and got.shape == (len(rows),)
+    assert ((0 <= got) & (got < _WIDTH - 1)).all()
     if damage in ("none", "append"):
-        assert got == symbols
+        assert got.tolist() == symbols
 
 
 def test_a_value_outside_the_conditioned_total_is_corrupt():
@@ -604,7 +621,7 @@ def test_a_value_outside_the_conditioned_total_is_corrupt():
     code = r * kcum[1] + left - 1
     bits = Bitstring(code.to_bytes(4, "big") + b"\xff")
     with pytest.raises(CorruptStreamError, match="out of range"):
-        decode(bits, [0], cum, blocks=blocks([0], cum, peaks(cum), 1))
+        decode(bits, [0], cum, blocks([0], cum, peaks(cum), 1))
 
 
 def _k_tables_are_valid(kcum, channels):

@@ -279,32 +279,9 @@ def test_predict_is_local():
     assert not np.array_equal(base.means, moved.means)
 
 
-@settings(max_examples=80, deadline=None)
-@given(h=st.integers(1, 12), w=st.integers(1, 12), channels=st.integers(1, 5),
-       window=st.sampled_from([1, 3, 5, 11]), known_share=st.floats(0.0, 1.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_value_only_concealment_equals_the_full_prediction(
-        h, w, channels, window, known_share, seed):
-    rng = np.random.default_rng(seed)
-    grid = _grid(rng.integers(-127, 128, size=(h, w, channels)),
-                 rng.random((h, w)) < known_share)
-    prior = PriorModel(means=rng.normal(0.0, 20.0, channels),
-                       stds=rng.uniform(SIGMA_FLOOR, 30.0, channels),
-                       window=window)
-    full = predict(grid, prior)
-    values_only = predict(grid, prior, sigmas=False)
-    assert values_only.sigmas is None
-    for name in ("positions", "means", "values", "has_neighbors"):
-        got, want = getattr(values_only, name), getattr(full, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    got, want = conceal(grid, values_only), conceal(grid, full)
-    assert got.values.tobytes() == want.values.tobytes()
-    assert np.array_equal(got.known, want.known)
-
-
 def test_value_only_output_has_no_table_keys():
     grid = _grid(np.zeros((2, 2, 3)), [[True, False], [False, False]])
-    output = predict(grid, default_prior(3), sigmas=False)
+    output = RunningSums(grid, default_prior(3)).predict(grid)
     with pytest.raises(ValueError, match="no sigmas"):
         mixture_keys(output)
 
@@ -444,7 +421,7 @@ def test_running_sums_equal_a_fresh_prediction(h, w, channels, window, seed,
         for lo, hi in zip(cuts[1:], cuts[2:]):
             grid.known.reshape(-1)[order[lo:hi]] = True
             got = sums.predict(grid)
-            want = predict(grid, prior, sigmas=False)
+            want = predict(grid, prior)
             for name in ("positions", "means", "values", "has_neighbors"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -195,8 +195,7 @@ def test_running_concealment_equals_a_fresh_prediction(kind, l, data, bound):
             continue
         fresh = Receiver(packets[0].header)
         fresh.add(*(p for p in listed[:k] if p is not None))
-        want = conceal(fresh.grid, predict(fresh.grid, fresh.prior,
-                                           sigmas=False))
+        want = conceal(fresh.grid, predict(fresh.grid, fresh.prior))
         assert step.grid.values.tobytes() == want.values.tobytes()
         assert step.grid.known.all()
 
