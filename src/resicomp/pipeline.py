@@ -27,7 +27,9 @@ corrupt, or rejected; the concealed grid and the image are made again
 only once another slice has decoded.  The session keeps its
 concealment sums (`predictor.RunningSums`): its first concealment
 computes the window sums at the masked positions once, and each later
-one adds only the terms of the tokens decoded since.
+one adds only the terms of the tokens decoded since.  It keeps its
+last concealed grid and image too, and synthesizes again only the
+blocks whose concealed tokens changed (`synthesize`'s `since`).
 `receive` hands a session every packet its flags keep;
 `progressive_receive` keeps one session across every prefix of a
 packet list, in list order.  The context model runs only at the
@@ -481,9 +483,12 @@ class Receiver(Stream):
 
         The concealed grid and the image depend on the decoded slices
         alone, so they are computed again only once another slice has
-        decoded; until then each result shares the last one's arrays.
-        The session's first concealment makes its concealment sums, and
-        each later one adds the terms of the tokens decoded since.
+        decoded.  The session's first concealment makes its concealment
+        sums, and each later one adds the terms of the tokens decoded
+        since; the image is synthesized again only at the positions
+        whose concealed tokens changed since the last one.  Each result
+        holds its own copies of the grid and image, so a caller who
+        writes into them changes nothing the session reads.
         """
         # Predictions at one context depth count as one pass of the
         # iterative schedule; slices predicted from no context at all
@@ -507,13 +512,14 @@ class Receiver(Stream):
                     self._sums = RunningSums(self.grid, self.prior)
                 full = conceal(self.grid, self._sums.predict(self.grid))
             h = self.header
+            since = None if self._last is None else self._last[1:]
             self._last = (decoded, full, synthesize(
-                full, self.codec, h.height, h.width, h.planes))
+                full, self.codec, h.height, h.width, h.planes, since=since))
         _, full, image = self._last
         return ReceiveResult(
-            image=image,
+            image=image.copy(),
             outcome=outcome,
-            grid=full,
+            grid=full.copy(),
             decoded_slices=decoded,
             predictor_passes=passes,
             slice_status=[

@@ -6,11 +6,19 @@ per-coefficient step, rounded, and clamped to a fixed signed alphabet.
 This stands in for a learned transform pair: the 16x downsampling and
 the spatial correlation of neighboring tokens are what the rest of the
 toolkit relies on, not the transform's compression quality.
+
+Synthesis is one product per call: each token channel's dequantized
+basis block is a row of a matrix built on first use per codec and
+plane count, so a position's C tokens times that matrix are its
+block's pixels.  A caller who keeps an earlier grid and its image (a
+progressive receiver) passes them as `since`, and only the blocks whose
+tokens changed are computed again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,14 +149,6 @@ def _block_coefficients(pixels: np.ndarray) -> np.ndarray:
     return coeffs.reshape(coeffs.shape[0], coeffs.shape[1], BLOCK * BLOCK)
 
 
-def _blocks_from_coefficients(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse transform: (h, w, 256) -> (h*16, w*16) plane."""
-    h, w = coeffs.shape[:2]
-    blocks = coeffs.reshape(h, w, BLOCK, BLOCK)
-    pixels = _DCT.T @ blocks @ _DCT
-    return pixels.transpose(0, 2, 1, 3).reshape(h * BLOCK, w * BLOCK)
-
-
 def analyze(pixels: np.ndarray, cfg: CodecConfig) -> TokenGrid:
     """Image (H, W) or (H, W, planes) uint8 -> fully known TokenGrid."""
     pixels = np.asarray(pixels)
@@ -177,25 +177,51 @@ def analyze(pixels: np.ndarray, cfg: CodecConfig) -> TokenGrid:
     )
 
 
-def dequantize(grid: TokenGrid, cfg: CodecConfig, planes: int) -> np.ndarray:
-    """Token values back to real coefficients, shape (h, w, C)."""
-    return grid.values.astype(np.float64) * channel_steps(cfg, planes)
+@lru_cache(maxsize=16)
+def _synthesis_basis(cfg: CodecConfig, planes: int) -> np.ndarray:
+    """(C, 256 * planes) read-only: row c is token channel c's image block.
+
+    A channel's block is its zigzag coefficient's cosine basis block,
+    scaled by its quantizer step and laid out (row, column, plane), so a
+    position's C token values times this matrix are its block's pixels.
+    A header picks the codec, so the process keeps the last 16 only.
+    """
+    steps = channel_steps(cfg, planes)
+    basis = np.zeros((cfg.channels, BLOCK, BLOCK, planes))
+    c = 0
+    for p, count in enumerate(plane_channel_counts(cfg.channels, planes)):
+        for z in _ZIGZAG[:count]:
+            u, v = divmod(z, BLOCK)
+            basis[c, :, :, p] = np.outer(_DCT[u], _DCT[v]) * steps[c]
+            c += 1
+    basis = basis.reshape(cfg.channels, -1)
+    basis.flags.writeable = False
+    return basis
 
 
 def synthesize(grid: TokenGrid, cfg: CodecConfig, out_height: int,
-               out_width: int, planes: int = 1) -> np.ndarray:
-    """Inverse transform to an image, cropped to the requested size."""
+               out_width: int, planes: int = 1, since=None) -> np.ndarray:
+    """Inverse transform to an image, cropped to the requested size.
+
+    `since` is an earlier call's (grid, image) for the same codec and
+    output size: only the positions whose tokens differ from that grid
+    are synthesized, and every other pixel is copied from that image.
+    The result is a new array either way.
+    """
     if not grid.known.all():
         raise MaskedGridError("grid has masked positions; conceal first")
-    counts = plane_channel_counts(cfg.channels, planes)
-    coeffs_flat = dequantize(grid, cfg, planes)
-    out = np.empty((grid.h * BLOCK, grid.w * BLOCK, planes))
-    offset = 0
-    for p in range(planes):
-        full = np.zeros((grid.h, grid.w, BLOCK * BLOCK))
-        full[:, :, _ZIGZAG[: counts[p]]] = coeffs_flat[:, :, offset:offset + counts[p]]
-        out[:, :, p] = _blocks_from_coefficients(full)
-        offset += counts[p]
-    out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    out = out[:out_height, :out_width]
+    blocks = np.empty((grid.h, BLOCK, grid.w, BLOCK, planes), np.uint8)
+    out = blocks.reshape(grid.h * BLOCK, grid.w * BLOCK, planes)[
+        :out_height, :out_width]
+    if since is None:
+        changed = np.ones((grid.h, grid.w), bool)
+    else:
+        old, image = since
+        changed = (grid.values != old.values).any(axis=2)
+        out[...] = image.reshape(out.shape)
+    pixels = grid.values[changed] @ _synthesis_basis(cfg, planes)
+    np.rint(pixels, out=pixels)
+    np.clip(pixels, 0, 255, out=pixels)
+    blocks.transpose(0, 2, 1, 3, 4)[changed] = pixels.reshape(
+        -1, BLOCK, BLOCK, planes)
     return out[:, :, 0] if planes == 1 else out

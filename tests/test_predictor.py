@@ -461,12 +461,13 @@ print(h.hexdigest())
 """
 
 
-def _predict_digest(**env):
+def _child_digest(script, **env):
+    """Run `script` in a child process with `env` added; its result."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH",
                                                               "")])}
-    return subprocess.run([sys.executable, "-c", _PREDICT_DIGEST], env=env,
+    return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
 
 
@@ -482,8 +483,8 @@ def _dynamic_arch_openblas():
                     reason="numpy's BLAS is not an OpenBLAS that picks its "
                            "kernel at run time")
 def test_predictions_do_not_depend_on_the_blas_kernel():
-    plain = _predict_digest()
+    plain = _child_digest(_PREDICT_DIGEST)
     assert plain.returncode == 0, plain.stderr
-    old = _predict_digest(OPENBLAS_CORETYPE="Prescott")
+    old = _child_digest(_PREDICT_DIGEST, OPENBLAS_CORETYPE="Prescott")
     assert old.returncode == 0, old.stderr
     assert old.stdout == plain.stdout

@@ -200,6 +200,39 @@ def test_running_concealment_equals_a_fresh_prediction(kind, l, data, bound):
         assert step.grid.known.all()
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from([("LC", {}), ("ISC", {}), ("MDC", {"n_d": 2})]),
+       l=st.integers(2, 8), planes=st.sampled_from([1, 3]),
+       height=st.integers(33, 63), width=st.integers(33, 63),
+       data=st.data())
+def test_each_step_synthesizes_as_a_fresh_synthesis(kind, l, planes, height,
+                                                    width, data):
+    # A session redraws only the blocks whose tokens changed since its
+    # last result; every step's image must still be the one a fresh
+    # synthesis of its grid gives, also on blocks the crop cuts.
+    cfg = _cfg(CodecConfig(channels=16), kind[0], l, kind[1])
+    image = synthetic_image(data.draw(st.integers(0, 99)), height, width,
+                            planes)
+    packets, _, _, _ = send(image, cfg)
+    listed = data.draw(st.lists(st.none() | st.sampled_from(packets),
+                                min_size=1, max_size=2 * l))
+    if all(p is None for p in listed):
+        listed[0] = packets[0]
+    steps = progressive_receive(listed, cfg, height, width, planes)
+    for step in steps:
+        want = synthesize(step.grid, cfg.codec, height, width, planes)
+        assert step.image.tobytes() == want.tobytes()
+    # A caller who writes into a result's arrays changes no later result.
+    session = Receiver(packets[0].header)
+    for packet, step in zip(listed, steps):
+        if packet is not None:
+            session.add(packet)
+        result = session.result()
+        _assert_same(_as_tuple(result), _as_tuple(step))
+        result.image[...] = 7
+        result.grid.values[...] = 7
+
+
 def _damage(packet, rng):
     """The packet with garbage, a cut or a flipped bit for its payload."""
     data = bytearray(packet.payload.data)

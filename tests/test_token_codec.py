@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resicomp.image_io import psnr_db
-from resicomp.token_codec import (_DCT, BLOCK, CodecConfig, MaskedGridError,
-                                  TokenGrid, _block_coefficients,
-                                  _blocks_from_coefficients, analyze,
-                                  channel_steps, dequantize, pad_image,
-                                  plane_channel_counts, synthesize)
+from resicomp.token_codec import (_DCT, _ZIGZAG, BLOCK, CodecConfig,
+                                  MaskedGridError, TokenGrid,
+                                  _block_coefficients, analyze, channel_steps,
+                                  pad_image, plane_channel_counts, synthesize)
+
+from test_predictor import _child_digest, _dynamic_arch_openblas
 
 
 def test_constant_image_is_dc_only():
@@ -72,9 +73,8 @@ def test_quantizer_bound_in_coefficient_domain(smooth_image):
     assert grid.clamp_count == 0
     steps = channel_steps(cfg, 1)
     padded = pad_image(smooth_image).astype(np.float64)
-    from resicomp.token_codec import _ZIGZAG, _block_coefficients
     coeffs = _block_coefficients(padded)[:, :, _ZIGZAG[: cfg.channels]]
-    err = np.abs(coeffs - dequantize(grid, cfg, 1))
+    err = np.abs(coeffs - grid.values * steps)
     assert np.all(err <= steps / 2 + 1e-9)
 
 
@@ -159,23 +159,77 @@ def _einsum_coefficients(pixels):
     return coeffs.reshape(coeffs.shape[0], coeffs.shape[1], BLOCK * BLOCK)
 
 
-def _einsum_pixels(coeffs):
-    """Inverse transform as one einsum over all blocks."""
-    h, w = coeffs.shape[:2]
-    blocks = coeffs.reshape(h, w, BLOCK, BLOCK)
-    pixels = np.einsum("ji,hwjk,kl->hwil", _DCT, blocks, _DCT, optimize=True)
-    return pixels.transpose(0, 2, 1, 3).reshape(h * BLOCK, w * BLOCK)
+def _einsum_image(grid, cfg, planes):
+    """Synthesis as the einsum reference: dequantize, zero-fill each
+    plane's dropped coefficients, inverse transform, round and clip."""
+    coeffs = grid.values * channel_steps(cfg, planes)
+    out = np.empty((grid.h * BLOCK, grid.w * BLOCK, planes))
+    offset = 0
+    for p, count in enumerate(plane_channel_counts(cfg.channels, planes)):
+        full = np.zeros((grid.h, grid.w, BLOCK * BLOCK))
+        full[:, :, _ZIGZAG[:count]] = coeffs[:, :, offset:offset + count]
+        blocks = full.reshape(grid.h, grid.w, BLOCK, BLOCK)
+        pixels = np.einsum("ji,hwjk,kl->hwil", _DCT, blocks, _DCT,
+                           optimize=True)
+        out[:, :, p] = pixels.transpose(0, 2, 1, 3).reshape(out.shape[:2])
+        offset += count
+    out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    return out[:, :, 0] if planes == 1 else out
 
 
 @settings(max_examples=40, deadline=None)
 @given(h=st.integers(1, 24), w=st.integers(1, 24),
-       kept=st.integers(1, BLOCK * BLOCK), seed=st.integers(0, 2**32 - 1))
-def test_transforms_equal_the_einsum_reference(h, w, kept, seed):
+       kept=st.integers(1, 255), planes=st.sampled_from([1, 3]),
+       quality=st.sampled_from([0.25, 1.0, 1.7]),
+       seed=st.integers(0, 2**32 - 1))
+def test_transforms_equal_the_einsum_reference(h, w, kept, planes, quality,
+                                               seed):
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 256, size=(h * BLOCK, w * BLOCK), dtype=np.uint8)
     assert (_block_coefficients(pixels).tobytes()
             == _einsum_coefficients(pixels).tobytes())
-    coeffs = rng.normal(0.0, 60.0, size=(h, w, BLOCK * BLOCK))
-    coeffs[:, :, kept:] = 0.0  # synthesis zero-fills the dropped channels
-    assert (_blocks_from_coefficients(coeffs).tobytes()
-            == _einsum_pixels(coeffs).tobytes())
+    cfg = CodecConfig(channels=kept, quality=quality)
+    planes = min(planes, kept)
+    values = np.rint(rng.normal(0.0, 8.0, size=(h, w, kept)))
+    dc = np.cumsum([0] + plane_channel_counts(kept, planes)[:-1])
+    values[:, :, dc] += rng.integers(0, 128 / quality, size=(h, w, planes))
+    grid = TokenGrid(np.clip(values, -cfg.clamp, cfg.clamp),
+                     np.ones((h, w), bool))
+    assert (synthesize(grid, cfg, h * BLOCK, w * BLOCK, planes).tobytes()
+            == _einsum_image(grid, cfg, planes).tobytes())
+
+
+# Synthesized images, printed as a digest by a child process, so that
+# runs under two BLAS kernels can be compared.
+_SYNTHESIZE_DIGEST = """
+import hashlib, numpy as np
+from resicomp.pipeline import PipelineConfig, progressive_receive, send
+from resicomp.synthetic import synthetic_image
+from resicomp.token_codec import CodecConfig, TokenGrid, synthesize
+rng = np.random.default_rng(5)
+h = hashlib.sha256()
+for channels, planes in ((16, 1), (64, 1), (48, 3)):
+    cfg = CodecConfig(channels=channels)
+    values = rng.normal(0.0, 8.0, size=(20, 23, channels))
+    values[:, :, ::channels // planes] += rng.integers(0, 128, (20, 23, 1))
+    grid = TokenGrid(np.clip(np.rint(values), -127, 127),
+                     np.ones((20, 23), bool))
+    h.update(synthesize(grid, cfg, 313, 361, planes).tobytes())
+cfg = PipelineConfig(codec=CodecConfig(channels=16), mode_kind="MDC", l=8,
+                     mode_params={"n_d": 2})
+packets, _, _, _ = send(synthetic_image(6, 96, 112), cfg)
+for step in progressive_receive(packets[::-1], cfg, 96, 112):
+    h.update(step.image.tobytes())
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not an OpenBLAS that picks its "
+                           "kernel at run time")
+def test_images_do_not_depend_on_the_blas_kernel():
+    plain = _child_digest(_SYNTHESIZE_DIGEST)
+    assert plain.returncode == 0, plain.stderr
+    old = _child_digest(_SYNTHESIZE_DIGEST, OPENBLAS_CORETYPE="Prescott")
+    assert old.returncode == 0, old.stderr
+    assert old.stdout == plain.stdout
