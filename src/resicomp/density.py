@@ -297,8 +297,8 @@ def mixture_keys(output):
     """
     if output.sigmas is None:
         raise ValueError("the predictor output has no sigmas (a "
-                         "RunningSums value head); key tables from a "
-                         "predict output")
+                         "concealment value head); key tables from a "
+                         "density head")
     channels = output.means.shape[1]
     mu, sigma = snap(output.means, output.sigmas)
     local = (mu + _MU_MAX) * len(SIGMA_LEVELS) + sigma + 1

@@ -2,19 +2,23 @@
 
 A packet header describes its whole stream: `stream_header` maps a
 config and an image size to it, and a `Stream` maps it back to the
-mode, slice plan, codec and prior.  `Stream.model` runs the context
-model on a set of slices in one pass, each position reading only its
-own slice's context slices, so a slice's tables are the same whichever
-slices share the pass.  `send` holds every slice, so it models them all
-in one pass with the `Stream` of the header it writes and codes each
-slice's symbols into one packet; a `Receiver` is the `Stream` of the
-header it is given and decodes in the iterations of
-`iteration_schedule`: one pass of the same `model`, on its grid as it
-stands, for every ready slice of a context depth.  A payload codes each
-position's channels as one block, up to its last symbol that is not its
-table's likeliest; each end lays out the blocks of a whole pass at once
+mode, slice plan, codec and prior.  `send` holds every slice, so it
+models them all in one masked predictor pass (`collect_context` and
+`predict`), each position reading only its own slice's context slices,
+and codes each slice's symbols into one packet.  A `Receiver` is the
+`Stream` of the header it is given and decodes in the iterations of
+`iteration_schedule`, one pass for every ready slice of a context
+depth.  It runs no predictor of its own: one running state of window
+sums (`predictor.RunningSums`) serves its decode passes and its
+concealment.  Each decoded slice pushes its tokens' terms into the
+still-masked positions that read them, once, so a pass reads its
+slices' sums as they stand, and each position reads only its own
+slice's context slices: a slice's tables are the same whichever slices
+share its pass, and the sender's.  A payload codes each position's
+channels as one block, up to its last symbol that is not its table's
+likeliest; each end lays out the blocks of a whole pass at once
 (`entropy_coder.block_steps` and `blocks`), so a packet's `encode` or
-`decode` call only cuts out its own.  It is a session:
+`decode` call only cuts out its own.  The receiver is a session:
 packets are added one at a time, in any order, and each slice is
 entropy-decoded once, as soon as its packet and its full context
 closure are in.  `Receiver.add` is the one rule for which packet a
@@ -24,17 +28,16 @@ rejected.  A session keeps one state per slice, and its result
 conceals all still-masked tokens, synthesizes the image and says per
 slice whether it was decoded, lost, orphaned by a context slice,
 corrupt, or rejected; the concealed grid and the image are made again
-only once another slice has decoded.  The session keeps its
-concealment sums (`predictor.RunningSums`): its first concealment
-computes the window sums at the masked positions once, and each later
-one adds only the terms of the tokens decoded since.  It keeps its
-last concealed grid and image too, and synthesizes again only the
-blocks whose concealed tokens changed (`synthesize`'s `since`).
-`receive` hands a session every packet its flags keep;
-`progressive_receive` keeps one session across every prefix of a
-packet list, in list order.  The context model runs only at the
-positions of the slices it is given, so its window sums cost work in
-proportion to those slices, not the grid.
+only once another slice has decoded.  Concealment reads the same
+running sums, plus those of the decoded slices outside each masked
+position's context, which its first concealment pulls once where any
+exist and later decodes push.  The session keeps its last concealed
+grid and image too, and synthesizes again only the blocks whose
+concealed tokens changed (`synthesize`'s `since`).  `receive` hands a
+session every packet its flags keep; `progressive_receive` keeps one
+session across every prefix of a packet list, in list order.  The
+window sums cost work in proportion to the slices that decode, not to
+the grid.
 
 A stream's mode, slice plan and context depths depend only on a few
 header fields, so the process builds them once (`stream_layout`, which
@@ -51,7 +54,7 @@ the store it opened with, so no stream sees its rows move.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -260,7 +263,7 @@ def stream_header(cfg: PipelineConfig, height: int, width: int,
 
 
 class Stream:
-    """The stream that a packet header describes, and its context model.
+    """The stream that a packet header describes.
 
     Its mode, slice plan over the token grid (BLOCK x BLOCK blocks
     covering the output size), context depths and their groups come from
@@ -301,21 +304,6 @@ class Stream:
         self.l = header.total_slices
         self.store = table_store(prior, header.clamp)
 
-    def model(self, slices, grid: TokenGrid):
-        """(positions, rows, cum): the positions of `slices`, slice by
-        slice, and the row of `cum` that holds each of their symbols'
-        table, position-major then channel.
-
-        One predictor pass and one table lookup serve every slice given.
-        Each position reads only its own slice's context slices of
-        `grid`, so its table is the one that slice alone would get; the
-        caller makes sure those context slices are known there.
-        """
-        ctx = collect_context(slices, self.mode, self.plan, grid)
-        output = predict(ctx, self.prior)
-        cum, rows = self.store.tables(output)
-        return output.positions, rows, cum
-
 
 def send(image: np.ndarray, cfg: PipelineConfig):
     """Encode an image into one packet per slice, with the tables of the
@@ -327,10 +315,13 @@ def send(image: np.ndarray, cfg: PipelineConfig):
     header = stream_header(cfg, image.shape[0], image.shape[1], planes)
     stream = Stream(header, cfg.prior)
     grid = analyze(image, stream.codec)
-    # The sender holds every slice, so one pass models them all.
+    # The sender holds every slice, so one masked predictor pass models
+    # them all, each position reading only its own slice's context.
     slices = range(1, stream.l + 1)
-    positions, rows, cum = stream.model(slices, grid)
-    symbols = (grid.values[tuple(positions.T)].astype(np.int64)
+    output = predict(collect_context(slices, stream.mode, stream.plan, grid),
+                     stream.prior)
+    cum, rows = stream.store.tables(output)
+    symbols = (grid.values[tuple(output.positions.T)].astype(np.int64)
                + header.clamp).reshape(-1)
     # Every slice's coding steps in one go; a packet codes its cut.
     steps = entropy_coder.block_steps(symbols, rows, cum, stream.store.peaks,
@@ -342,7 +333,7 @@ def send(image: np.ndarray, cfg: PipelineConfig):
         at = slice(lo * grid.channels, hi * grid.channels)
         payload = entropy_coder.encode(symbols[at], rows[at], cum,
                                        steps[lo:hi])
-        packets.append(Packet(header=replace(header, slice_index=i - 1),
+        packets.append(Packet(header=header.for_slice(i - 1),
                               payload=payload))
     return packets, grid, stream.plan, stream.mode
 
@@ -385,7 +376,8 @@ class Receiver(Stream):
     """Decoding session for the stream one packet header describes.
 
     Slices decode as soon as their packet and all their context slices
-    are in, every ready slice of a context depth in one model pass;
+    are in, every ready slice of a context depth in one pass, which
+    reads the session's running window sums (`predictor.RunningSums`);
     `result` conceals the rest on a copy, so packets may keep arriving.
     The header and prior are checked as `Stream` checks them.
     Each slice has one state, a SLICE_* value: lost or rejected until a
@@ -409,7 +401,9 @@ class Receiver(Stream):
         self.state = [SLICE_LOST] * self.l  # slice i's is state[i - 1]
         # (decoded slices, concealed grid, image) of the last result.
         self._last = None
-        self._sums = None  # the RunningSums, from the first concealment
+        # The window sums of the decode passes and of concealment.
+        self._sums = RunningSums(self.grid, self.prior, self.plan.owner,
+                                 self.mode.g)
 
     def _missing_context(self, i: int) -> int | None:
         """Slice i's first context slice that is not decoded, if any; a
@@ -457,10 +451,12 @@ class Receiver(Stream):
         gets the tables it would get alone, and a corrupt one costs the
         others nothing.
         """
-        positions, rows, cum = self.model(slices, self.grid)
+        order, bounds = self.plan.position_array, self.plan.boundaries
+        positions = np.concatenate([order[bounds[i - 1]:bounds[i]]
+                                    for i in slices])
+        cum, rows = self.store.tables(self._sums.model(self.grid, positions))
         channels = self.header.channels
         blocks = entropy_coder.blocks(rows, cum, self.store.peaks, channels)
-        bounds = self.plan.boundaries
         lo = 0
         for i in slices:
             hi = lo + bounds[i] - bounds[i - 1]
@@ -483,12 +479,13 @@ class Receiver(Stream):
 
         The concealed grid and the image depend on the decoded slices
         alone, so they are computed again only once another slice has
-        decoded.  The session's first concealment makes its concealment
-        sums, and each later one adds the terms of the tokens decoded
-        since; the image is synthesized again only at the positions
-        whose concealed tokens changed since the last one.  Each result
-        holds its own copies of the grid and image, so a caller who
-        writes into them changes nothing the session reads.
+        decoded.  Concealment reads the session's running sums, which
+        its first concealment completes with the decoded slices outside
+        each masked position's context; the image is synthesized again
+        only at the positions whose concealed tokens changed since the
+        last one.  Each result holds its own copies of the grid and
+        image, so a caller who writes into them changes nothing the
+        session reads.
         """
         # Predictions at one context depth count as one pass of the
         # iterative schedule; slices predicted from no context at all
@@ -508,8 +505,6 @@ class Receiver(Stream):
             if outcome == OUTCOME_LOSSLESS:
                 full = self.grid.copy()
             else:
-                if self._sums is None:
-                    self._sums = RunningSums(self.grid, self.prior)
                 full = conceal(self.grid, self._sums.predict(self.grid))
             h = self.header
             since = None if self._last is None else self._last[1:]

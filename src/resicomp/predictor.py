@@ -16,19 +16,20 @@ MAX_WINDOW): the order in which its terms are added cannot change it.
 The sums are therefore BLAS products, one per tile of points, and the
 same on every machine and BLAS kernel.
 
-Each caller computes only the head it reads.  `pipeline.Stream.model`
-codes slices from the density head (means, sigmas and whether a
-neighbor is known) at their positions.  It predicts any set of slices
-in one pass: `collect_context` gives each point its slice and the
-mode's context relation, and the window sums count a neighbor only if
-its slice is in the point's context, so each point's estimate is the
-one a grid masked to its own slice's context gives.  Concealment reads
-only the value head, which a receiver's `RunningSums` gives from the
-window sums of known and value alone: computed once at the positions
-masked at its first concealment, then brought up to date by adding the
-terms of each token decoded since, which equals a fresh `predict`
-because the sums are exact.  Both share one step from window sums to
-estimates.
+Each caller computes only the head it reads.  `pipeline.send` codes
+every slice from the density head (means, sigmas and whether a neighbor
+is known) in one pass: `collect_context` gives each point its slice and
+the mode's context relation, and the window sums count a neighbor only
+if its slice is in the point's context, so each point's estimate is the
+one a grid masked to its own slice's context gives.  A receiver calls
+neither: its `RunningSums` is one running state of window sums for both
+of its reads.  Each slice that decodes pushes the terms of its tokens,
+once, into the still-masked positions that read them, so a decode pass
+reads its slices' sums where `predict` would sum their windows again,
+and concealment reads the same sums plus those of the decoded slices
+outside each position's context.  The sums are exact, so both reads
+equal a fresh `predict` bit for bit.  All share one step from window
+sums to estimates.
 """
 
 from __future__ import annotations
@@ -242,8 +243,7 @@ def collect_context(slices, mode: ContextMode, plan: SlicePlan,
     It builds no copy of the grid: the mode's matrix becomes `sees`, and
     `predict` applies it per window neighbor.  It does not check that
     the context slices are known in `grid`: the sender holds every
-    slice, and `pipeline.Receiver` asks for a slice only once its
-    context slices are decoded.
+    slice.
     """
     sees = np.zeros((plan.l + 1, plan.l + 1), dtype=bool)
     sees[1:, 1:] = mode.g
@@ -452,8 +452,8 @@ def predict(grid, prior: PriorModel, positions=None) -> PredictorOutput:
     row-major order, the ones concealment fills.  The local estimate is
     the inverse-distance-weighted window estimate where any window
     neighbor is read and the prior elsewhere.  The value head is its
-    rounded mean, so both heads agree by construction.  Concealment's
-    value head alone comes from a `RunningSums`.
+    rounded mean, so both heads agree by construction.  A receiver reads
+    both heads from a `RunningSums` instead.
     """
     context = None
     if isinstance(grid, Context):
@@ -475,55 +475,214 @@ def predict(grid, prior: PriorModel, positions=None) -> PredictorOutput:
     return _estimates(positions, sums, prior, sigmas=True)
 
 
-class RunningSums:
-    """Concealment's window sums on a grid whose tokens only become known.
+def _bitset(flags) -> int:
+    """The indices where `flags` is True, as the bits of an int."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(),
+                          "little")
 
-    Made from a grid, it holds the window sums of the grid's known
-    tokens at the positions masked then, computed once.  Each `predict`
-    first adds the terms of the tokens that became known since, one
-    transposed product per tile of them, then gives the value head at
-    the positions still masked.  The sums are exact integers, so that is
-    the value head of `predict(grid, prior)` bit for bit, in whatever
-    order the tokens became known.  A known token must not change or
-    become masked again.
+
+class RunningSums:
+    """Window sums on a grid whose tokens only become known: one state
+    for a receiver's decode passes and its concealment.
+
+    `owner` gives each grid position's 1-based slice and `g` the mode's
+    context relation, as `collect_context` reads them: a point of slice
+    k reads slice j in its decode pass where `g[k - 1, j - 1]`.  The
+    state keeps two parts, each an array of sums per grid position:
+
+    - the context sums, [known, values, values^2] over the known tokens
+      of each position's context slices, if any slice's context is not
+      empty;
+    - the rest, [known, values] over the known tokens of every other
+      slice, made by one pull at the first concealment, at the points
+      that have such a token.
+
+    Each read first pushes the terms of the tokens that became known
+    since the last one (for the first read, all known ones) into the
+    masked positions of each part that read them, one transposed
+    product per tile of the tokens added straight into the part's
+    block of positions.  So a token goes once into each masked position
+    that reads it, and into no part that has no such position: under LC
+    a masked slice's context holds every decoded slice, so the rest
+    stays empty.  A position's sums are read only while it is masked,
+    and the context sums only at a slice whose context is not empty;
+    elsewhere a push may add what it likes.
+
+    The sums are exact integers, so a read is bit for bit what `predict`
+    gives, in whatever order the tokens became known: `model` the
+    density head of a `Context` at its points, `predict` the value head
+    of the whole grid at its masked positions.  A known token must not
+    change or become masked again.
     """
 
-    def __init__(self, grid: TokenGrid, prior: PriorModel):
+    def __init__(self, grid: TokenGrid, prior: PriorModel, owner, g):
         if prior.channels != grid.channels:
             raise ValueError("prior channel count does not match grid")
         self.prior = prior
-        radius = prior.window // 2
-        masked = ~grid.known
-        positions = np.argwhere(masked)
-        # The row of each masked position's sums, -1 at any other
-        # position and on `radius` positions of padding on every side.
-        self._row = np.full((grid.h + 2 * radius, grid.w + 2 * radius), -1,
-                            np.intp)
-        inner = self._row[radius:radius + grid.h, radius:radius + grid.w]
-        inner[masked] = np.arange(len(positions))
-        self._sums = _window_sums(_known_columns(grid, False, radius),
-                                  positions[:, 0], positions[:, 1],
-                                  prior.window)
-        self._known = grid.known.copy()
+        sees = np.zeros((len(g) + 1,) * 2, bool)
+        sees[1:, 1:] = g
+        self._owner, self._sees = owner, sees
+        self._reads = sees.any(axis=1)  # slices whose context is not empty
+        self._reads_at = self._reads[owner]  # the same, per position
+        # Sets of slices are the bits of a Python int, slice k at bit k:
+        # the slices that read slice j's tokens, those whose context is
+        # not empty, and those with masked positions.
+        self._readers = [_bitset(column) for column in sees.T]
+        self._reading = _bitset(self._reads)
+        # Every token is masked until a read pushes it.
+        self._left = np.bincount(owner.reshape(-1), minlength=len(sees))
+        self._masked = _bitset(self._left > 0)
+        self._left = self._left.tolist()
+        self._known = np.zeros_like(grid.known)
+        self._count = 0
+        self._sums = None  # the context sums, if any slice reads any
+        if self._reads.any():
+            self._sums = np.zeros((grid.h, grid.w, 1 + 2 * grid.channels))
+        self._rest = None  # the rest, once a token goes into it
+        self._concealed = False
+
+    def _push(self, grid: TokenGrid):
+        """Add the terms of the tokens known since the last read."""
+        if np.count_nonzero(grid.known) == self._count:
+            return
+        new = np.argwhere(grid.known & ~self._known)
+        self._count += len(new)
+        rows, cols = new[:, 0], new[:, 1]
+        self._known[rows, cols] = True
+        slices = self._owner[rows, cols]
+        counts = np.bincount(slices)
+        sources = np.flatnonzero(counts).tolist()
+        for j in sources:
+            self._left[j] -= int(counts[j])
+            if not self._left[j]:
+                self._masked &= ~(1 << j)
+        # The masked slices of each part that take each new slice's
+        # tokens, and the new slices whose tokens go anywhere.
+        reading = self._masked & self._reading
+        rest = self._masked if self._concealed else 0
+        into = {j: self._readers[j] & reading for j in sources}
+        other = {j: rest & ~self._readers[j] for j in sources}
+        useful = [j for j in sources if into[j] or other[j]]
+        parts = []
+        # A part needs a mask only if some of its masked slices do not
+        # take some new slice's tokens.
+        if any(into[j] for j in useful):
+            mask = None
+            if any(into[j] != reading for j in useful):
+                mask = self._mask(self._sees, reading)
+            parts.append((self._sums, mask))
+        if any(other[j] for j in useful):
+            if self._rest is None:
+                self._rest = np.zeros((grid.h, grid.w, 1 + grid.channels))
+            mask = None
+            if any(other[j] != rest for j in useful):
+                mask = self._mask(~self._sees, rest)
+            parts.append((self._rest, mask))
+        if not parts:
+            return
+        if len(useful) < len(sources):
+            keep = np.isin(slices, useful)
+            rows, cols, slices = rows[keep], cols[keep], slices[keep]
+        channels = grid.channels
+        terms = np.empty((len(rows), 1 + 2 * channels))
+        terms[:, 0] = 1.0
+        values = terms[:, 1:channels + 1]
+        values[...] = grid.values[rows, cols]
+        np.multiply(values, values, out=terms[:, channels + 1:])
+        self._add(rows, cols, slices, terms, parts)
+
+    def _mask(self, takes, target: int) -> np.ndarray:
+        """(L + 1, L + 1) float64, [j, k] 1.0 where a position of slice k
+        in `target` takes slice j's tokens, `takes[k, j]`, else 0.0."""
+        at = np.array([(target >> k) & 1 for k in range(len(takes))], bool)
+        return (takes & at[:, None]).T.astype(np.float64)
+
+    def _add(self, rows, cols, slices, terms, parts):
+        """Add the terms of the tokens at (rows, cols), of `slices`, to
+        the window positions around each, into each (sums, mask) of
+        `parts`: at every position, or where `mask[j, k]` for a token of
+        slice j and a position of slice k."""
+        radius = self.prior.window // 2
+        height, width = self._owner.shape
+        padded = (height + 2 * radius, width + 2 * radius)
+        for at, (ys, xs), weights in _weight_tiles(rows, cols,
+                                                   self.prior.window, padded):
+            # The span's grid positions: the weights of the padding go.
+            top, bottom = max(ys.start, radius), min(ys.stop, height + radius)
+            left, right = max(xs.start, radius), min(xs.stop, width + radius)
+            if (top, bottom, left, right) != (ys.start, ys.stop, xs.start,
+                                              xs.stop):
+                weights = weights.reshape(
+                    len(at), ys.stop - ys.start, xs.stop - xs.start)[
+                    :, top - ys.start:bottom - ys.start,
+                    left - xs.start:right - xs.start].reshape(len(at), -1)
+            span = np.s_[top - radius:bottom - radius,
+                         left - radius:right - radius]
+            for sums, mask in parts:
+                block = sums[span]
+                taken = weights
+                if mask is not None:
+                    taken = weights * np.take(mask[slices[at]],
+                                              self._owner[span].reshape(-1),
+                                              axis=1)
+                added = (taken.T @ terms[at, :block.shape[2]]).reshape(
+                    block.shape)
+                added += block
+                block[...] = added
+
+    def model(self, grid: TokenGrid, positions) -> PredictorOutput:
+        """The density head at masked `positions`, each reading only its
+        own slice's context slices: `predict` of a `Context` there."""
+        self._push(grid)
+        positions = np.asarray(positions, dtype=np.intp).reshape(-1, 2)
+        rows, cols = positions[:, 0], positions[:, 1]
+        if self._sums is None:
+            sums = np.zeros((len(positions), 1 + 2 * grid.channels))
+        else:
+            sums = self._sums[rows, cols]
+            reads = self._reads_at[rows, cols]
+            if not reads.all():
+                sums[~reads] = 0.0  # a slice whose context is empty
+        return _estimates(positions, sums, self.prior, sigmas=True)
 
     def predict(self, grid: TokenGrid) -> PredictorOutput:
-        """The value head at grid's masked positions, in row-major order."""
-        window = self.prior.window
-        new = np.argwhere(grid.known & ~self._known)
-        self._known = grid.known.copy()
-        rows, cols = new[:, 0], new[:, 1]
-        terms = np.ones((len(new), 1 + grid.channels))
-        terms[:, 1:] = grid.values[rows, cols]
-        for at, span, weights in _weight_tiles(rows, cols, window,
-                                               self._row.shape):
-            target = self._row[span].reshape(-1)
-            hit = target >= 0
-            self._sums[target[hit]] += (weights.T @ terms[at])[hit]
+        """The value head at grid's masked positions, in row-major order:
+        `predict(grid, prior)`'s."""
+        self._push(grid)
         positions = np.argwhere(~grid.known)
-        radius = window // 2
-        sums = self._sums[self._row[positions[:, 0] + radius,
-                                    positions[:, 1] + radius]]
+        if not self._concealed:
+            self._pull_rest(grid, positions)
+            self._concealed = True
+        values = 1 + grid.channels
+        rows, cols = positions[:, 0], positions[:, 1]
+        if self._sums is None:
+            sums = np.zeros((len(positions), values))
+        else:
+            sums = self._sums[rows, cols, :values]
+            sums[~self._reads_at[rows, cols]] = 0.0
+        if self._rest is not None:
+            sums += self._rest[rows, cols]
         return _estimates(positions, sums, self.prior, sigmas=False)
+
+    def _pull_rest(self, grid: TokenGrid, positions):
+        """Make the rest at `positions`, the masked ones, if any of them
+        reads a known token outside its context."""
+        owner, radius = self._owner, self.prior.window // 2
+        # Which slices' points read which known slices' tokens here.
+        known = np.bincount(owner[grid.known],
+                            minlength=len(self._sees)) > 0
+        reads = ~self._sees & known
+        points = np.bincount(owner[positions[:, 0], positions[:, 1]],
+                             minlength=len(self._sees)) > 0
+        if not reads[points].any():
+            return
+        context = (owner, reads)
+        if reads[np.ix_(points, known)].all():
+            context = None  # every point reads every known token
+        self._rest = np.zeros((grid.h, grid.w, 1 + grid.channels))
+        self._rest[positions[:, 0], positions[:, 1]] = _window_sums(
+            _known_columns(grid, False, radius), positions[:, 0],
+            positions[:, 1], self.prior.window, context)
 
 
 def conceal(grid: TokenGrid, output: PredictorOutput) -> TokenGrid:

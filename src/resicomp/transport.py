@@ -71,6 +71,22 @@ class PacketHeader:
                 raise ValueError(f"{name} {value!r} does not fit the "
                                  "packet header") from None
 
+    def for_slice(self, index: int) -> PacketHeader:
+        """This header with `slice_index` set to `index`, 0-based.
+
+        Every other field is this header's, checked when it was made, so
+        only the index is checked: it must be below `total_slices`.  The
+        copy skips `__init__` and `__post_init__`, so every field must be
+        a plain stored value that `__post_init__` only checks: a field it
+        derived or normalized would be copied unchecked.
+        """
+        if not 0 <= index < self.total_slices:
+            raise ValueError(f"slice index {index} is outside "
+                             f"0..{self.total_slices - 1}")
+        header = object.__new__(PacketHeader)
+        header.__dict__.update(self.__dict__, slice_index=index)
+        return header
+
 
 @dataclass(frozen=True)
 class Packet:

@@ -279,9 +279,15 @@ def test_predict_is_local():
     assert not np.array_equal(base.means, moved.means)
 
 
+def _one_slice(grid):
+    """(owner, g) of a grid that is one slice whose context is empty."""
+    return np.ones((grid.h, grid.w), np.intp), np.zeros((1, 1), bool)
+
+
 def test_value_only_output_has_no_table_keys():
     grid = _grid(np.zeros((2, 2, 3)), [[True, False], [False, False]])
-    output = RunningSums(grid, default_prior(3)).predict(grid)
+    output = RunningSums(grid, default_prior(3), *_one_slice(grid)).predict(
+        grid)
     with pytest.raises(ValueError, match="no sigmas"):
         mixture_keys(output)
 
@@ -417,7 +423,7 @@ def test_running_sums_equal_a_fresh_prediction(h, w, channels, window, seed,
                        stds=rng.uniform(SIGMA_FLOOR, 30.0, channels),
                        window=window)
     with mock.patch.object(predictor, "_PRODUCT_ELEMENTS", bound):
-        sums = RunningSums(grid, prior)
+        sums = RunningSums(grid, prior, *_one_slice(grid))
         for lo, hi in zip(cuts[1:], cuts[2:]):
             grid.known.reshape(-1)[order[lo:hi]] = True
             got = sums.predict(grid)
@@ -425,6 +431,80 @@ def test_running_sums_equal_a_fresh_prediction(h, w, channels, window, seed,
             for name in ("positions", "means", "values", "has_neighbors"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# A hand-built mode whose contexts are neither all earlier slices nor
+# none: slices 1 and 3 read nothing, 2 reads 1, 4 reads 1 and 3, and 5
+# reads 1, 2 and 3.  So slice 2 does not read 3, nor 4 read 2: each
+# part of the running sums gets tokens that the other must not.
+_HAND_MODE = ContextMode(l=5, g=np.array([[0, 0, 0, 0, 0],
+                                          [1, 0, 0, 0, 0],
+                                          [0, 0, 0, 0, 0],
+                                          [1, 0, 1, 0, 0],
+                                          [1, 1, 1, 0, 0]], bool),
+                         mode_id=MODE_CUSTOM)
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=st.integers(2, 12), w=st.integers(3, 12), channels=st.integers(1, 3),
+       window=st.sampled_from([1, 3, 11]), seed=st.integers(0, 2**32 - 1),
+       bound=st.sampled_from([0, 2000, 1 << 40]), data=st.data())
+def test_running_sums_of_a_custom_mode_equal_fresh_predictions(
+        h, w, channels, window, seed, bound, data):
+    # Slices decode in batches, in any order their contexts allow, and
+    # some never do.  After each batch, the state's density head at the
+    # slices whose context is in equals `predict` of their `Context`,
+    # and its value head at the masked positions equals `predict` of the
+    # grid, byte for byte.
+    mode = _HAND_MODE
+    assert validate(mode) is None
+    rng = np.random.default_rng(seed)
+    plan = build_plan(h, w, mode.l, mode, seed=seed % 997)
+    grid = _grid(rng.integers(-60, 61, size=(h, w, channels)),
+                 np.zeros((h, w)))
+    prior = PriorModel(means=rng.normal(0.0, 10.0, channels),
+                       stds=rng.uniform(SIGMA_FLOOR, 30.0, channels),
+                       window=window)
+    lost = set(data.draw(st.sets(st.integers(1, mode.l), max_size=2)))
+    decoded = set()
+
+    def ready():
+        return [i for i in range(1, mode.l + 1) if i not in decoded | lost
+                and decoded.issuperset(mode.contexts_of(i))]
+
+    def decode(batch):
+        for i in batch:
+            grid.known[plan.owner == i] = True
+        decoded.update(batch)
+
+    with mock.patch.object(predictor, "_PRODUCT_ELEMENTS", bound):
+        # The state may be made on a grid with known tokens already.
+        if data.draw(st.booleans()) and ready():
+            decode(ready()[:1])
+        sums = RunningSums(grid, prior, plan.owner, mode.g)
+        while True:
+            batch = ready()
+            if batch:
+                positions = np.concatenate(
+                    [plan.position_array[plan.boundaries[i - 1]:
+                                         plan.boundaries[i]] for i in batch])
+                got = sums.model(grid, positions)
+                want = predict(collect_context(batch, mode, plan, grid), prior)
+                for name in ("positions", "means", "sigmas", "values",
+                             "has_neighbors"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            if data.draw(st.booleans()) or not batch:
+                got = sums.predict(grid)
+                want = predict(grid, prior)
+                for name in ("positions", "means", "values",
+                             "has_neighbors"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            if not batch:
+                break
+            decode(data.draw(st.lists(st.sampled_from(batch), min_size=1,
+                                      unique=True)))
 
 
 # Predictions and packet payloads, printed as a digest by a child

@@ -18,7 +18,7 @@ from resicomp.pipeline import (OUTCOME_CONCEALED, OUTCOME_FAILED,
                                SLICE_LOST, SLICE_ORPHANED, PipelineConfig,
                                Receiver, SliceStatus, progressive_receive,
                                receive, send, stream_header)
-from resicomp.predictor import conceal, predict
+from resicomp.predictor import collect_context, conceal, predict
 from resicomp.synthetic import synthetic_image
 from resicomp.token_codec import BLOCK, CodecConfig, TokenGrid, synthesize
 from resicomp.transport import Packet, PacketFormatError, packet_from_bytes
@@ -200,6 +200,68 @@ def test_running_concealment_equals_a_fresh_prediction(kind, l, data, bound):
         assert step.grid.known.all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([("LC", {}), ("ISC", {}), ("MDC", {"n_d": 2}),
+                             ("SLC", {"enhancements": 1}), ("custom", {})]),
+       l=st.integers(2, 9), seed=st.integers(0, 2**32 - 1), data=st.data(),
+       bound=st.sampled_from([0, 2000, predictor._PRODUCT_ELEMENTS]))
+def test_each_decode_pass_models_as_a_fresh_prediction(kind, l, seed, data,
+                                                       bound):
+    # Packets in any order, some lost and some sent twice: every decode
+    # pass of the session reads its running sums, and each pass's
+    # density head must be the one a fresh `predict` of its slices'
+    # `Context` gives on the grid as it stood, byte for byte; each
+    # concealed prefix must be the grid concealed by a fresh `predict`.
+    cfg = _cfg(CodecConfig(channels=16), "LC" if kind[0] == "custom"
+               else kind[0], l, kind[1])
+    mode = make_mode(cfg.mode_kind, l, cfg.mode_params)
+    if kind[0] == "custom":
+        mode = _closed_mode(l, np.random.default_rng(seed))
+    passes = []
+
+    def recorded(self, grid, positions, _fn=predictor.RunningSums.model):
+        output = _fn(self, grid, positions)
+        passes.append((grid.copy(), output))
+        return output
+
+    # The process keeps the layouts it built, so the injected mode is
+    # built only into a cache emptied before and after the patch.
+    pipeline.stream_layout.cache_clear()
+    try:
+        with mock.patch.object(pipeline, "make_mode", lambda *_: mode):
+            packets, _, plan, _ = send(_LARGE_IMAGE, cfg)
+            listed = data.draw(st.lists(st.none() | st.sampled_from(packets),
+                                        min_size=1, max_size=2 * l))
+            if all(p is None for p in listed):
+                listed[0] = packets[0]
+            with mock.patch.object(predictor, "_PRODUCT_ELEMENTS", bound), \
+                    mock.patch.object(predictor.RunningSums, "model",
+                                      recorded):
+                steps = progressive_receive(listed, cfg, *_LARGE_IMAGE.shape)
+    finally:
+        pipeline.stream_layout.cache_clear()
+    prior = cfg.get_prior()
+    decoded = sorted({i for s in steps for i in s.decoded_slices})
+    assert sum(len(out.positions) for _, out in passes) >= sum(
+        len(plan.slice_positions(i)) for i in decoded)
+    for grid, output in passes:
+        owner = plan.owner[tuple(output.positions.T)]
+        slices = list(dict.fromkeys(owner.tolist()))
+        want = predict(collect_context(slices, mode, plan, grid), prior)
+        for name in ("positions", "means", "sigmas", "values",
+                     "has_neighbors"):
+            a, b = getattr(output, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for k, step in enumerate(steps, start=1):
+        if step.outcome == OUTCOME_LOSSLESS:
+            continue
+        known = np.isin(plan.owner, step.decoded_slices)
+        grid = TokenGrid(np.where(known[:, :, None], step.grid.values, 0),
+                         known)
+        want = conceal(grid, predict(grid, prior))
+        assert step.grid.values.tobytes() == want.values.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from([("LC", {}), ("ISC", {}), ("MDC", {"n_d": 2})]),
        l=st.integers(2, 8), planes=st.sampled_from([1, 3]),
@@ -264,18 +326,20 @@ def test_a_corrupt_slice_spares_its_depth_and_orphans_its_dependants(
     ("SLC", 9, {"enhancements": 2}, 5), ("LC", 6, {}, 6)])
 def test_a_lossless_receive_predicts_once_per_depth(monkeypatch, light_codec,
                                                     kind, l, params, passes):
+    # Each context depth's ready slices read the session's running sums
+    # once; the receiver runs no `predict` of its own.
     cfg = _cfg(light_codec, kind, l, params)
     packets, _, _, _ = send(_IMAGE, cfg)
     calls = []
-
-    def counted(*args, _fn=pipeline.predict, **kwargs):
-        calls.append(args)
-        return _fn(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "predict", counted)
+    for owner, name in ((pipeline, "predict"),
+                        (predictor.RunningSums, "model")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
     result = receive(packets, [1] * l, cfg, *_IMAGE.shape)
     assert result.outcome == OUTCOME_LOSSLESS
-    assert len(calls) == passes
+    assert calls == ["model"] * passes
 
 
 def _session_steps(packets):
@@ -317,12 +381,14 @@ def test_a_copy_costs_no_prediction_and_no_synthesis(monkeypatch,
     cfg = _cfg(light_codec, l=4)
     packets, _, _, _ = send(small_image, cfg)
     calls = []
-    for name in ("predict", "synthesize"):
-        def counted(*args, _fn=getattr(pipeline, name), _name=name,
+    for owner, name in ((pipeline, "predict"), (pipeline, "synthesize"),
+                        (predictor.RunningSums, "model"),
+                        (predictor.RunningSums, "predict")):
+        def counted(*args, _fn=getattr(owner, name), _name=name,
                     **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(pipeline, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     progressive_receive(packets, cfg, *small_image.shape)
     plain = sorted(calls)
     calls.clear()
@@ -333,6 +399,9 @@ def test_a_copy_costs_no_prediction_and_no_synthesis(monkeypatch,
         [1], [1, 2], [1, 2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4]]
     assert sorted(calls) == plain
     assert plain.count("synthesize") == 4
+    # Four decode passes, three concealed prefixes, and no `predict` of
+    # the receiver's own.
+    assert (plain.count("model"), plain.count("predict")) == (4, 3)
 
 
 def test_progressive_decodes_a_list_with_packets_missing(small_image,

@@ -106,6 +106,25 @@ def test_every_accepted_config_survives_the_wire_or_is_refused(case):
     _assert_lossless(result, grid)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_configs())
+def test_each_packet_header_is_the_stream_header_at_its_slice(case):
+    # `send` sets only the slice index of the header it checked; every
+    # field must be what the checking constructor gives.
+    image, cfg = case
+    planes = 1 if image.ndim == 2 else 3
+    try:
+        header = stream_header(cfg, *image.shape[:2], planes)
+        with np.errstate(all="ignore"):
+            packets = send(image, cfg)[0]
+    except ValueError:
+        return
+    for i, packet in enumerate(packets):
+        want = replace(header, slice_index=i)
+        assert vars(packet.header) == vars(want)
+        assert packet.header == want and hash(packet.header) == hash(want)
+
+
 def _cfg(kind="LC", l=10, params=None, **codec):
     return PipelineConfig(codec=CodecConfig(channels=16, **codec),
                           mode_kind=kind, l=l, mode_params=params or {})

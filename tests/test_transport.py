@@ -151,6 +151,18 @@ def test_header_refuses_values_its_fields_cannot_hold(field, value):
         _header(**{field: value})
 
 
+def test_a_slice_header_sets_only_its_index():
+    header = _header(slice_index=0)
+    for index in range(header.total_slices):
+        got = header.for_slice(index)
+        assert vars(got) == vars(_header(slice_index=index))
+        assert got == header and hash(got) == hash(header)
+    assert header.slice_index == 0
+    for index in (-1, header.total_slices, 256):
+        with pytest.raises(ValueError, match="slice index"):
+            header.for_slice(index)
+
+
 def test_corrupted_packet_rejected():
     raw = bytearray(Packet(header=_header(),
                            payload=Bitstring(b"\xaa" * 8)).to_bytes())
